@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck smoke obs-smoke serve-smoke fabric-smoke check bench-engine coverage-check cov-mitigations ci clean-cache
+.PHONY: test lint typecheck smoke obs-smoke serve-smoke check bench-engine coverage-check cov-mitigations ci clean-cache
 
 # Tier-1 suite (the correctness gate).
 test:
@@ -39,13 +39,6 @@ obs-smoke:
 # resuming the journaled queue (see docs/serving.md).
 serve-smoke:
 	$(PYTHON) -m repro.serve.smoke
-
-# Multi-node campaign fabric: three serve nodes sharing a remote
-# result tier — sharded sweep bit-identical to serial with zero
-# duplicate simulations under forced hedging, warm read-through rerun,
-# and SIGKILL node-loss failover (see docs/fabric.md).
-fabric-smoke:
-	$(PYTHON) -m repro.fabric.smoke
 
 # Independent verification: conformance oracle on traced campaign
 # points, seeded mutation detection, differential design invariants,
@@ -93,7 +86,7 @@ cov-mitigations:
 	fi
 
 # What CI runs.
-ci: lint typecheck test smoke obs-smoke serve-smoke fabric-smoke check bench-engine cov-mitigations
+ci: lint typecheck test smoke obs-smoke serve-smoke check bench-engine cov-mitigations
 
 clean-cache:
 	rm -rf benchmarks/results/.cache .repro-cache

@@ -44,9 +44,7 @@ import hashlib
 import json
 import os
 import pathlib
-import queue
 import tempfile
-import threading
 from typing import Any
 
 from ..obs.log import get_logger
@@ -277,270 +275,6 @@ class ResultCache:
             removed += 1
             freed += size
         return removed, freed
-
-
-# ----------------------------------------------------------------------
-# Remote tier: fabric-wide shared result store behind the local cache
-# ----------------------------------------------------------------------
-class RemoteTier:
-    """Interface of a shared, fabric-wide result tier.
-
-    A remote tier stores the same schema-versioned JSON documents the
-    local :class:`ResultCache` holds, keyed by the same content hash,
-    plus **in-flight claims**: a node about to simulate key ``K``
-    claims it first, so every other node (including a hedged secondary)
-    waits for the result instead of duplicating the simulation. The
-    shipped implementation is
-    :class:`repro.fabric.tiers.SharedDirTier`; anything with this
-    surface (an object store, a network KV) plugs into
-    :class:`TieredCache` the same way.
-
-    All methods must be safe to call concurrently from multiple
-    processes on multiple hosts.
-    """
-
-    def get_blob(self, key: str) -> dict | None:
-        """The stored document for ``key``, or ``None`` (miss)."""
-        raise NotImplementedError
-
-    def put_blob(self, key: str, document: dict) -> None:
-        """Atomically store ``document`` under ``key``."""
-        raise NotImplementedError
-
-    def claim(self, key: str, owner: str) -> bool:
-        """Atomically claim ``key`` for ``owner``; ``False`` if held."""
-        raise NotImplementedError
-
-    def release(self, key: str, owner: str) -> None:
-        """Drop ``owner``'s claim on ``key`` (no-op if not held)."""
-        raise NotImplementedError
-
-    def claim_age_s(self, key: str) -> float | None:
-        """Seconds since ``key`` was claimed, or ``None`` (unclaimed)."""
-        raise NotImplementedError
-
-    def steal_claim(self, key: str, owner: str) -> bool:
-        """Atomically take over a stale claim; ``True`` if ``owner``
-        now holds it (exactly one of N racing stealers wins)."""
-        raise NotImplementedError
-
-    def claims(self) -> list[str]:
-        """Keys currently claimed (observability / orphan checks)."""
-        raise NotImplementedError
-
-
-@dataclasses.dataclass
-class RemoteCounters:
-    """Observability counters for the remote tier of a :class:`TieredCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    write_errors: int = 0
-    claims: int = 0
-    claim_denied: int = 0
-    steals: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(hits=self.hits, misses=self.misses,
-                    writes=self.writes, write_errors=self.write_errors,
-                    claims=self.claims, claim_denied=self.claim_denied,
-                    steals=self.steals, hit_rate=self.hit_rate)
-
-
-class TieredCache(ResultCache):
-    """Local :class:`ResultCache` backed by a shared :class:`RemoteTier`.
-
-    * **read-through** — a local miss falls through to the remote tier;
-      a remote hit is decoded, written into the local tier, and served,
-      so a point simulated on *any* fabric node is a cache hit
-      everywhere after one remote round trip;
-    * **write-behind** — :meth:`put` persists locally (synchronously,
-      atomically — the correctness path), then publishes to the remote
-      tier from a background writer thread, so simulation latency never
-      pays for remote IO. A crash before the flush loses only remote
-      *visibility*: the point re-simulates elsewhere bit-identically.
-    * **claims** — :meth:`try_claim`/:meth:`release_claim` expose the
-      tier's in-flight claims; :meth:`put_claimed` orders the claim
-      release *after* the remote publish on the writer thread, so a
-      waiter never observes "claim gone, result missing" in the normal
-      path.
-
-    Local counters stay under ``exec.cache.*``; the remote tier's under
-    ``exec.cache.remote.*``.
-    """
-
-    def __init__(self, directory: str | pathlib.Path, tier: RemoteTier,
-                 owner: str = "node", salt: str | None = None,
-                 claim_ttl_s: float = 30.0, write_behind: bool = True):
-        super().__init__(directory, salt=salt)
-        if claim_ttl_s <= 0:
-            raise ValueError("claim_ttl_s must be positive")
-        self.tier = tier
-        self.owner = owner
-        self.claim_ttl_s = claim_ttl_s
-        self.write_behind = write_behind
-        self.remote = RemoteCounters()
-        self._queue: queue.Queue = queue.Queue()
-        self._writer: threading.Thread | None = None
-
-    def register_stats(self, registry, prefix: str = "exec.cache") -> None:
-        super().register_stats(registry, prefix)
-        registry.register("exec.cache.remote", self.remote.as_dict)
-
-    # -- read-through ------------------------------------------------------
-    def get(self, point: Any):
-        result = super().get(point)
-        if result is not None:
-            return result
-        return self._remote_get(point, count_miss=True)
-
-    def peek_remote(self, point: Any):
-        """Remote-only probe that never counts a miss.
-
-        Poll loops (a node waiting out another node's claim) call this
-        every tick; counting each empty poll as a miss would swamp the
-        ``exec.cache.remote.hit_rate`` signal the fabric dashboards
-        key on.
-        """
-        return self._remote_get(point, count_miss=False)
-
-    def _remote_get(self, point: Any, count_miss: bool):
-        key = point_key(point, self.salt)
-        try:
-            blob = self.tier.get_blob(key)
-        except OSError as error:
-            log.warning("remote tier get %s failed (%s)", key[:12], error)
-            blob = None
-        if blob is None:
-            if count_miss:
-                self.remote.misses += 1
-            return None
-        try:
-            result = result_from_dict(blob)
-        except (ValueError, KeyError, TypeError) as error:
-            log.warning("remote entry %s undecodable (%s: %s); miss",
-                        key[:12], type(error).__name__, error)
-            if count_miss:
-                self.remote.misses += 1
-            return None
-        self.remote.hits += 1
-        # populate the local tier so the next lookup is a disk hit;
-        # ResultCache.put (not self.put) — a read-through fill must not
-        # echo the document back to the tier it just came from
-        ResultCache.put(self, point, result)
-        return result
-
-    # -- write-behind ------------------------------------------------------
-    def put(self, point: Any, result: Any) -> pathlib.Path:
-        path = super().put(point, result)
-        self._publish(point_key(point, self.salt), result_to_dict(result),
-                      release=False)
-        return path
-
-    def put_claimed(self, point: Any, result: Any) -> pathlib.Path:
-        """Store a result produced under a held claim.
-
-        The claim release is ordered after the remote publish (both run
-        on the writer thread in FIFO order), so other nodes waiting on
-        the claim wake up to a remote hit, never to a missing result.
-        """
-        path = ResultCache.put(self, point, result)
-        self._publish(point_key(point, self.salt), result_to_dict(result),
-                      release=True)
-        return path
-
-    def _publish(self, key: str, document: dict, release: bool) -> None:
-        if not self.write_behind:
-            self._remote_put(key, document)
-            if release:
-                self._release(key)
-            return
-        self._ensure_writer()
-        self._queue.put(("put", key, document))
-        if release:
-            self._queue.put(("release", key, None))
-
-    def _ensure_writer(self) -> None:
-        if self._writer is None or not self._writer.is_alive():
-            self._writer = threading.Thread(
-                target=self._drain_writes, name="tiered-cache-writer",
-                daemon=True)
-            self._writer.start()
-
-    def _drain_writes(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is None:
-                    return
-                op, key, document = item
-                if op == "put":
-                    self._remote_put(key, document)
-                elif op == "release":
-                    self._release(key)
-            finally:
-                self._queue.task_done()
-
-    def _remote_put(self, key: str, document: dict) -> None:
-        try:
-            self.tier.put_blob(key, document)
-            self.remote.writes += 1
-        except OSError as error:
-            # remote visibility is best-effort: the local entry is the
-            # durable copy, other nodes just re-simulate bit-identically
-            self.remote.write_errors += 1
-            log.warning("remote tier put %s failed (%s)", key[:12], error)
-
-    def _release(self, key: str) -> None:
-        try:
-            self.tier.release(key, self.owner)
-        except OSError as error:
-            log.warning("claim release %s failed (%s); will go stale",
-                        key[:12], error)
-
-    def flush(self) -> None:
-        """Block until every queued remote write/release has landed."""
-        self._queue.join()
-
-    def close(self) -> None:
-        """Flush and stop the writer thread."""
-        self.flush()
-        if self._writer is not None and self._writer.is_alive():
-            self._queue.put(None)
-            self._writer.join(timeout=5.0)
-        self._writer = None
-
-    # -- claims ------------------------------------------------------------
-    def try_claim(self, key: str) -> bool:
-        """Claim ``key`` for this node; ``False`` when another node
-        is already simulating it."""
-        ok = self.tier.claim(key, self.owner)
-        if ok:
-            self.remote.claims += 1
-        else:
-            self.remote.claim_denied += 1
-        return ok
-
-    def release_claim(self, key: str) -> None:
-        """Drop this node's claim immediately (failure paths only —
-        the success path releases through :meth:`put_claimed`)."""
-        self._release(key)
-
-    def claim_age_s(self, key: str) -> float | None:
-        return self.tier.claim_age_s(key)
-
-    def steal_claim(self, key: str) -> bool:
-        """Take over a claim past ``claim_ttl_s`` (dead claimant)."""
-        ok = self.tier.steal_claim(key, self.owner)
-        if ok:
-            self.remote.steals += 1
-        return ok
 
 
 # ----------------------------------------------------------------------

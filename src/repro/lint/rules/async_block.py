@@ -91,7 +91,7 @@ class AsyncBlocking(AstRule):
                    "every job the daemon is serving")
     fix_hint = ("await the asyncio equivalent, move the work into the "
                 "process pool, or wrap it in asyncio.to_thread")
-    scope = ("repro.serve", "repro.fabric")
+    scope = ("repro.serve",)
 
     visitor = AsyncBlockingVisitor
 

@@ -83,19 +83,6 @@ NAMESPACES: tuple[Namespace, ...] = (
     Namespace("exec.cache",
               "result-cache counters (`ResultCache.register_stats`)",
               "`exec.cache.hits`, `exec.cache.writes`"),
-    Namespace("exec.cache.remote",
-              "remote-tier counters (`TieredCache`, fabric nodes only; "
-              "see `docs/fabric.md`)",
-              "`exec.cache.remote.hits`, `exec.cache.remote.hit_rate`, "
-              "`exec.cache.remote.claims`, `exec.cache.remote.steals`"),
-    Namespace("fabric",
-              "fabric health: node-side series/providers "
-              "(`fabric.node.*`, `fabric.queue_depth`, ...) and "
-              "client-side campaign counters (`fabric.hedges`, "
-              "`fabric.router.*`); see `docs/fabric.md`",
-              "`fabric.queue_depth`, `fabric.hedge_rate`, "
-              "`fabric.remote_hit_rate`, `fabric.shed_count`, "
-              "`fabric.hedges`, `fabric.router.reroutes`"),
     Namespace("exec.engine",
               "sweep-engine counters (`SweepEngine.register_stats`)",
               "`exec.engine.points`, `exec.engine.wall_s`"),

@@ -5,17 +5,7 @@ Options::
     python -m repro.serve --state-dir .repro-serve \
         [--address unix:/path.sock | --address host:port] \
         [--workers N] [--max-jobs N] [--drain-s S] [--cache-dir DIR] \
-        [--metrics-interval S] [--quiet] \
-        [--remote-cache DIR] [--node-id ID] [--max-queue N] \
-        [--claim-ttl-s S]
-
-The last four options are fabric-node knobs (see ``docs/fabric.md``):
-``--remote-cache`` points at the shared result tier (turning the local
-cache into a :class:`~repro.exec.cache.TieredCache` with in-flight
-claims), ``--node-id`` names this node in claims and ``/healthz``,
-``--max-queue`` bounds admission (submits beyond it shed with 503),
-and ``--claim-ttl-s`` sets the staleness bound for stealing a dead
-node's claims.
+        [--metrics-interval S] [--quiet]
 
 The server runs until SIGTERM/SIGINT (or ``POST /shutdown``), drains
 gracefully, and exits 0. Anything still queued stays in the journal
@@ -60,35 +50,14 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: 1.0; see GET /metrics)")
     parser.add_argument("--quiet", action="store_true",
                         help="only log warnings")
-    parser.add_argument("--remote-cache", default=None,
-                        help="shared remote result tier directory "
-                             "(default: REPRO_REMOTE_CACHE_DIR; unset "
-                             "= no fabric tier)")
-    parser.add_argument("--node-id", default=None,
-                        help="fabric node identity for claims and "
-                             "/healthz (default: the listen address)")
-    parser.add_argument("--max-queue", type=int, default=None,
-                        help="admission bound: shed submits once this "
-                             "many jobs are queued (default: "
-                             "REPRO_FABRIC_MAX_QUEUE or unbounded)")
-    parser.add_argument("--claim-ttl-s", type=float, default=None,
-                        help="age after which another node may steal "
-                             "this node's in-flight claims (default: "
-                             "REPRO_FABRIC_CLAIM_TTL_S or 60)")
     args = parser.parse_args(argv)
     configure("warning" if args.quiet else None)
 
-    max_queue = args.max_queue
-    if max_queue is None:
-        from ..fabric import max_queue as max_queue_knob
-        max_queue = max_queue_knob()
     server = ServeServer(
         state_dir=args.state_dir, address=args.address,
         workers=args.workers, max_jobs=args.max_jobs,
         drain_s=args.drain_s, cache_dir=args.cache_dir,
-        metrics_interval_s=args.metrics_interval,
-        remote_cache=args.remote_cache, node_id=args.node_id,
-        max_queue=max_queue, claim_ttl_s=args.claim_ttl_s)
+        metrics_interval_s=args.metrics_interval)
     try:
         return asyncio.run(server.run())
     except KeyboardInterrupt:  # pragma: no cover - interactive only

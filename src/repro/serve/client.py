@@ -186,22 +186,14 @@ class ServeClient:
         return self._call("GET", path)
 
     def submit(self, points: list[Any], priority: int = 0,
-               timeout_s: float | None = None,
-               hedge: bool = False) -> str:
-        """Submit a job; returns its id once the server journaled it.
-
-        ``hedge`` marks the job as a fabric hedge (a duplicate sent to
-        a secondary owner); the server counts these separately
-        (``serve.jobs_hedged``) so hedge amplification is observable.
-        """
+               timeout_s: float | None = None) -> str:
+        """Submit a job; returns its id once the server journaled it."""
         body: dict[str, Any] = {
             "points": [_point_fields(p) for p in points],
             "priority": priority,
         }
         if timeout_s is not None:
             body["timeout_s"] = timeout_s
-        if hedge:
-            body["hedge"] = True
         return self._call("POST", "/submit", body)["id"]
 
     def status(self, job_id: str | None = None) -> dict[str, Any]:
@@ -252,15 +244,20 @@ class ServeClient:
         ``max_poll_s`` with deterministic seeded jitter (see
         :func:`poll_delays`), capping total poll traffic per job at
         roughly ``timeout_s / max_poll_s`` requests while keeping
-        short-job latency near ``poll_s``. With
+        short-job latency near ``poll_s``. No sleep is longer than a
+        (jittered) quarter of the time waited so far, floored at
+        ``poll_s``, so a job that finished is seen within about 25% of
+        its runtime rather than up to a whole backoff step late. With
         ``tolerate_disconnects`` transport errors (the server is
         restarting) are retried until ``timeout_s`` runs out.
         """
         from .jobs import TERMINAL
         if max_poll_s < poll_s:
             max_poll_s = poll_s
-        deadline = _now() + timeout_s
+        start = _now()
+        deadline = start + timeout_s
         delays = poll_delays(job_id, poll_s, max_poll_s)
+        attempt = 0
         while True:
             try:
                 document = self.status(job_id)
@@ -273,7 +270,11 @@ class ServeClient:
                     raise TimeoutError(
                         f"{job_id}: server unreachable past deadline "
                         f"({error})") from None
-            if _now() >= deadline:
+            now = _now()
+            if now >= deadline:
                 raise TimeoutError(
                     f"{job_id} not finished after {timeout_s:g}s")
-            _sleep(min(next(delays), max(0.0, deadline - _now())))
+            ceiling = max(poll_s, (now - start) / 4) \
+                * poll_jitter(job_id, attempt)
+            _sleep(min(next(delays), ceiling, deadline - now))
+            attempt += 1

@@ -13,17 +13,6 @@ coroutines) and CPU land (simulations run in a bounded
 3. **execution** — the point is simulated in a worker process under a
    global concurrency semaphore, then written back to the cache.
 
-When the cache is a fabric :class:`~repro.exec.cache.TieredCache`,
-step 3 grows a *fabric-wide* dedup layer: before simulating, the
-runner must win the remote tier's in-flight claim for the key. Losing
-the claim means another node is already simulating the point (a
-hedged duplicate, or a raced submission), so this runner polls the
-remote tier for that node's result instead of burning a worker on a
-second simulation (``serve.remote_waits``). A claim older than the
-tier's TTL marks a dead claimant (SIGKILLed node); the runner steals
-it and simulates after all — that is how a lost node's in-flight
-points complete on survivors.
-
 Worker crashes (``BrokenProcessPool``) rebuild the pool and retry the
 point with exponential backoff, up to ``max_retries`` times; a point
 that raises a normal (deterministic) exception fails immediately as
@@ -53,9 +42,6 @@ log = get_logger(__name__)
 #: Bucket edges (milliseconds) of the per-point simulation histogram.
 POINT_WALL_MS_BOUNDS = (10, 50, 100, 500, 1_000, 5_000, 30_000, 120_000)
 
-#: Sentinel: the claim negotiation says "simulate it yourself".
-_SIMULATE = object()
-
 
 class PointFailed(RuntimeError):
     """A design point could not be resolved."""
@@ -77,18 +63,13 @@ class PointRunner:
                  simulate_fn: Callable[[Any], tuple[Any, float]] | None = None,
                  executor_factory: Callable[[int], Any] | None = None,
                  max_retries: int = 2,
-                 retry_backoff_s: float = 0.25,
-                 claim_poll_s: float = 0.05):
+                 retry_backoff_s: float = 0.25):
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.cache = cache
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self.claim_poll_s = claim_poll_s
-        #: fabric mode: the cache carries a remote tier with claims
-        self._claiming = cache is not None and \
-            hasattr(cache, "try_claim") and hasattr(cache, "peek_remote")
         self._simulate = simulate_fn or _simulate_point
         self._executor_factory = executor_factory or (
             lambda n: ProcessPoolExecutor(max_workers=n))
@@ -107,7 +88,6 @@ class PointRunner:
         self._c_failed = registry.counter("serve.points_failed")
         self._c_restarts = registry.counter("serve.worker_restarts")
         self._c_retries = registry.counter("serve.point_retries")
-        self._c_remote_waits = registry.counter("serve.remote_waits")
         self._h_wall = registry.histogram("serve.point_wall_ms",
                                           POINT_WALL_MS_BOUNDS)
         registry.register("serve.pool", lambda: {
@@ -156,58 +136,9 @@ class PointRunner:
             # waiters still observe it through the shield
             pass
 
-    async def _claim_or_result(self, point: Any, key: str) -> Any:
-        """Win the remote tier's in-flight claim for ``key``, or return
-        the result the current claim holder produced.
-
-        Returns :data:`_SIMULATE` once this runner holds the claim.
-        Every successful claim acquisition is followed by a remote
-        re-check: the previous holder releases only *after* its result
-        write lands on the writer queue (FIFO), but our pre-claim peek
-        may have raced that write — without the re-check a release
-        observed between peek and claim would trigger a duplicate
-        simulation of an already-published point.
-        """
-        cache = self.cache
-        waited = False
-        while True:
-            if cache.try_claim(key):
-                result = cache.peek_remote(point)
-                if result is not None:
-                    cache.release_claim(key)
-                    return result
-                return _SIMULATE
-            if not waited:
-                waited = True
-                self._c_remote_waits.inc()
-            result = cache.peek_remote(point)
-            if result is not None:
-                return result
-            age = cache.claim_age_s(key)
-            if age is not None and age > cache.claim_ttl_s:
-                # claim holder presumed dead (SIGKILL, power loss):
-                # steal — the tier guarantees a single rename winner —
-                # and simulate the orphaned point here
-                if cache.steal_claim(key):
-                    result = cache.peek_remote(point)
-                    if result is not None:
-                        cache.release_claim(key)
-                        return result
-                    log.warning("stole stale claim (%.1fs old) for "
-                                "key=%s; simulating here", age, key)
-                    return _SIMULATE
-            await asyncio.sleep(self.claim_poll_s)
-
     async def _execute(self, point: Any, key: str) -> Any:
         loop = asyncio.get_running_loop()
         async with self._sem:
-            claimed = False
-            if self._claiming:
-                with span("serve.claim", key=key):
-                    outcome = await self._claim_or_result(point, key)
-                if outcome is not _SIMULATE:
-                    return outcome
-                claimed = True
             attempt = 0
             self._running += 1
             try:
@@ -240,26 +171,13 @@ class PointRunner:
                         raise PointFailed(
                             point,
                             f"{type(error).__name__}: {error}") from error
-            except BaseException:
-                # failure or cancellation while holding the fabric
-                # claim: release it so another node can simulate the
-                # point instead of waiting out the staleness TTL
-                if claimed:
-                    self.cache.release_claim(key)
-                raise
             finally:
                 self._running -= 1
         self._c_simulated.inc()
         self._h_wall.observe(wall * 1000.0)
         if self.cache is not None:
             with span("serve.cache_write", key=key):
-                if claimed:
-                    # publishes to the remote tier, then releases the
-                    # claim — in that order, on one FIFO queue, so a
-                    # waiter never sees claim-gone-without-result
-                    self.cache.put_claimed(point, result)
-                else:
-                    self.cache.put(point, result)
+                self.cache.put(point, result)
         return result
 
     def gauges(self) -> dict[str, float]:
@@ -272,7 +190,6 @@ class PointRunner:
             "cache_misses": self._c_cache_misses.value,
             "points_simulated": self._c_simulated.value,
             "points_requested": self._c_requested.value,
-            "remote_waits": self._c_remote_waits.value,
         }
 
     def _rebuild_executor(self) -> None:

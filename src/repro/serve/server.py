@@ -118,11 +118,7 @@ class ServeServer:
                  simulate_fn: Callable[[Any], tuple[Any, float]] | None = None,
                  executor_factory: Callable[[int], Any] | None = None,
                  encoder: Callable[[Any], dict] = result_to_dict,
-                 metrics_interval_s: float = 1.0,
-                 node_id: str | None = None,
-                 max_queue: int | None = None,
-                 remote_cache: str | pathlib.Path | None = None,
-                 claim_ttl_s: float | None = None):
+                 metrics_interval_s: float = 1.0):
         self.state_dir = pathlib.Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.address = address or default_socket(self.state_dir)
@@ -130,10 +126,6 @@ class ServeServer:
         if max_jobs < 1:
             raise ValueError("max_jobs must be >= 1")
         self.max_jobs = max_jobs
-        if max_queue is not None and max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
-        self.max_queue = max_queue
-        self.node_id = node_id or self.address
         self.drain_s = drain_s
         self.encoder = encoder
         self.journal_path = self.state_dir / "journal.jsonl"
@@ -142,18 +134,7 @@ class ServeServer:
             if cache_dir is None:
                 cache_dir = env_str(CACHE_DIR_ENV) \
                     or self.state_dir / "cache"
-            # fabric mode: a shared remote tier turns the local cache
-            # into a TieredCache (read-through, write-behind, claims)
-            from ..fabric import remote_dir
-            remote_root = remote_cache if remote_cache is not None \
-                else remote_dir()
-            if remote_root:
-                from ..fabric.tiers import make_tiered_cache
-                cache = make_tiered_cache(cache_dir, remote_root,
-                                          owner=self.node_id,
-                                          claim_ttl_s=claim_ttl_s)
-            else:
-                cache = ResultCache(cache_dir)
+            cache = ResultCache(cache_dir)
         self.cache = cache
 
         self.registry = StatsRegistry()
@@ -167,8 +148,6 @@ class ServeServer:
         self._c_failed = self.registry.counter("serve.jobs_failed")
         self._c_cancelled = self.registry.counter("serve.jobs_cancelled")
         self._c_rejected = self.registry.counter("serve.jobs_rejected")
-        self._c_shed = self.registry.counter("serve.jobs_shed")
-        self._c_hedged = self.registry.counter("serve.jobs_hedged")
         self._h_latency = self.registry.histogram("serve.job_latency_ms",
                                                   JOB_LATENCY_MS_BOUNDS)
         self.registry.register("serve", lambda: {
@@ -178,14 +157,6 @@ class ServeServer:
             "jobs_known": len(self._jobs),
             "draining": int(self._draining),
         })
-        if self._fabric_cache():
-            self.registry.register("fabric.node", lambda: {
-                "queue_depth": self.queue_depth(),
-                "max_queue": self.max_queue or 0,
-                "saturated": int(self.max_queue is not None
-                                 and self.queue_depth() >= self.max_queue),
-                "remote_hit_rate": self.cache.remote.hit_rate,
-            })
 
         #: wall-clock span tracer covering the whole job lifecycle;
         #: installed into the event loop's context by :meth:`run`
@@ -215,11 +186,6 @@ class ServeServer:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _fabric_cache(self) -> bool:
-        """Is the cache fabric-tiered (remote counters + claims)?"""
-        return hasattr(self.cache, "remote") \
-            and hasattr(self.cache, "try_claim")
-
     def _register_series(self) -> None:
         board = self.board
         board.register("serve.queue_depth", self.queue_depth)
@@ -243,19 +209,6 @@ class ServeServer:
         board.register("serve.pool.points_per_s",
                        _rate(self._points_resolved,
                              self.metrics_interval_s))
-        if self._fabric_cache():
-            # fabric health: what an operator watches to see sharding,
-            # hedging, and admission control actually working
-            board.register("fabric.queue_depth", self.queue_depth)
-            board.register("fabric.hedge_rate",
-                           _rate(lambda: self._c_hedged.value,
-                                 self.metrics_interval_s))
-            board.register("fabric.remote_hit_rate",
-                           lambda: self.cache.remote.hit_rate)
-            board.register("fabric.shed_count",
-                           lambda: self._c_shed.value)
-            board.register("fabric.remote_waits",
-                           lambda: self.runner.gauges()["remote_waits"])
 
     def _cache_hit_rate(self) -> float:
         gauges = self.runner.gauges()
@@ -394,12 +347,6 @@ class ServeServer:
             self._server.close()
             await self._server.wait_closed()
         self.runner.shutdown()
-        close_cache = getattr(self.cache, "close", None)
-        if close_cache is not None:
-            # tiered cache: flush the write-behind queue so every
-            # result this node produced is on the remote tier before
-            # the process exits (a survivor may be waiting on it)
-            close_cache()
         if self.journal is not None:
             self.journal.close()
         if self.kind == "unix":
@@ -534,8 +481,6 @@ class ServeServer:
             return response_bytes(200, {
                 "ok": True, "draining": self._draining,
                 "queue_depth": self.queue_depth(),
-                "node_id": self.node_id,
-                "max_queue": self.max_queue,
             })
         if path == "/stats":
             return response_bytes(200, self.registry.snapshot())
@@ -582,15 +527,6 @@ class ServeServer:
         if self._draining:
             self._c_rejected.inc()
             return error_bytes(503, "server is draining")
-        if self.max_queue is not None \
-                and self.queue_depth() >= self.max_queue:
-            # admission control: a saturated queue sheds the job with a
-            # retryable 503 so a fabric router re-places it on the next
-            # rendezvous owner instead of piling latency here
-            self._c_shed.inc()
-            return error_bytes(
-                503, f"queue full ({self.queue_depth()} queued, "
-                     f"admission bound {self.max_queue})")
         if not isinstance(body, dict):
             raise ProtocolError("submit body must be a JSON object")
         raw_points = body.get("points")
@@ -602,20 +538,12 @@ class ServeServer:
             raise ProtocolError(f"bad design point: {error}") from None
         priority = body.get("priority", 0)
         timeout_s = body.get("timeout_s")
-        hedge = body.get("hedge", False)
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ProtocolError("'priority' must be an integer")
         if timeout_s is not None and (
                 not isinstance(timeout_s, (int, float))
                 or isinstance(timeout_s, bool) or timeout_s <= 0):
             raise ProtocolError("'timeout_s' must be a positive number")
-        if not isinstance(hedge, bool):
-            raise ProtocolError("'hedge' must be a boolean")
-        if hedge:
-            # fabric hedge of a slow primary: counted so hedge
-            # amplification is visible; the point-level claims keep it
-            # from ever duplicating a simulation
-            self._c_hedged.inc()
 
         job = make_job(self._counter, points, priority=priority,
                        timeout_s=timeout_s)

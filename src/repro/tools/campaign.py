@@ -27,17 +27,12 @@ Against a running :mod:`repro.serve` daemon the same campaign executes
 remotely — concurrent campaigns share one worker pool and deduplicate
 overlapping points (see ``docs/serving.md``):
 
-* ``submit`` — send every planned point (plus baselines) as one job;
-  the job id is remembered in ``<dir>/job.json``,
+* ``submit`` — send every unique planned point (designs that share a
+  baseline send it once) as one job; the job id is remembered in
+  ``<dir>/job.json``,
 * ``status`` — poll the job,
 * ``fetch``  — wait for completion and write the same ``results.csv``
   the local ``run`` would have produced (bit-identical numbers).
-
-With ``submit --fabric unix:/a.sock,unix:/b.sock,...`` the campaign
-instead shards across a multi-node fabric (points route to their
-rendezvous-owner nodes, with hedging and node-loss failover — see
-``docs/fabric.md``); ``status`` and ``fetch`` auto-detect the sharded
-submission from ``job.json`` and reassemble the same ``results.csv``.
 
 Example::
 
@@ -169,103 +164,61 @@ def _job_file(directory: pathlib.Path) -> pathlib.Path:
     return directory / "job.json"
 
 
-def _load_record(directory: pathlib.Path) -> dict:
-    """The persisted submission record (single-server or fabric)."""
+def _load_job(directory: pathlib.Path,
+              server: str | None) -> tuple[str, str]:
+    """The campaign's submitted ``(job_id, server_address)``."""
     path = _job_file(directory)
     if not path.exists():
         raise FileNotFoundError(
             f"{path} missing; run `campaign submit` first")
-    return json.loads(path.read_text())
-
-
-def _load_job(directory: pathlib.Path,
-              server: str | None) -> tuple[str, str]:
-    """The campaign's submitted ``(job_id, server_address)``."""
-    record = _load_record(directory)
+    record = json.loads(path.read_text())
     return record["id"], server or record["server"]
 
 
 def submit(directory: pathlib.Path, server: str,
            priority: int = 0) -> str:
-    """Submit the planned campaign as one job; remembers the id."""
+    """Submit the planned campaign's unique points as one job;
+    remembers the id."""
     from ..serve.client import ServeClient
     _, _, flat = planned_points(directory)
-    client = ServeClient(server)
-    job_id = client.submit(flat, priority=priority)
+    unique = list(dict.fromkeys(flat))
+    job_id = ServeClient(server).submit(unique, priority=priority)
     _job_file(directory).write_text(json.dumps(
         {"id": job_id, "server": server}) + "\n")
-    log.info("submitted %d points as %s to %s", len(flat), job_id,
-             server)
+    log.info("submitted %d points (%d planned) as %s to %s",
+             len(unique), len(flat), job_id, server)
     return job_id
-
-
-def fabric_submit(directory: pathlib.Path, nodes: list[str],
-                  priority: int = 0) -> dict:
-    """Shard the planned campaign across a fabric; remembers the jobs.
-
-    The points route by cache key onto their rendezvous-owner nodes
-    (see ``docs/fabric.md``); ``fetch`` later reassembles the shards
-    into the same ``results.csv`` a single-server run produces.
-    """
-    from ..fabric.client import FabricClient
-    _, _, flat = planned_points(directory)
-    fabric = FabricClient(nodes)
-    run = fabric.submit(flat, priority=priority)
-    record = {"fabric": nodes, **run.describe()}
-    _job_file(directory).write_text(json.dumps(record) + "\n")
-    log.info("submitted %d points (%d unique) as %d job(s) across the "
-             "%d-node fabric", len(flat), len(run.unique),
-             len(run.jobs), len(nodes))
-    return record
 
 
 def status(directory: pathlib.Path, server: str | None = None) -> dict:
     from ..serve.client import ServeClient
-    record = _load_record(directory)
-    if "fabric" in record:
-        states: dict[str, str] = {}
-        for job in record["jobs"]:
-            try:
-                document = ServeClient(job["server"]).status(job["id"])
-                state = document["state"]
-            except OSError as error:
-                state = f"unreachable ({error})"
-            states[f"{job['server']}#{job['id']}"] = state
-        done = sum(1 for state in states.values() if state == "done")
-        return {"fabric_nodes": len(record["fabric"]),
-                "jobs_done": done, "jobs_total": len(states), **states}
-    job_id = record["id"]
-    return ServeClient(server or record["server"]).status(job_id)
+    job_id, address = _load_job(directory, server)
+    return ServeClient(address).status(job_id)
 
 
 def fetch(directory: pathlib.Path, server: str | None = None,
           wait_s: float = 600.0) -> pathlib.Path:
-    """Wait for the submitted job(s) and write ``results.csv``."""
+    """Wait for the submitted job and write ``results.csv``."""
     from ..serve.client import ServeClient
-    record = _load_record(directory)
+    job_id, address = _load_job(directory, server)
     ini_paths, points, flat = planned_points(directory)
-    if "fabric" in record:
-        from ..fabric.client import FabricClient
-        fabric = FabricClient(record["fabric"])
-        run = fabric.attach(flat, record["jobs"])
-        results = fabric.wait(run, timeout_s=wait_s)
-        return write_results_csv(directory / "results.csv", ini_paths,
-                                 points, results)
-    job_id = record["id"]
-    client = ServeClient(server or record["server"])
+    client = ServeClient(address)
     document = client.wait(job_id, timeout_s=wait_s,
                            tolerate_disconnects=True)
     if document["state"] != "done":
         raise RuntimeError(f"{job_id} ended {document['state']}: "
                            f"{document['error']}")
     results = client.result(job_id)
-    if len(results) != len(flat):
+    unique = list(dict.fromkeys(flat))
+    if len(results) != len(unique):
         raise RuntimeError(
             f"{job_id} returned {len(results)} results for "
-            f"{len(flat)} submitted points; was the campaign "
+            f"{len(unique)} submitted points; was the campaign "
             f"re-planned after submit?")
+    # equal points share a cache key, so this is the key-wise fan-out
+    resolved = dict(zip(unique, results))
     return write_results_csv(directory / "results.csv", ini_paths,
-                             points, results)
+                             points, [resolved[point] for point in flat])
 
 
 def verify(directory: pathlib.Path, limit: int | None = None) -> int:
@@ -433,13 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--server", default=None,
                         help="repro.serve address (unix:/path.sock or "
                              "host:port) for submit/status/fetch")
-    parser.add_argument("--fabric", nargs="?", const="", default=None,
-                        metavar="ADDR,ADDR,...",
-                        help="submit: shard the campaign across these "
-                             "fabric nodes instead of one --server "
-                             "(bare --fabric reads REPRO_FABRIC_NODES); "
-                             "status/fetch auto-detect fabric "
-                             "submissions from job.json")
     parser.add_argument("--priority", type=int, default=0,
                         help="submit: job priority (higher runs first)")
     parser.add_argument("--wait-s", type=float, default=600.0,
@@ -477,26 +423,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return 1 if failures else 0
     if args.command == "submit":
-        if args.fabric is not None:
-            nodes = [part.strip() for part in args.fabric.split(",")
-                     if part.strip()]
-            if not nodes:
-                from ..fabric import fabric_nodes
-                nodes = fabric_nodes() or []
-            if not nodes:
-                parser.error("--fabric needs node addresses (inline "
-                             "or via REPRO_FABRIC_NODES)")
-            try:
-                record = fabric_submit(directory, nodes,
-                                       priority=args.priority)
-            except FileNotFoundError as error:
-                log.error("%s", error)
-                return 2
-            for job in record["jobs"]:
-                print(f"{job['server']}#{job['id']}")
-            return 0
         if not args.server:
-            parser.error("submit requires --server or --fabric")
+            parser.error("submit requires --server")
         try:
             print(submit(directory, args.server,
                          priority=args.priority))

@@ -87,6 +87,44 @@ class TestResultCache:
         assert len(cache) == 0
         assert cache.get(POINT) is None
 
+    def test_overwrite_is_atomic_replace(self, tmp_path, result):
+        cache = ResultCache(tmp_path)
+        first = cache.put(POINT, result)
+        assert cache.put(POINT, result) == first
+        # one entry, and no temp file left behind by either write
+        assert len(cache) == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert cache.get(POINT).ipcs == result.ipcs
+
+
+class TestCounters:
+    def test_miss_counts_once_per_lookup(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for _ in range(3):
+            assert cache.get(POINT) is None
+        assert cache.counters.as_dict() == dict(hits=0, misses=3,
+                                                corrupt=0, writes=0)
+
+    def test_hits_and_writes_counted(self, tmp_path, result):
+        cache = ResultCache(tmp_path)
+        cache.put(POINT, result)
+        cache.get(POINT)
+        cache.get(POINT)
+        assert cache.counters.as_dict() == dict(hits=2, misses=0,
+                                                corrupt=0, writes=1)
+        assert cache.counters.hit_rate == 1.0
+
+    def test_no_lookups_reads_a_zero_hit_rate(self, tmp_path):
+        counters = ResultCache(tmp_path).counters
+        assert counters.lookups == 0 and counters.hit_rate == 0.0
+
+    def test_corrupt_entry_counts_as_a_miss_too(self, tmp_path, result):
+        cache = ResultCache(tmp_path)
+        cache.put(POINT, result).write_text(json.dumps({"not": "a result"}))
+        assert cache.get(POINT) is None
+        assert (cache.counters.misses, cache.counters.corrupt) == (1, 1)
+        assert cache.counters.hit_rate == 0.0
+
 
 class TestCorruptionTolerance:
     def test_truncated_file_is_a_miss(self, tmp_path, result):

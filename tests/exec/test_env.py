@@ -1,10 +1,36 @@
 """Strict REPRO_* environment-knob parsing."""
 
+import logging
+import os
+import pathlib
+import re
+
 import pytest
 
+import repro
+from repro.analysis.experiments import (FAST_WORKLOADS,
+                                        instruction_budget,
+                                        selected_workloads)
+from repro.exec.cache import CACHE_SALT, default_cache_dir, effective_salt
 from repro.exec.engine import default_workers, serial_forced
 from repro.exec.env import (EnvKnobError, engine_choice, env_choice,
                             env_flag, env_float, env_int)
+from repro.obs.log import resolve_level
+
+#: Every knob the package reads: name -> (reader, default when unset).
+KNOBS = {
+    "REPRO_CACHE_DIR": (default_cache_dir, None),
+    "REPRO_CACHE_SALT": (effective_salt, CACHE_SALT),
+    "REPRO_ENGINE": (engine_choice, "reference"),
+    "REPRO_FULL": (selected_workloads, FAST_WORKLOADS),
+    "REPRO_INSTRUCTIONS": (instruction_budget, 100_000),
+    "REPRO_LOG": (resolve_level, logging.INFO),
+    "REPRO_SERIAL": (serial_forced, False),
+    "REPRO_WORKERS": (default_workers, os.cpu_count() or 1),
+}
+
+#: Knobs with a value shape (the free-form path and salt have none).
+SHAPED = sorted(set(KNOBS) - {"REPRO_CACHE_DIR", "REPRO_CACHE_SALT"})
 
 
 class TestEnvInt:
@@ -189,3 +215,47 @@ class TestEngineKnobs:
         monkeypatch.setenv("REPRO_SERIAL", "sometimes")
         with pytest.raises(EnvKnobError, match="REPRO_SERIAL"):
             serial_forced()
+
+
+class TestKnobRegistry:
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        # the salt folds in REPRO_ENGINE: judge every knob alone
+        for name in KNOBS:
+            monkeypatch.delenv(name, raising=False)
+
+    @staticmethod
+    def mentioned():
+        package = pathlib.Path(repro.__file__).parent
+        names = set()
+        for path in package.rglob("*.py"):
+            names |= set(re.findall(r'"(REPRO_[A-Z0-9_]+)"',
+                                    path.read_text(encoding="utf-8")))
+        return names
+
+    def test_every_source_literal_is_registered(self):
+        # a knob added without a KNOBS entry (and so without the strict
+        # parsing checks below) fails here before it can rot
+        assert self.mentioned() <= set(KNOBS)
+
+    def test_every_registered_knob_is_read(self):
+        assert set(KNOBS) <= self.mentioned()
+
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_unset_yields_the_default_silently(self, name, caplog):
+        reader, default = KNOBS[name]
+        assert reader() == default
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_blank_counts_as_unset(self, monkeypatch, name):
+        reader, default = KNOBS[name]
+        monkeypatch.setenv(name, "   ")
+        assert reader() == default
+
+    @pytest.mark.parametrize("name", SHAPED)
+    def test_garbage_rejected_naming_the_variable(self, monkeypatch,
+                                                  name):
+        monkeypatch.setenv(name, "banana")
+        with pytest.raises(EnvKnobError, match=name):
+            KNOBS[name][0]()

@@ -90,9 +90,28 @@ class TestWaitBackoff:
     def test_sleeps_follow_the_backoff_schedule(self, clock):
         client = FakeTransport(["running"] * 10 + ["done"])
         client.wait("job-1", timeout_s=600.0, poll_s=0.1, max_poll_s=5.0)
-        expected = list(itertools.islice(
-            poll_delays("job-1", 0.1, 5.0), 10))
+        # the backoff schedule, each step capped at a jittered quarter
+        # of the time waited so far (floored at poll_s)
+        expected, waited = [], 0.0
+        for attempt, delay in enumerate(itertools.islice(
+                poll_delays("job-1", 0.1, 5.0), 10)):
+            ceiling = max(0.1, waited / 4) * poll_jitter("job-1", attempt)
+            expected.append(min(delay, ceiling))
+            waited += expected[-1]
         assert clock["slept"] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("job_id", ["job-1", "job-2", "job-3",
+                                        "job-4", "job-5", "job-6"])
+    @pytest.mark.parametrize("finish_s", [0.5, 1.3, 2.95, 7.0, 18.0])
+    def test_finished_job_is_seen_within_a_quarter_of_its_runtime(
+            self, clock, job_id, finish_s):
+        # a job that finishes between two polls must not wait out a
+        # whole backoff step: 2.95 s jobs used to be seen at ~6.3 s
+        client = FakeTransport(())
+        client.status = lambda _: {
+            "state": "done" if clock["now"] >= finish_s else "running"}
+        client.wait(job_id, timeout_s=600.0, poll_s=0.1, max_poll_s=5.0)
+        assert finish_s <= clock["now"] <= finish_s * (1 + 1.25 / 4)
 
     def test_poll_count_is_logarithmic_not_linear(self, clock):
         # a job finishing at t=600 s: fixed 0.1 s polling would issue
