@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck smoke obs-smoke serve-smoke check bench-engine coverage-check cov-mitigations ci clean-cache
+.PHONY: test lint typecheck smoke obs-smoke serve-smoke check bench-engine bench-tests coverage-check cov-mitigations ci clean-cache
 
 # Tier-1 suite (the correctness gate).
 test:
@@ -25,7 +25,8 @@ typecheck:
 		echo "mypy/pyflakes not installed; skipping typecheck"; \
 	fi
 
-# Tiny parallel sweep: serial vs parallel equivalence + warm-cache rerun.
+# Tiny sweep: inline (workers=1) vs pool (workers=2) equivalence +
+# warm-cache rerun.
 smoke:
 	$(PYTHON) -m repro.exec.smoke
 
@@ -62,6 +63,10 @@ bench-engine:
 		benchmarks/results/BENCH_engine_current.json \
 		--threshold $(BENCH_THRESHOLD)
 
+# Unit tests of the campaign benchmark's ledger helpers.
+bench-tests:
+	$(PYTHON) -m pytest -q campaign_bench/tests
+
 # Coverage for the verification layer itself; skips cleanly when
 # pytest-cov is not installed (it is optional tooling, not a dep).
 coverage-check:
@@ -86,7 +91,7 @@ cov-mitigations:
 	fi
 
 # What CI runs.
-ci: lint typecheck test smoke obs-smoke serve-smoke check bench-engine cov-mitigations
+ci: lint typecheck test smoke obs-smoke serve-smoke check bench-engine bench-tests cov-mitigations
 
 clean-cache:
 	rm -rf benchmarks/results/.cache .repro-cache

@@ -10,11 +10,11 @@ whole suite runs in minutes. Set ``REPRO_FULL=1`` (all 23 workloads) and
 ``REPRO_INSTRUCTIONS=<n>`` to reproduce at larger scale; the shapes
 reported in EXPERIMENTS.md are stable across scales.
 
-Execution: benches run through the :mod:`repro.exec` engine. Unless
-``REPRO_CACHE_DIR`` is already set, results persist under
-``benchmarks/results/.cache`` so a rerun of any figure only simulates
-design points it has not seen before. ``REPRO_WORKERS=<n>`` sizes the
-process pool, ``REPRO_SERIAL=1`` forces the inline path.
+Execution: benches resolve their points through the :mod:`repro.exec`
+resolver. Unless ``REPRO_CACHE_DIR`` is already set, results persist
+under ``benchmarks/results/.cache`` so a rerun of any figure only
+simulates design points it has not seen before. ``REPRO_WORKERS=<n>``
+sizes the process pool; ``REPRO_WORKERS=1`` keeps every point inline.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ from __future__ import annotations
 import pathlib
 
 from repro.analysis.experiments import instruction_budget
-from repro.exec.env import env_flag, env_str, set_knob
+from repro.exec.cache import CACHE_DIR_ENV, default_cache_dir
+from repro.exec.env import env_flag, set_knob
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Persistent result cache shared by every benchmark invocation.
 CACHE_DIR = RESULTS_DIR / ".cache"
-if env_str("REPRO_CACHE_DIR") is None:
-    set_knob("REPRO_CACHE_DIR", str(CACHE_DIR))
+if default_cache_dir() is None:
+    set_knob(CACHE_DIR_ENV, str(CACHE_DIR))
 
 #: one stream, one latency-bound, one low-MPKI, one hot-row stress
 BENCH_WORKLOADS = ("add", "mcf", "xalancbmk", "hammer")

@@ -7,10 +7,11 @@ representative subset by default (environment variables ``REPRO_FULL=1``
 and ``REPRO_INSTRUCTIONS=n`` widen them to the full suite).
 
 Every simulation-backed driver enumerates its design points up front
-and prefetches them through :func:`repro.exec.engine.warm`, so points
-fan out across worker processes and land in the persistent result
-cache (``REPRO_CACHE_DIR``); the driver's own loop then runs entirely
-against cached results. ``REPRO_SERIAL=1`` disables the fan-out.
+and prefetches them through :func:`repro.exec.engine.run_points`, so
+points fan out across worker processes and land in the in-process memo
+and the persistent result cache (``REPRO_CACHE_DIR``); the driver's own
+loop then runs entirely against resolved results. ``REPRO_WORKERS=1``
+keeps every simulation inline.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ def instruction_budget(default: int = 100_000) -> int:
 
 def _prefetch(points: list[DesignPoint]) -> None:
     """Resolve ``points`` (and their baselines) through the engine."""
-    from ..exec.engine import warm
+    from ..exec.engine import run_points
 
     flat: list[DesignPoint] = []
     for point in points:
         flat.append(point)
         if point.design != "baseline":
             flat.append(point.baseline())
-    warm(flat)
+    run_points(flat)
 
 
 # ----------------------------------------------------------------------

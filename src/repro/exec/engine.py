@@ -1,80 +1,47 @@
-"""Parallel sweep execution engine.
+"""Sync front-end of the point resolver: ``SweepEngine.run(points)``.
 
 Design points are embarrassingly parallel: every
 :class:`~repro.sim.runner.DesignPoint` is simulated from its own seed
-with no shared mutable state, so a sweep fans out across a
-``ProcessPoolExecutor`` and merges results back **in input order**,
-which makes the parallel path bit-identical to the serial one.
+with no shared mutable state, so a sweep fans out across a process
+pool and merges results back **in input order**, which makes the pool
+path bit-identical to the inline one.
 
-Resolution order per point:
+:class:`SweepEngine` is a :class:`~repro.exec.resolver.Resolver` (in-flight
+dedup → memo → cache → pool → store, see :mod:`repro.exec.resolver`)
+with a synchronous ``run()``:
 
-1. the in-process memo held by :mod:`repro.sim.runner` (``memo_hits``),
-2. the on-disk :class:`~repro.exec.cache.ResultCache` (``cache_hits``),
-3. a fresh simulation (``simulated``) — in a worker process when the
-   engine runs parallel, inline otherwise.
-
-Everything the engine computes is written back to both layers, so a
-warm rerun of any campaign performs zero simulations and the rest of
-the process (``simulate()``/``slowdown()`` calls) sees the results for
-free.
+* repeats in the input list resolve once (``dedup_hits``);
+* misses run inline when ``workers == 1`` or at most one point misses,
+  otherwise in a pool that lives for this one ``run()`` call, so no
+  worker process outlives it;
+* the first point that fails raises
+  :class:`~repro.exec.resolver.PointFailed` naming it, and the points
+  still queued are cancelled.
 
 Observability: pass ``progress=callable`` to receive one
 :class:`PointOutcome` per *unique* point as it completes (completion
-order under parallelism is nondeterministic; the returned result list
-is not), and read :class:`EngineMetrics` afterwards for totals,
-hit/miss split, and wall time.
+order in the pool is nondeterministic; the returned result list is
+not), and read ``engine.metrics``
+(:class:`~repro.exec.resolver.ResolveMetrics`) afterwards
+for totals, the hit/miss split and wall time.
 
 Environment knobs (all optional):
 
 * ``REPRO_CACHE_DIR``  — enables the disk cache at that directory,
-* ``REPRO_WORKERS``    — default worker count (else ``os.cpu_count()``),
-* ``REPRO_SERIAL=1``   — force the serial path everywhere.
+* ``REPRO_WORKERS``    — default worker count (else ``os.cpu_count()``);
+  ``REPRO_WORKERS=1`` runs every point inline.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..obs.log import get_logger
-from ..obs.profiler import PhaseProfiler
-from ..obs.spans import current_span, current_tracer, span
 from ..sim import runner
-from .cache import ResultCache, default_cache_dir
-from .env import env_flag, env_int
+from .resolver import AUTO, Resolver, _wall_clock
 
 log = get_logger(__name__)
-
-#: Sentinel distinguishing "use the env-configured cache" from "no cache".
-_AUTO = "auto"
-
-
-
-def _wall_clock() -> float:
-    """Wall-time meter for engine metrics (``wall_s``, per-point cost).
-
-    Telemetry only: wall times feed ``exec.engine`` stats, progress
-    hooks, and log lines — never the simulation results themselves,
-    which depend only on the DesignPoint.
-    """
-    # repro: allow(determinism) — wall-time metrics, never in results
-    return time.perf_counter()
-
-
-def _simulate_point(point: runner.DesignPoint) -> tuple[Any, float]:
-    """Worker entry point: run one point, return (result, wall_s).
-
-    Module-level so it pickles by reference into pool workers. Always
-    simulates from scratch — workers never consult caches, which keeps
-    the parallel path's numbers byte-for-byte those of a cold serial
-    run.
-    """
-    start = _wall_clock()
-    result = runner.run_point(point)
-    return result, _wall_clock() - start
 
 
 @dataclass(frozen=True)
@@ -88,267 +55,80 @@ class PointOutcome:
     wall_s: float  #: simulation wall time (0.0 for memo/cache hits)
 
 
-@dataclass
-class EngineMetrics:
-    """Cumulative counters across an engine's ``run()`` calls."""
+class SweepEngine(Resolver):
+    """Resolve point lists through the resolver, in input order.
 
-    points: int = 0  #: total points requested (including duplicates)
-    unique_points: int = 0
-    memo_hits: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    simulated: int = 0
-    wall_s: float = 0.0  #: end-to-end engine wall time
-    sim_wall_s: float = 0.0  #: summed per-point simulation time
-    slowest_point_s: float = 0.0
-
-    @property
-    def hits(self) -> int:
-        return self.memo_hits + self.cache_hits
-
-    @property
-    def speedup(self) -> float:
-        """Summed point time over wall time (>1 under parallelism)."""
-        return self.sim_wall_s / self.wall_s if self.wall_s else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "points": self.points,
-            "unique_points": self.unique_points,
-            "memo_hits": self.memo_hits,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "simulated": self.simulated,
-            "wall_s": self.wall_s,
-            "sim_wall_s": self.sim_wall_s,
-        }
-
-    def summary(self) -> str:
-        return (f"{self.points} points ({self.unique_points} unique): "
-                f"{self.memo_hits} memo + {self.cache_hits} cached + "
-                f"{self.simulated} simulated in {self.wall_s:.1f}s")
-
-
-def default_workers() -> int:
-    """Worker count from ``REPRO_WORKERS``, else ``os.cpu_count()``.
-
-    Malformed values (non-integers, zero, negatives) raise
-    :class:`~repro.exec.env.EnvKnobError` instead of being silently
-    clamped.
-    """
-    value = env_int("REPRO_WORKERS", minimum=1)
-    if value is not None:
-        return value
-    return os.cpu_count() or 1
-
-
-def serial_forced() -> bool:
-    """Whether ``REPRO_SERIAL`` forces the inline path.
-
-    Accepts the usual boolean spellings; ``REPRO_SERIAL=0`` now means
-    *not* serial (historically any non-empty string, including ``"0"``,
-    enabled serial mode).
-    """
-    return env_flag("REPRO_SERIAL")
-
-
-class SweepEngine:
-    """Fan design points out over processes, through the result cache.
-
-    Parameters
-    ----------
-    workers:
-        Pool size; default ``REPRO_WORKERS`` or ``os.cpu_count()``.
-    parallel:
-        ``True``/``False`` force the path; ``None`` picks parallel
-        whenever more than one point must actually be simulated and
-        more than one worker is available (``REPRO_SERIAL=1`` forces
-        serial).
-    cache:
-        A :class:`ResultCache`, ``None`` to disable the disk layer, or
-        ``"auto"`` (default) to use ``REPRO_CACHE_DIR`` when set.
-    use_memo:
-        Whether to consult/populate the in-process memo in
-        :mod:`repro.sim.runner`. Disable for cold-path measurements.
-    progress:
-        Optional hook receiving one :class:`PointOutcome` per unique
-        point as it resolves.
+    Takes the :class:`~repro.exec.resolver.Resolver` parameters plus
+    ``progress``, an optional hook receiving one :class:`PointOutcome`
+    per unique point as it resolves.
     """
 
-    def __init__(self, workers: int | None = None,
-                 parallel: bool | None = None,
-                 cache: ResultCache | None | str = _AUTO,
+    def __init__(self, workers: int | None = None, cache: Any = AUTO,
                  use_memo: bool = True,
-                 progress: Callable[[PointOutcome], None] | None = None):
-        self.workers = workers if workers is not None else default_workers()
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.parallel = parallel
-        if cache == _AUTO:
-            directory = default_cache_dir()
-            cache = ResultCache(directory) if directory else None
-        self.cache: ResultCache | None = cache
-        self.use_memo = use_memo
+                 progress: Callable[[PointOutcome], None] | None = None,
+                 **seams: Any):
+        super().__init__(workers=workers, cache=cache, use_memo=use_memo,
+                         **seams)
         self.progress = progress
-        self.metrics = EngineMetrics()
-        #: wall-time breakdown: "lookup" (memo + cache reads),
-        #: "simulate" (miss execution, inclusive), "cache_io" (writes)
-        self.profiler = PhaseProfiler()
 
-    def register_stats(self, registry, prefix: str = "exec") -> None:
-        """Expose engine + cache counters through an obs registry.
-
-        Snapshots gain ``<prefix>.engine.*`` (points, hit/miss split,
-        wall times) and, when the disk cache is enabled,
-        ``<prefix>.cache.*`` (hits/misses/corrupt/writes).
-        """
-        registry.register(f"{prefix}.engine", self.metrics.as_dict)
-        if self.cache is not None:
-            self.cache.register_stats(registry, f"{prefix}.cache")
-
-    # ------------------------------------------------------------------
     def run(self, points: Sequence[runner.DesignPoint]) -> list[Any]:
         """Resolve every point; returns results in input order."""
         start = _wall_clock()
         points = list(points)
-        self.metrics.points += len(points)
+        unique = list(dict.fromkeys(points))
+        self.metrics.requested += len(points)
+        self.metrics.dedup_hits += len(points) - len(unique)
 
-        unique: list[runner.DesignPoint] = []
-        first_index: dict[runner.DesignPoint, int] = {}
-        for point in points:
-            if point not in first_index:
-                first_index[point] = len(unique)
-                unique.append(point)
-        self.metrics.unique_points += len(unique)
-
-        resolved: dict[int, Any] = {}
+        resolved: dict[runner.DesignPoint, Any] = {}
         misses: list[tuple[int, runner.DesignPoint]] = []
-        with self.profiler.phase("lookup"):
-            for index, point in enumerate(unique):
-                with span("exec.cache_lookup", workload=point.workload,
-                          design=point.design):
-                    result, source = self._lookup(point)
-                if result is not None:
-                    resolved[index] = result
-                    self._emit(PointOutcome(index, point, result,
-                                            source, 0.0))
-                else:
-                    misses.append((index, point))
+        for index, point in enumerate(unique):
+            result, source = self.lookup(point)
+            if result is None:
+                misses.append((index, point))
+            else:
+                self._resolved(resolved, index, point, result, source, 0.0)
 
-        if misses:
-            with self.profiler.phase("simulate"):
-                for index, point, result, wall in self._execute(misses):
-                    resolved[index] = result
-                    self.metrics.simulated += 1
-                    self.metrics.sim_wall_s += wall
-                    self.metrics.slowest_point_s = max(
-                        self.metrics.slowest_point_s, wall)
-                    with self.profiler.phase("cache_io"), \
-                            span("exec.cache_write",
-                                 workload=point.workload,
-                                 design=point.design):
-                        self._store(point, result)
-                    self._emit(PointOutcome(index, point, result,
-                                            "simulated", wall))
+        try:
+            if self.workers == 1 or len(misses) <= 1:
+                for index, point in misses:
+                    result, wall = self.simulate_inline(point)
+                    self._resolved(resolved, index, point, result,
+                                   "simulated", wall)
+            elif misses:
+                import asyncio  # only here: see repro.exec.resolver
 
-        self.metrics.wall_s += _wall_clock() - start
-        log.debug("engine run: %s | %s", self.metrics.summary(),
-                  self.profiler.summary())
-        return [resolved[first_index[point]] for point in points]
+                try:
+                    asyncio.run(self._execute_all(misses, resolved))
+                except BaseException:
+                    self.shutdown(wait=False)  # drop the queued points
+                    raise
+                self.shutdown()
+        finally:
+            self.metrics.wall_s += _wall_clock() - start
+        log.debug("engine run: %s", self.metrics.summary())
+        return [resolved[point] for point in points]
 
-    # ------------------------------------------------------------------
-    def _lookup(self, point) -> tuple[Any, str]:
-        if self.use_memo:
-            result = runner.memo_get(point)
-            if result is not None:
-                self.metrics.memo_hits += 1
-                return result, "memo"
-        if self.cache is not None:
-            result = self.cache.get(point)
-            if result is not None:
-                self.metrics.cache_hits += 1
-                if self.use_memo:
-                    runner.memo_put(point, result)
-                return result, "cache"
-            self.metrics.cache_misses += 1
-        return None, ""
+    async def _execute_all(self, misses, resolved) -> None:
+        """Execute the misses in the pool; the first failure propagates
+        and ``asyncio.run`` cancels the rest."""
+        import asyncio
 
-    def _store(self, point, result) -> None:
-        if self.use_memo:
-            runner.memo_put(point, result)
-        if self.cache is not None:
-            self.cache.put(point, result)
+        async def one(index, point):
+            result, wall = await self.execute(point)
+            self._resolved(resolved, index, point, result, "simulated",
+                           wall)
 
-    def _emit(self, outcome: PointOutcome) -> None:
+        await asyncio.gather(*(one(index, point) for index, point in misses))
+
+    def _resolved(self, resolved, index, point, result, source,
+                  wall_s) -> None:
+        resolved[point] = result
         if self.progress is not None:
-            self.progress(outcome)
-
-    def _run_parallel(self, misses: list) -> bool:
-        if serial_forced():
-            return False
-        if self.parallel is not None:
-            return self.parallel and self.workers > 1
-        return self.workers > 1 and len(misses) > 1
-
-    def _execute(self, misses: list):
-        """Yield ``(index, point, result, wall_s)`` for every miss."""
-        if not self._run_parallel(misses):
-            for index, point in misses:
-                with span("exec.simulate", workload=point.workload,
-                          design=point.design):
-                    result, wall = _simulate_point(point)
-                yield index, point, result, wall
-            return
-        workers = min(self.workers, len(misses))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_simulate_point, point): (index, point)
-                       for index, point in misses}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, point = futures[future]
-                    result, wall = future.result()
-                    self._record_remote_span(point, wall)
-                    yield index, point, result, wall
-
-    @staticmethod
-    def _record_remote_span(point, wall_s: float) -> None:
-        """Retroactive ``exec.simulate`` span for a pool-executed point.
-
-        The worker process has no access to the parent's tracer, so the
-        span is reconstructed at collection time from the measured wall
-        time; its end edge is the moment the future was collected.
-        """
-        tracer = current_tracer()
-        if tracer is None:
-            return
-        parent = current_span()
-        # repro: allow(determinism) — span telemetry, never in results
-        end_ns = time.perf_counter_ns()
-        tracer.record("exec.simulate", end_ns - int(wall_s * 1e9), end_ns,
-                      parent_id=parent.span_id if parent else None,
-                      workload=point.workload, design=point.design,
-                      remote=True)
+            self.progress(PointOutcome(index, point, result, source,
+                                       wall_s))
 
 
-# ----------------------------------------------------------------------
-# Convenience entry points
-# ----------------------------------------------------------------------
 def run_points(points: Sequence[runner.DesignPoint],
                **engine_kwargs: Any) -> list[Any]:
     """One-shot engine run; results in input order."""
     return SweepEngine(**engine_kwargs).run(points)
-
-
-def warm(points: Sequence[runner.DesignPoint],
-         **engine_kwargs: Any) -> EngineMetrics:
-    """Pre-simulate ``points`` into the memo/disk caches.
-
-    After ``warm()``, plain ``simulate()`` / ``slowdown()`` calls over
-    the same points are pure cache hits — this is how the experiment
-    drivers gain parallelism without restructuring their loops.
-    """
-    engine = SweepEngine(**engine_kwargs)
-    engine.run(points)
-    return engine.metrics

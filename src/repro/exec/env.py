@@ -3,8 +3,8 @@
 Every knob the execution layer reads from the environment goes through
 these helpers so that a typo'd value fails loudly at startup instead of
 silently misbehaving (the historical failure modes: ``REPRO_WORKERS=0``
-was clamped to 1 without a word, and ``REPRO_SERIAL=0`` *enabled*
-serial mode because any non-empty string was truthy).
+was clamped to 1 without a word, and a boolean knob set to ``0``
+counted as *on* because any non-empty string was truthy).
 
 Rules:
 

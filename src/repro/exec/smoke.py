@@ -3,8 +3,9 @@
 Runs a tiny 2-design x 3-workload sweep (plus baselines) three ways and
 verifies the engine's two contracts:
 
-1. **Determinism** — the parallel run produces numerically identical
-   results to the serial path (same seeds, deterministic merge order).
+1. **Determinism** — the pool run (``workers=2``) produces numerically
+   identical results to the inline one (``workers=1``): same seeds,
+   deterministic merge order.
 2. **Persistence** — a second, warm-cache invocation against the same
    cache directory performs zero simulations (verified via the
    engine's metrics, not timing).
@@ -50,35 +51,34 @@ def smoke_points() -> list[DesignPoint]:
 def run_smoke(cache_dir: str, workers: int = 2) -> int:
     points = smoke_points()
 
-    serial = SweepEngine(parallel=False, cache=None, use_memo=False)
-    serial_results = serial.run(points)
-    log.info("serial:   %s", serial.metrics.summary())
+    inline = SweepEngine(workers=1, cache=None, use_memo=False)
+    inline_results = inline.run(points)
+    log.info("inline: %s", inline.metrics.summary())
 
-    parallel = SweepEngine(parallel=True, workers=workers,
-                           cache=ResultCache(cache_dir), use_memo=False)
-    parallel_results = parallel.run(points)
-    log.info("parallel: %s", parallel.metrics.summary())
+    pool = SweepEngine(workers=workers, cache=ResultCache(cache_dir),
+                       use_memo=False)
+    pool_results = pool.run(points)
+    log.info("pool:   %s", pool.metrics.summary())
 
-    serial_ipcs = [r.ipcs for r in serial_results]
-    parallel_ipcs = [r.ipcs for r in parallel_results]
-    if serial_ipcs != parallel_ipcs:
-        log.error("FAIL: parallel results differ from the serial path")
+    inline_ipcs = [r.ipcs for r in inline_results]
+    if [r.ipcs for r in pool_results] != inline_ipcs:
+        log.error("FAIL: pool results differ from the inline path")
         return 1
 
-    warm = SweepEngine(parallel=True, workers=workers,
-                       cache=ResultCache(cache_dir), use_memo=False)
+    warm = SweepEngine(workers=workers, cache=ResultCache(cache_dir),
+                       use_memo=False)
     warm_results = warm.run(points)
-    log.info("warm:     %s", warm.metrics.summary())
+    log.info("warm:   %s", warm.metrics.summary())
     if warm.metrics.simulated != 0:
         log.error("FAIL: warm rerun simulated %d points (expected 0)",
                   warm.metrics.simulated)
         return 1
-    if [r.ipcs for r in warm_results] != serial_ipcs:
+    if [r.ipcs for r in warm_results] != inline_ipcs:
         log.error("FAIL: cached results differ from fresh ones")
         return 1
 
-    log.info("OK: parallel == serial, warm rerun hit the cache for "
-             "every point")
+    log.info("OK: pool == inline, warm rerun hit the cache for every "
+             "point")
     return 0
 
 

@@ -4,7 +4,7 @@ The serve daemon is a single event loop; one blocking call in a
 coroutine stalls *every* job, heartbeat sample, and API response at
 once (the priority queue, per-job timeouts, and graceful drain all
 assume the loop keeps turning). Blocking work belongs in the process
-pool (``PointRunner``) or behind ``asyncio.to_thread``.
+pool (``Resolver.execute``) or behind ``asyncio.to_thread``.
 
 Flagged inside the *nearest enclosing* ``async def`` only — a sync
 helper defined within a coroutine runs wherever it is called, so it is
@@ -91,7 +91,7 @@ class AsyncBlocking(AstRule):
                    "every job the daemon is serving")
     fix_hint = ("await the asyncio equivalent, move the work into the "
                 "process pool, or wrap it in asyncio.to_thread")
-    scope = ("repro.serve",)
+    scope = ("repro.serve", "repro.exec.resolver")
 
     visitor = AsyncBlockingVisitor
 

@@ -1,8 +1,8 @@
 """``env-discipline``: ``os.environ`` only inside :mod:`repro.exec.env`.
 
 Ad-hoc environment reads are how knob regressions shipped historically
-(``REPRO_WORKERS=0`` silently clamped, ``REPRO_SERIAL=0`` *enabling*
-serial mode): a raw ``os.environ.get`` has no validation, no error
+(``REPRO_WORKERS=0`` silently clamped, a boolean knob's ``0``
+counting as *on*): a raw ``os.environ.get`` has no validation, no error
 message naming the variable, and no single place documenting the knob.
 All access — reads *and* writes — goes through the strict parsers in
 :mod:`repro.exec.env` (``env_int`` / ``env_flag`` / ``env_choice`` /

@@ -78,14 +78,16 @@ NAMESPACES: tuple[Namespace, ...] = (
     Namespace("serve",
               "the simulation daemon (`GET /stats`, see "
               "`docs/serving.md`) and its sampled series",
-              "`serve.dedup_hits`, `serve.queue_depth`, "
+              "`serve.jobs_completed`, `serve.queue_depth`, "
               "`serve.job_latency_ms.p99`, `serve.pool.points_per_s`"),
     Namespace("exec.cache",
               "result-cache counters (`ResultCache.register_stats`)",
               "`exec.cache.hits`, `exec.cache.writes`"),
-    Namespace("exec.engine",
-              "sweep-engine counters (`SweepEngine.register_stats`)",
-              "`exec.engine.points`, `exec.engine.wall_s`"),
+    Namespace("exec.resolve",
+              "point-resolver counters, shared by `campaign run` and "
+              "the daemon (`Resolver.register_stats`)",
+              "`exec.resolve.dedup_hits`, `exec.resolve.simulated`, "
+              "`exec.resolve.point_wall_ms.p99`"),
 )
 
 

@@ -89,7 +89,7 @@ def render(doc: dict[str, Any], address: str = "") -> str:
     known = _stat(doc, "serve.jobs_known")
     inflight = _stat(doc, "serve.pool.inflight_points")
     workers = _stat(doc, "serve.pool.workers")
-    dedup = _stat(doc, "serve.dedup_hits")
+    dedup = _stat(doc, "exec.resolve.dedup_hits")
     hit_rate = _latest(doc, "serve.pool.cache_hit_rate")
     jobs_rate = _latest(doc, "serve.jobs_per_s")
     points_rate = _latest(doc, "serve.pool.points_per_s")

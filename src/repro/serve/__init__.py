@@ -1,6 +1,6 @@
 """Simulation-as-a-service: a local daemon over the sweep substrate.
 
-``repro.serve`` turns the :mod:`repro.exec` engine into a shared,
+``repro.serve`` puts the :mod:`repro.exec` resolver behind a shared,
 long-running service so that every consumer (campaign CLI, analysis
 prefetch, benchmarks, ad-hoc scripts) stops owning its own process
 pool: concurrent clients submitting overlapping work share one
@@ -15,27 +15,26 @@ Public surface:
 * :class:`~repro.serve.client.ServeClient` — blocking stdlib client
   (``campaign submit/status/fetch`` build on it);
 * :mod:`repro.serve.jobs` — job model + journal;
-* :mod:`repro.serve.pool` — deduplicated, cache-aware, crash-tolerant
-  point execution;
+* points resolve through the async front-end of
+  :class:`~repro.exec.resolver.Resolver` (dedup, cache, crash retries);
 * :mod:`repro.serve.protocol` — the HTTP/JSON wire format and the
   ``unix:/path`` / ``host:port`` address syntax.
 
 ``python -m repro.serve.smoke`` is the end-to-end self-check: three
 concurrent clients over overlapping sweep points, bit-identical to the
-serial engine, dedup observed, SIGTERM + restart resumes the journaled
+inline engine, dedup observed, SIGTERM + restart resumes the journaled
 queue. See ``docs/serving.md`` for the API and failure semantics.
 """
 
+from ..exec.resolver import PointFailed
 from .client import ServeClient, ServeError
 from .jobs import Job, Journal
-from .pool import PointFailed, PointRunner
 from .server import ServeServer
 
 __all__ = [
     "Job",
     "Journal",
     "PointFailed",
-    "PointRunner",
     "ServeClient",
     "ServeError",
     "ServeServer",

@@ -5,9 +5,9 @@ One :class:`ServeServer` owns:
 * a **priority queue** of journaled :class:`~repro.serve.jobs.Job`\\ s —
   higher ``priority`` dispatches first, FIFO within a priority;
 * a **dispatcher** that starts up to ``max_jobs`` jobs concurrently;
-  each job resolves its points through the shared
-  :class:`~repro.serve.pool.PointRunner` (so per-point dedup and the
-  result cache work *across* jobs);
+  each job resolves its points through the async front-end of one
+  shared :class:`~repro.exec.resolver.Resolver` (so per-point dedup,
+  the result cache and crash retries work *across* jobs);
 * the **JSON API** (see :mod:`repro.serve.protocol` and
   ``docs/serving.md``): ``POST /submit``, ``GET /status``,
   ``GET /result``, ``POST /cancel``, ``GET /stats``, ``GET /healthz``,
@@ -36,8 +36,8 @@ import signal
 import time
 from typing import Any, Callable
 
-from ..exec.cache import CACHE_DIR_ENV, ResultCache, point_key
-from ..exec.env import env_str
+from ..exec.cache import ResultCache, default_cache_dir, point_key
+from ..exec.resolver import PointFailed, Resolver
 from ..exec.serialize import result_to_dict
 from ..obs.exposition import CONTENT_TYPE, to_prometheus
 from ..obs.log import get_logger
@@ -48,7 +48,6 @@ from ..obs.timeseries import SeriesBoard
 from ..sim.runner import DesignPoint
 from .jobs import (CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job, Journal,
                    make_job, next_job_id)
-from .pool import PointFailed, PointRunner
 from .protocol import (ProtocolError, Request, error_bytes, parse_address,
                        read_request, response_bytes, text_bytes)
 
@@ -132,16 +131,21 @@ class ServeServer:
 
         if cache == "auto":
             if cache_dir is None:
-                cache_dir = env_str(CACHE_DIR_ENV) \
-                    or self.state_dir / "cache"
+                cache_dir = default_cache_dir() or self.state_dir / "cache"
             cache = ResultCache(cache_dir)
         self.cache = cache
 
         self.registry = StatsRegistry()
-        self.runner = PointRunner(workers=workers, cache=self.cache,
-                                  registry=self.registry,
-                                  simulate_fn=simulate_fn,
-                                  executor_factory=executor_factory)
+        # no memo: the daemon keeps results in the cache, not in memory
+        self.resolver = Resolver(workers=workers, cache=self.cache,
+                                 use_memo=False, simulate_fn=simulate_fn,
+                                 executor_factory=executor_factory)
+        self.resolver.register_stats(self.registry)
+        self.registry.register("serve.pool", lambda: {
+            "inflight_points": self.resolver.inflight,
+            "running_points": self.resolver.running,
+            "workers": self.resolver.workers,
+        })
         self._c_submitted = self.registry.counter("serve.jobs_submitted")
         self._c_resumed = self.registry.counter("serve.jobs_resumed")
         self._c_completed = self.registry.counter("serve.jobs_completed")
@@ -201,24 +205,30 @@ class ServeServer:
                        lambda: self._h_latency.percentile(0.5))
         board.register("serve.job_latency_p99_ms",
                        lambda: self._h_latency.percentile(0.99))
-        for name in ("inflight_points", "running_points", "dedup_hits",
-                     "cache_hits", "cache_misses", "points_simulated"):
-            board.register(f"serve.pool.{name}",
-                           lambda key=name: self.runner.gauges()[key])
+        resolver, metrics = self.resolver, self.resolver.metrics
+        board.register("serve.pool.inflight_points",
+                       lambda: resolver.inflight)
+        board.register("serve.pool.running_points",
+                       lambda: resolver.running)
+        for series, name in (("dedup_hits", "dedup_hits"),
+                             ("cache_hits", "cache_hits"),
+                             ("cache_misses", "cache_misses"),
+                             ("points_simulated", "simulated")):
+            board.register(f"serve.pool.{series}",
+                           lambda key=name: getattr(metrics, key))
         board.register("serve.pool.cache_hit_rate", self._cache_hit_rate)
         board.register("serve.pool.points_per_s",
                        _rate(self._points_resolved,
                              self.metrics_interval_s))
 
     def _cache_hit_rate(self) -> float:
-        gauges = self.runner.gauges()
-        total = gauges["cache_hits"] + gauges["cache_misses"]
-        return gauges["cache_hits"] / total if total else 0.0
+        metrics = self.resolver.metrics
+        total = metrics.cache_hits + metrics.cache_misses
+        return metrics.cache_hits / total if total else 0.0
 
     def _points_resolved(self) -> float:
-        gauges = self.runner.gauges()
-        return (gauges["points_simulated"] + gauges["cache_hits"]
-                + gauges["dedup_hits"])
+        metrics = self.resolver.metrics
+        return metrics.simulated + metrics.cache_hits + metrics.dedup_hits
 
     async def _sample_loop(self) -> None:
         while True:
@@ -286,7 +296,7 @@ class ServeServer:
         dispatcher = asyncio.ensure_future(self._dispatch())
         self._sampler = asyncio.ensure_future(self._sample_loop())
         log.info("serving on %s (workers=%d, max_jobs=%d, cache=%s)",
-                 self.address, self.runner.workers, self.max_jobs,
+                 self.address, self.resolver.workers, self.max_jobs,
                  self.cache.directory)
         if on_ready is not None:
             on_ready()
@@ -346,7 +356,7 @@ class ServeServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self.runner.shutdown()
+        self.resolver.shutdown()
         if self.journal is not None:
             self.journal.close()
         if self.kind == "unix":
@@ -397,11 +407,11 @@ class ServeServer:
                  job.id, len(job.points), job.priority, _key_summary(job))
         try:
             # entered before gather creates the point tasks, so every
-            # serve.point span below lands inside this job's tree
+            # exec.resolve span below lands inside this job's tree
             with span("serve.execute", parent=self._begin_job_span(job),
                       job_id=job.id):
                 gathered = asyncio.gather(
-                    *(self.runner.resolve(point) for point in job.points))
+                    *(self.resolver.resolve(point) for point in job.points))
                 if job.timeout_s is not None:
                     results = await asyncio.wait_for(gathered,
                                                      job.timeout_s)

@@ -4,9 +4,9 @@ Boots a real server subprocess and verifies the service contracts:
 
 1. **Correctness under concurrency** — three clients submitting
    overlapping sweep points all receive results bit-identical (modulo
-   wall-time provenance) to the serial :mod:`repro.exec` path.
+   wall-time provenance) to the inline :mod:`repro.exec` path.
 2. **Deduplication** — overlapping submissions execute once per cache
-   key (``serve.dedup_hits`` > 0) and the cache wrote exactly one
+   key (``exec.resolve.dedup_hits`` > 0) and the cache wrote exactly one
    entry per unique point (``exec.cache.writes``).
 3. **Durability** — SIGTERM mid-queue drains cleanly (exit 0), leaves
    unfinished jobs journaled, and a restarted server resumes and
@@ -61,8 +61,8 @@ def comparable(result) -> dict:
     return document
 
 
-def serial_reference(points: list[DesignPoint]) -> list[dict]:
-    engine = SweepEngine(parallel=False, cache=None, use_memo=False)
+def inline_reference(points: list[DesignPoint]) -> list[dict]:
+    engine = SweepEngine(workers=1, cache=None, use_memo=False)
     return [comparable(result) for result in engine.run(points)]
 
 
@@ -86,7 +86,7 @@ def stop_server(process: subprocess.Popen, timeout_s: float = 30.0) -> int:
 # ----------------------------------------------------------------------
 def check_concurrent(address: str, workers: int) -> int:
     points = smoke_points()
-    expected = serial_reference(points)
+    expected = inline_reference(points)
     by_key = dict(zip(range(len(points)), expected))
 
     # overlapping submissions: client 0 carries a duplicate point, so
@@ -110,7 +110,7 @@ def check_concurrent(address: str, workers: int) -> int:
         got = [comparable(r) for r in client.result(job_id)]
         want = [by_key[i] for i in indices]
         if got != want:
-            failures.append(f"{name}: results differ from serial run")
+            failures.append(f"{name}: results differ from inline run")
 
     threads = [threading.Thread(target=client_thread,
                                 args=(f"client-{n}", indices))
@@ -126,13 +126,13 @@ def check_concurrent(address: str, workers: int) -> int:
 
     stats = ServeClient(address).stats()
     log.info("server stats: dedup=%d cache_hits=%d simulated=%d "
-             "cache_writes=%d", stats.get("serve.dedup_hits", 0),
-             stats.get("serve.cache_hits", 0),
-             stats.get("serve.points_simulated", 0),
+             "cache_writes=%d", stats.get("exec.resolve.dedup_hits", 0),
+             stats.get("exec.resolve.cache_hits", 0),
+             stats.get("exec.resolve.simulated", 0),
              stats.get("exec.cache.writes", 0))
-    if stats.get("serve.dedup_hits", 0) < 1:
+    if stats.get("exec.resolve.dedup_hits", 0) < 1:
         log.error("FAIL: no in-flight dedup observed "
-                  "(serve.dedup_hits == 0)")
+                  "(exec.resolve.dedup_hits == 0)")
         return 1
     if stats.get("exec.cache.writes", 0) != len(points):
         log.error("FAIL: expected exactly %d cache writes (one per "
@@ -146,7 +146,7 @@ def check_concurrent(address: str, workers: int) -> int:
         log.error("FAIL: expected %d completed jobs, saw %s",
                   len(submissions), stats.get("serve.jobs_completed"))
         return 1
-    log.info("OK: %d concurrent clients, results == serial, dedup "
+    log.info("OK: %d concurrent clients, results == inline, dedup "
              "observed", len(submissions))
     return 0
 
@@ -160,7 +160,7 @@ def check_restart(tmp: pathlib.Path, workers: int) -> int:
     points = smoke_points(seed=7)  # cold keys: real work to interrupt
     jobs = [[points[0], points[1]], [points[2], points[3]],
             [points[0], points[3]]]
-    expected = serial_reference(points)
+    expected = inline_reference(points)
     by_doc = {id(p): doc for p, doc in zip(points, expected)}
 
     # deliberately starved server: one worker, one job at a time, and
@@ -201,7 +201,7 @@ def check_restart(tmp: pathlib.Path, workers: int) -> int:
             want = [by_doc[id(p)] for p in job_points]
             if got != want:
                 log.error("FAIL: resumed job %s results differ from "
-                          "serial run", job_id)
+                          "inline run", job_id)
                 return 1
         leftovers = Journal.load(state_dir / "journal.jsonl")
         if leftovers:
@@ -209,7 +209,7 @@ def check_restart(tmp: pathlib.Path, workers: int) -> int:
                       len(leftovers))
             return 1
         log.info("OK: restart resumed and completed %d journaled "
-                 "job(s), bit-identical to serial", len(pending))
+                 "job(s), bit-identical to inline", len(pending))
         return 0
     finally:
         if stop_server(process) != 0:

@@ -5,13 +5,13 @@ This is the layer the benchmarks and examples talk to. A *design point* is
 and policies, runs the :class:`~repro.sim.system.System`, and caches the
 result so a sweep reuses its baseline runs.
 
-Caching is two-layered: a per-process memo (``memo_get``/``memo_put``)
-plus, when ``REPRO_CACHE_DIR`` is set, the content-addressed on-disk
+:func:`simulate` and :func:`sweep` resolve points through the one
+resolver (:mod:`repro.exec.resolver`): the per-process :data:`memo`,
+then, when ``REPRO_CACHE_DIR`` is set, the content-addressed on-disk
 :class:`~repro.exec.cache.ResultCache`, so re-running a figure skips
 every simulation it has already performed — in any earlier process.
-:func:`sweep` fans its points out through the
-:mod:`repro.exec.engine` (``parallel=False`` restores the inline
-path; both produce bit-identical numbers).
+:func:`sweep` fans its misses out across worker processes
+(``workers=1`` keeps them inline; both give bit-identical numbers).
 
 Designs (paper nomenclature):
 
@@ -215,35 +215,14 @@ def build_traces(point: DesignPoint, config: SystemConfig) -> list:
             for i, spec in enumerate(specs)]
 
 
-#: Per-process memo: point -> result. Layer one of the cache; layer two
-#: is the on-disk ResultCache enabled by REPRO_CACHE_DIR.
-_cache: dict[DesignPoint, SystemResult] = {}
-
-#: Lazily-constructed disk cache, keyed by the directory it serves so a
-#: changed REPRO_CACHE_DIR takes effect mid-process (tests rely on this).
-_disk_state: tuple[str, Any] | None = None
-
-
-def _disk_cache():
-    global _disk_state
-    from ..exec.env import env_str  # deferred: sim must not import exec eagerly
-    path = env_str("REPRO_CACHE_DIR")
-    if not path:
-        return None
-    if _disk_state is None or _disk_state[0] != path:
-        from ..exec.cache import ResultCache
-        _disk_state = (path, ResultCache(path))
-    return _disk_state[1]
+#: Per-process memo: point -> result, read and filled by the resolver
+#: (:mod:`repro.exec.resolver`) ahead of its on-disk cache.
+memo: dict[DesignPoint, SystemResult] = {}
 
 
 def memo_get(point: DesignPoint) -> SystemResult | None:
-    """In-process memo lookup (used by the exec engine)."""
-    return _cache.get(point)
-
-
-def memo_put(point: DesignPoint, result: SystemResult) -> None:
-    """Populate the in-process memo (used by the exec engine)."""
-    _cache[point] = result
+    """The memo's result for ``point``, or ``None``."""
+    return memo.get(point)
 
 
 def resolve_engine(engine: str | None = None) -> type[System]:
@@ -313,30 +292,24 @@ def run_point(point: DesignPoint,
 
 
 def simulate(point: DesignPoint, use_cache: bool = True) -> SystemResult:
-    """Run (or fetch) one design point."""
-    if use_cache and point in _cache:
-        return _cache[point]
-    disk = _disk_cache() if use_cache else None
-    if disk is not None:
-        result = disk.get(point)
-        if result is not None:
-            _cache[point] = result
-            return result
-    result = run_point(point)
-    if use_cache:
-        _cache[point] = result
-        if disk is not None:
-            disk.put(point, result)
-    return result
+    """Run (or fetch) one design point.
+
+    ``use_cache=False`` simulates from scratch and stores nothing.
+    """
+    if not use_cache:
+        return run_point(point)
+    from ..exec.engine import SweepEngine  # deferred: exec imports sim
+    return SweepEngine(workers=1).run([point])[0]
 
 
 def clear_cache(disk: bool = False) -> None:
     """Drop the in-process memo (and optionally the on-disk cache)."""
-    _cache.clear()
+    memo.clear()
     if disk:
-        store = _disk_cache()
-        if store is not None:
-            store.clear()
+        from ..exec.cache import ResultCache, default_cache_dir
+        directory = default_cache_dir()
+        if directory is not None:
+            ResultCache(directory).clear()
 
 
 def weighted_speedup(result: SystemResult,
@@ -403,14 +376,13 @@ class SweepResult:
 
 
 def sweep(workloads: list[str], design: str, trh: int,
-          parallel: bool | None = None, workers: int | None = None,
-          **overrides: Any) -> SweepResult:
+          workers: int | None = None, **overrides: Any) -> SweepResult:
     """Slowdown of ``design`` across ``workloads`` at one threshold.
 
     Points (and their baselines) are resolved through the
     :class:`~repro.exec.engine.SweepEngine`: cached results are reused,
-    misses fan out across worker processes. ``parallel=False`` is the
-    inline escape hatch; both paths return bit-identical numbers.
+    misses fan out across ``workers`` processes (``workers=1`` runs
+    them inline; both paths return bit-identical numbers).
     """
     from ..exec.engine import run_points
 
@@ -422,7 +394,7 @@ def sweep(workloads: list[str], design: str, trh: int,
     for point in points:
         flat.append(point)
         flat.append(point.baseline())
-    results = run_points(flat, parallel=parallel, workers=workers)
+    results = run_points(flat, workers=workers)
     for name, run, base in zip(workloads, results[0::2], results[1::2]):
         result.slowdowns[name] = 1.0 - weighted_speedup(run, base)
     return result

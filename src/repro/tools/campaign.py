@@ -21,7 +21,9 @@ execute them, then aggregate per-run stats into CSVs
 points (and their baselines) fan out across worker processes, results
 persist in the on-disk cache (``--cache-dir`` / ``REPRO_CACHE_DIR``),
 and re-running a campaign only simulates what is not cached yet.
-``--serial`` restores the inline path (identical numbers).
+``--workers 1`` runs every point inline (identical numbers); a crashed
+worker is replaced and its point retried, and the first point that
+fails stops the run with its name.
 
 Against a running :mod:`repro.serve` daemon the same campaign executes
 remotely — concurrent campaigns share one worker pool and deduplicate
@@ -55,6 +57,7 @@ from dataclasses import replace
 
 from ..config_io import load_design_point, save_design_point
 from ..dram.energy import energy_overhead
+from ..exec.cache import CACHE_DIR_ENV
 from ..exec.engine import PointOutcome, SweepEngine
 from ..exec.env import set_knob
 from ..obs.log import configure, get_logger
@@ -136,7 +139,6 @@ def write_results_csv(csv_path: pathlib.Path,
 
 
 def run(directory: pathlib.Path, workers: int | None = None,
-        parallel: bool | None = None,
         verbose: bool = True) -> pathlib.Path:
     csv_path = directory / "results.csv"
     ini_paths, points, flat = planned_points(directory)
@@ -149,11 +151,10 @@ def run(directory: pathlib.Path, workers: int | None = None,
                  outcome.index + 1, total, point.workload, point.design,
                  point.trh, outcome.source, outcome.wall_s)
 
-    engine = SweepEngine(workers=workers, parallel=parallel,
+    engine = SweepEngine(workers=workers,
                          progress=progress if verbose else None)
     results = engine.run(flat)
     log.info("%s", engine.metrics.summary())
-    log.info("phases: %s", engine.profiler.summary())
     return write_results_csv(csv_path, ini_paths, points, results)
 
 
@@ -371,10 +372,9 @@ def main(argv: list[str] | None = None) -> int:
                              "as CSV to this path")
     parser.add_argument("--instructions", type=int, default=60_000)
     parser.add_argument("--workers", type=int, default=None,
-                        help="simulation worker processes "
-                             "(default: REPRO_WORKERS or cpu count)")
-    parser.add_argument("--serial", action="store_true",
-                        help="run points inline instead of in parallel")
+                        help="simulation worker processes; 1 runs "
+                             "points inline (default: REPRO_WORKERS or "
+                             "cpu count)")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk result cache directory "
                              "(default: REPRO_CACHE_DIR)")
@@ -394,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     configure("warning" if args.quiet else None)
     directory = pathlib.Path(args.dir)
     if args.cache_dir:
-        set_knob("REPRO_CACHE_DIR", args.cache_dir)
+        set_knob(CACHE_DIR_ENV, args.cache_dir)
 
     if args.command == "compare-mitigations":
         table, ok = compare_mitigations(
@@ -411,7 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "run":
         csv_path = run(directory, workers=args.workers,
-                       parallel=False if args.serial else None,
                        verbose=not args.quiet)
         log.info("wrote %s", csv_path)
         return 0

@@ -81,10 +81,8 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_sweep_paths_agree(self, engine, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", engine)
-        serial = SweepEngine(workers=1, parallel=False, cache=None,
-                             use_memo=False)
-        parallel = SweepEngine(workers=2, parallel=True, cache=None,
-                               use_memo=False)
+        serial = SweepEngine(workers=1, cache=None, use_memo=False)
+        parallel = SweepEngine(workers=2, cache=None, use_memo=False)
         serial_results = serial.run(POINTS)
         parallel_results = parallel.run(POINTS)
         for point, a, b in zip(POINTS, serial_results, parallel_results):

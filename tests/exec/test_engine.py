@@ -1,9 +1,11 @@
-"""Sweep engine: serial/parallel equivalence, caching, observability."""
+"""Sweep engine: inline/pool equivalence, caching, observability."""
+
+import multiprocessing
 
 import pytest
 
 from repro.exec.cache import ResultCache
-from repro.exec.engine import SweepEngine, run_points, warm
+from repro.exec.engine import SweepEngine, run_points
 from repro.sim import runner
 from repro.sim.runner import DesignPoint, clear_cache, simulate, sweep
 
@@ -21,40 +23,40 @@ def small_points():
     return points
 
 
-class TestSerialParallelEquivalence:
+class TestInlinePoolEquivalence:
     def test_identical_results(self):
         points = small_points()
-        serial = SweepEngine(parallel=False, cache=None, use_memo=False)
-        parallel = SweepEngine(parallel=True, workers=2, cache=None,
-                               use_memo=False)
-        rs = serial.run(points)
-        rp = parallel.run(points)
+        inline = SweepEngine(workers=1, cache=None, use_memo=False)
+        pool = SweepEngine(workers=2, cache=None, use_memo=False)
+        rs = inline.run(points)
+        rp = pool.run(points)
         assert [r.ipcs for r in rs] == [r.ipcs for r in rp]
         assert [r.elapsed_ps for r in rs] == [r.elapsed_ps for r in rp]
         assert [r.mc_stats for r in rs] == [r.mc_stats for r in rp]
 
     def test_merge_order_is_input_order(self):
         points = small_points()
-        results = SweepEngine(parallel=True, workers=2, cache=None,
+        results = SweepEngine(workers=2, cache=None,
                               use_memo=False).run(points)
         for point, result in zip(points, results):
             total = sum(s.instructions for s in result.core_stats)
             assert total == point.instructions * result.config.cores
 
-    def test_env_serial_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        engine = SweepEngine(parallel=None, workers=4, cache=None,
-                             use_memo=False)
-        assert not engine._run_parallel([(0, None), (1, None)])
+    def test_no_worker_outlives_a_run(self):
+        engine = SweepEngine(workers=2, cache=None, use_memo=False)
+        engine.run(small_points())
+        assert engine.metrics.simulated == len(set(small_points()))
+        assert multiprocessing.active_children() == []
 
 
 class TestDeduplication:
     def test_duplicates_simulated_once(self):
         point = DesignPoint(workload="add", design="baseline", **FAST)
-        engine = SweepEngine(parallel=False, cache=None, use_memo=False)
+        engine = SweepEngine(workers=1, cache=None, use_memo=False)
         results = engine.run([point, point, point])
-        assert engine.metrics.points == 3
-        assert engine.metrics.unique_points == 1
+        assert engine.metrics.requested == 3
+        assert engine.metrics.dedup_hits == 2
+        assert engine.metrics.unique == 1
         assert engine.metrics.simulated == 1
         assert results[0] is results[1] is results[2]
 
@@ -62,14 +64,14 @@ class TestDeduplication:
 class TestCacheBehaviour:
     def test_warm_rerun_simulates_nothing(self, tmp_path):
         points = small_points()
-        cold = SweepEngine(parallel=False, cache=ResultCache(tmp_path),
+        cold = SweepEngine(workers=1, cache=ResultCache(tmp_path),
                            use_memo=False)
         cold_results = cold.run(points)
         assert cold.metrics.simulated == len(set(points))
         assert cold.metrics.cache_hits == 0
 
         clear_cache()
-        warm_engine = SweepEngine(parallel=False,
+        warm_engine = SweepEngine(workers=1,
                                   cache=ResultCache(tmp_path),
                                   use_memo=False)
         warm_results = warm_engine.run(points)
@@ -81,10 +83,10 @@ class TestCacheBehaviour:
     def test_corrupt_entry_resimulated(self, tmp_path):
         point = DesignPoint(workload="add", design="baseline", **FAST)
         cache = ResultCache(tmp_path)
-        engine = SweepEngine(parallel=False, cache=cache, use_memo=False)
+        engine = SweepEngine(workers=1, cache=cache, use_memo=False)
         engine.run([point])
         cache.path_for(point).write_text("truncated {")
-        again = SweepEngine(parallel=False, cache=ResultCache(tmp_path),
+        again = SweepEngine(workers=1, cache=ResultCache(tmp_path),
                             use_memo=False)
         results = again.run([point])
         assert again.metrics.simulated == 1
@@ -93,12 +95,12 @@ class TestCacheBehaviour:
     def test_memo_integration(self):
         clear_cache()
         point = DesignPoint(workload="add", design="baseline", **FAST)
-        engine = SweepEngine(parallel=False, cache=None, use_memo=True)
+        engine = SweepEngine(workers=1, cache=None, use_memo=True)
         (result,) = engine.run([point])
         # the engine populated the runner memo: simulate() is now free
         assert simulate(point) is result
         # and a second engine run is a memo hit, not a simulation
-        rerun = SweepEngine(parallel=False, cache=None, use_memo=True)
+        rerun = SweepEngine(workers=1, cache=None, use_memo=True)
         rerun.run([point])
         assert rerun.metrics.memo_hits == 1
         assert rerun.metrics.simulated == 0
@@ -108,18 +110,44 @@ class TestCacheBehaviour:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()
         first = simulate(point)
+        assert ResultCache(tmp_path).path_for(point).exists()
         clear_cache()  # memo gone; disk remains
+
+        def no_simulation(point):
+            raise AssertionError("a disk hit must not simulate")
+
+        monkeypatch.setattr(runner, "run_point", no_simulation)
         second = simulate(point)
         assert second is not first
         assert second.ipcs == first.ipcs
-        assert runner._disk_cache().counters.hits >= 1
+        assert runner.memo_get(point) is second
+
+    def test_simulate_without_cache_stores_nothing(self, tmp_path,
+                                                   monkeypatch):
+        point = DesignPoint(workload="add", design="baseline", **FAST)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_cache()
+        result = simulate(point, use_cache=False)
+        assert result.total_requests > 0
+        assert runner.memo_get(point) is None
+        assert len(ResultCache(tmp_path)) == 0
+
+    def test_clear_cache_disk_empties_the_env_cache(self, tmp_path,
+                                                    monkeypatch):
+        point = DesignPoint(workload="add", design="baseline", **FAST)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        simulate(point)
+        assert len(ResultCache(tmp_path)) == 1
+        clear_cache(disk=True)
+        assert len(ResultCache(tmp_path)) == 0
+        assert runner.memo_get(point) is None
 
 
 class TestObservability:
     def test_progress_hook_sees_every_unique_point(self, tmp_path):
         points = small_points()
         outcomes = []
-        engine = SweepEngine(parallel=False, cache=ResultCache(tmp_path),
+        engine = SweepEngine(workers=1, cache=ResultCache(tmp_path),
                              use_memo=False, progress=outcomes.append)
         engine.run(points)
         assert len(outcomes) == len(set(points))
@@ -127,19 +155,20 @@ class TestObservability:
         assert all(o.wall_s > 0 for o in outcomes)
 
         hits = []
-        rerun = SweepEngine(parallel=False, cache=ResultCache(tmp_path),
+        rerun = SweepEngine(workers=1, cache=ResultCache(tmp_path),
                             use_memo=False, progress=hits.append)
         rerun.run(points)
         assert {o.source for o in hits} == {"cache"}
 
     def test_metrics_accumulate(self):
         point = DesignPoint(workload="add", design="baseline", **FAST)
-        engine = SweepEngine(parallel=False, cache=None, use_memo=False)
+        engine = SweepEngine(workers=1, cache=None, use_memo=False)
         engine.run([point])
         engine.run([point])
-        assert engine.metrics.points == 2
+        assert engine.metrics.requested == 2
         assert engine.metrics.simulated == 2
         assert engine.metrics.wall_s > 0
+        assert engine.metrics.sim_wall_s > 0
         summary = engine.metrics.summary()
         assert "2 points" in summary
 
@@ -151,22 +180,22 @@ class TestObservability:
 class TestConvenienceAPI:
     def test_run_points(self):
         point = DesignPoint(workload="add", design="baseline", **FAST)
-        results = run_points([point], parallel=False, cache=None)
+        results = run_points([point], workers=1, cache=None)
         assert results[0].total_requests > 0
 
-    def test_warm_populates_memo(self):
+    def test_run_points_populates_memo(self):
+        # how the experiment drivers prefetch before their own loops
         clear_cache()
         point = DesignPoint(workload="mcf", design="baseline", **FAST)
-        metrics = warm([point], parallel=False, cache=None)
-        assert metrics.simulated == 1
-        assert runner.memo_get(point) is not None
+        (result,) = run_points([point], workers=1, cache=None)
+        assert runner.memo_get(point) is result
+        assert simulate(point) is result
 
 
 class TestSweepIntegration:
-    def test_sweep_parallel_matches_serial(self):
+    def test_sweep_pool_matches_inline(self):
         clear_cache()
-        serial = sweep(["add", "mcf"], "prac", 500, parallel=False, **FAST)
+        inline = sweep(["add", "mcf"], "prac", 500, workers=1, **FAST)
         clear_cache()
-        parallel = sweep(["add", "mcf"], "prac", 500, parallel=True,
-                         workers=2, **FAST)
-        assert serial.slowdowns == parallel.slowdowns
+        pool = sweep(["add", "mcf"], "prac", 500, workers=2, **FAST)
+        assert inline.slowdowns == pool.slowdowns

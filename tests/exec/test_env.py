@@ -12,7 +12,7 @@ from repro.analysis.experiments import (FAST_WORKLOADS,
                                         instruction_budget,
                                         selected_workloads)
 from repro.exec.cache import CACHE_SALT, default_cache_dir, effective_salt
-from repro.exec.engine import default_workers, serial_forced
+from repro.exec.resolver import default_workers
 from repro.exec.env import (EnvKnobError, engine_choice, env_choice,
                             env_flag, env_float, env_int)
 from repro.obs.log import resolve_level
@@ -25,7 +25,6 @@ KNOBS = {
     "REPRO_FULL": (selected_workloads, FAST_WORKLOADS),
     "REPRO_INSTRUCTIONS": (instruction_budget, 100_000),
     "REPRO_LOG": (resolve_level, logging.INFO),
-    "REPRO_SERIAL": (serial_forced, False),
     "REPRO_WORKERS": (default_workers, os.cpu_count() or 1),
 }
 
@@ -198,23 +197,10 @@ class TestEngineKnobs:
         with pytest.raises(EnvKnobError):
             default_workers()
 
-    def test_serial_unset_is_parallel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERIAL", raising=False)
-        assert serial_forced() is False
-
-    def test_serial_one_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        assert serial_forced() is True
-
-    def test_serial_zero_means_parallel(self, monkeypatch):
-        # regression: any non-empty string used to count as truthy
-        monkeypatch.setenv("REPRO_SERIAL", "0")
-        assert serial_forced() is False
-
-    def test_serial_nonsense_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL", "sometimes")
-        with pytest.raises(EnvKnobError, match="REPRO_SERIAL"):
-            serial_forced()
+    def test_workers_one_is_honoured_not_rejected(self, monkeypatch):
+        # REPRO_WORKERS=1 is how every point is kept inline
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        assert default_workers() == 1
 
 
 class TestKnobRegistry:

@@ -12,8 +12,8 @@ def cache_dir():
     return os.getenv("REPRO_CACHE_DIR")
 
 
-def force_serial():
-    os.environ["REPRO_SERIAL"] = "1"
+def force_inline():
+    os.environ["REPRO_WORKERS"] = "1"
 
 
 def aliased():

@@ -11,8 +11,8 @@ def cache_dir():
     return env_str("REPRO_CACHE_DIR")
 
 
-def force_serial():
-    set_knob("REPRO_SERIAL", "1")
+def force_inline():
+    set_knob("REPRO_WORKERS", "1")
 
 
 def full_suite():

@@ -36,4 +36,4 @@ def test_the_documented_clock_waivers_are_live():
     assert {f.rule for f in run.suppressed} == {"determinism"}
     covered_files = {f.path for f in run.suppressed}
     assert "src/repro/serve/server.py" in covered_files
-    assert "src/repro/exec/engine.py" in covered_files
+    assert "src/repro/exec/resolver.py" in covered_files

@@ -93,6 +93,17 @@ def test_scope_gates_the_rule():
     assert not [f for f in run.findings if f.rule == "async-blocking"]
 
 
+def test_scope_covers_the_point_resolver():
+    # the daemon's event loop runs the resolver's async front-end too
+    bad = FIXTURES / "async_blocking" / "bad.py"
+    source = bad.read_text().replace(
+        "# repro-lint-module: repro.serve.fixture_bad",
+        "# repro-lint-module: repro.exec.resolver")
+    from repro.lint import lint_source
+    run = lint_source(source, module="repro.exec.resolver")
+    assert [f for f in run.findings if f.rule == "async-blocking"]
+
+
 def test_module_override_comment_wins_over_layout():
     bad = FIXTURES / "determinism" / "bad.py"
     module = module_for(bad, FIXTURES, bad.read_text())

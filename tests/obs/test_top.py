@@ -49,7 +49,7 @@ class TestRender:
                    "serve.jobs_completed": 7, "serve.jobs_failed": 0,
                    "serve.jobs_known": 10,
                    "serve.pool.inflight_points": 3,
-                   "serve.pool.workers": 4, "serve.dedup_hits": 5,
+                   "serve.pool.workers": 4, "exec.resolve.dedup_hits": 5,
                    "serve.job_latency_ms.p50": 100,
                    "serve.job_latency_ms.p99": 500},
             series={"serve.pool.cache_hit_rate": [0.5],

@@ -66,7 +66,7 @@ def test_submit_sends_each_unique_point_once(tmp_path, daemon):
     unique = set(flat)
     assert len(flat) == 4 and len(unique) == 3
 
-    reference = campaign.run(plan_dir, parallel=False,
+    reference = campaign.run(plan_dir, workers=1,
                              verbose=False).read_bytes()
     (plan_dir / "results.csv").unlink()
 
@@ -75,14 +75,14 @@ def test_submit_sends_each_unique_point_once(tmp_path, daemon):
 
     assert csv_path.read_bytes() == reference
     stats = ServeClient(daemon).stats()
-    assert stats["serve.points_requested"] == len(unique)
+    assert stats["exec.resolve.requested"] == len(unique)
 
 
 def test_sigkilled_daemon_resumes_bit_identically(tmp_path):
     plan_dir = tmp_path / "camp"
     campaign.plan(plan_dir, ["add", "mcf"], ["prac", "mopac-d"], [500],
                   8_000)
-    reference = campaign.run(plan_dir, parallel=False,
+    reference = campaign.run(plan_dir, workers=1,
                              verbose=False).read_bytes()
     (plan_dir / "results.csv").unlink()
 

@@ -110,9 +110,9 @@ class TestSubmitRoundTrip:
                 status = await call(client.wait, job_id, 10.0)
                 assert status["state"] == "done"
             stats = await call(client.stats)
-            assert stats["serve.dedup_hits"] + \
-                stats["serve.cache_hits"] >= 1
-            assert stats["serve.points_simulated"] == 1
+            assert stats["exec.resolve.dedup_hits"] + \
+                stats["exec.resolve.cache_hits"] >= 1
+            assert stats["exec.resolve.simulated"] == 1
             assert stats["serve.jobs_completed"] == 2
 
         run_scenario(tmp_path, scenario, simulate_fn=sim)
@@ -461,7 +461,7 @@ class TestSpansEndpoint:
                         if s["parent"] == root["id"]}
             assert {"serve.submit", "serve.queue",
                     "serve.execute"} <= children
-            points = [s for s in spans if s["name"] == "serve.point"]
+            points = [s for s in spans if s["name"] == "exec.resolve"]
             assert len(points) == 2
             for record in points:
                 assert by_id[record["parent"]]["name"] == "serve.execute"
@@ -473,8 +473,8 @@ class TestSpansEndpoint:
         async def scenario(server, client):
             job_id = await call(client.submit, [point()])
             await call(client.wait, job_id, 10.0)
-            doc = await call(client.spans, "serve.point")
+            doc = await call(client.spans, "exec.resolve")
             assert doc["spans"]
-            assert {s["name"] for s in doc["spans"]} == {"serve.point"}
+            assert {s["name"] for s in doc["spans"]} == {"exec.resolve"}
 
         run_scenario(tmp_path, scenario)
