@@ -1,16 +1,13 @@
 """Figure 4: row-buffer-conflict read latency, baseline vs PRAC —
 analytically and through the full memory controller."""
 
-import heapq
-import itertools
-
 from _common import record, run_once
 
 from repro.analysis import experiments as ex
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
 from repro.dram.timing import ddr5_base, ddr5_prac
 from repro.mc.controller import MemoryController
+from repro.mc.events import EventLoop
 from repro.mc.request import MemRequest
 from repro.mitigations.prac import BaselinePolicy, PRACMoatPolicy
 from repro.units import ns, to_ns
@@ -19,20 +16,13 @@ from repro.units import ns, to_ns
 def _conflict_latency(timing, policy):
     config = DRAMConfig(subchannels=1, banks_per_subchannel=4,
                         rows_per_bank=128, timing=timing)
-    heap, seq, done = [], itertools.count(), []
-    mc = MemoryController(0, config, policy,
-                          lambda t, cb: heapq.heappush(
-                              heap, (int(t), next(seq), cb)),
-                          done.append)
-    mc.enqueue(MemRequest(0, LineAddress(BankAddress(0, 0, 5), 0), 0), 0)
-    while heap:
-        t, _, cb = heapq.heappop(heap)
-        cb(t)
-    conflict = MemRequest(0, LineAddress(BankAddress(0, 0, 9), 0), ns(500))
+    events = EventLoop()
+    mc = MemoryController(0, config, policy, events)
+    mc.enqueue(MemRequest(0, 0, 0, 5, 0), 0)
+    events.run()
+    conflict = MemRequest(0, 0, 0, 9, ns(500))
     mc.enqueue(conflict, ns(500))
-    while heap:
-        t, _, cb = heapq.heappop(heap)
-        cb(t)
+    events.run()
     return to_ns(conflict.latency_ps)
 
 

@@ -1,11 +1,11 @@
 """Compare two ``BENCH_engine*.json`` summaries and gate regressions.
 
-``bench_engine.py`` records per-(workload, design) wall-clock for the
-reference and fast engines plus a bit-identical flag. This tool diffs a
+``bench_engine.py`` records per-(workload, design) wall-clock of the
+engine plus a digest of each run's results. This tool diffs a
 candidate run against a committed baseline and exits non-zero when the
-fast engine regressed — either in correctness (a row stopped being
-bit-identical) or in speed (fast-engine time grew by more than the
-threshold, 10% by default)::
+engine regressed — either in what it simulated (a row's digest
+changed, so the timings no longer measure the same work) or in speed
+(a row's time grew by more than the threshold, 10% by default)::
 
     python benchmarks/compare.py results/BENCH_engine_smoke.json \
         results/BENCH_engine_current.json --threshold 0.25
@@ -13,8 +13,8 @@ threshold, 10% by default)::
 ``make bench-engine`` runs the smoke profile to a scratch file and
 compares it against the committed baseline with ``BENCH_THRESHOLD``
 (default 0.5 — sub-second smoke timings on shared runners jitter
-~±20%, so the gate is wide; it still catches losing the fast path
-entirely, which is a 2-3x slowdown).
+~±20%, so the gate is wide; it still catches losing one of the
+engine's big optimisations, which is a 2-3x slowdown).
 
 Rows present on only one side are reported but are not failures: the
 benchmark mix is allowed to grow. Only like-for-like rows gate.
@@ -49,24 +49,26 @@ def compare(baseline: dict, candidate: dict,
     for key in sorted(set(base_rows) & set(cand_rows)):
         base, cand = base_rows[key], cand_rows[key]
         label = f"{key[0]}/{key[1]}"
-        if base.get("identical") and not cand.get("identical"):
-            failures.append(f"{label}: engines no longer bit-identical")
-        base_s, cand_s = base["fast_s"], cand["fast_s"]
+        if base["instructions"] == cand["instructions"] \
+                and base["digest"] != cand["digest"]:
+            failures.append(f"{label}: results changed (digest "
+                            f"{base['digest'][:12]} -> "
+                            f"{cand['digest'][:12]})")
+        base_s, cand_s = base["seconds"], cand["seconds"]
         if base_s > 0 and cand_s > base_s * (1 + threshold):
             ratio = cand_s / base_s - 1
             failures.append(
-                f"{label}: fast engine {ratio:+.0%} "
+                f"{label}: engine {ratio:+.0%} "
                 f"({base_s:.4f}s -> {cand_s:.4f}s, "
                 f"threshold {threshold:.0%})")
         else:
-            notes.append(f"{label}: fast {base_s:.4f}s -> {cand_s:.4f}s"
-                         f" (speedup {cand.get('speedup', 0):.2f}x)")
+            notes.append(f"{label}: {base_s:.4f}s -> {cand_s:.4f}s")
 
-    base_total = baseline.get("total_fast_s", 0)
-    cand_total = candidate.get("total_fast_s", 0)
+    base_total = baseline.get("total_s", 0)
+    cand_total = candidate.get("total_s", 0)
     if base_total > 0 and cand_total > base_total * (1 + threshold):
         ratio = cand_total / base_total - 1
-        failures.append(f"total: fast engine {ratio:+.0%} "
+        failures.append(f"total: engine {ratio:+.0%} "
                         f"({base_total:.4f}s -> {cand_total:.4f}s)")
     return failures, notes
 
@@ -75,14 +77,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchmarks/compare.py",
         description="Diff two BENCH_engine*.json summaries; exit 1 on "
-                    "a correctness or >threshold speed regression.")
+                    "changed results or a >threshold speed regression.")
     parser.add_argument("baseline", type=pathlib.Path,
                         help="committed baseline summary")
     parser.add_argument("candidate", type=pathlib.Path,
                         help="fresh summary to gate")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="tolerated fractional slowdown of the "
-                             "fast engine (default: 0.10)")
+                             "engine (default: 0.10)")
     args = parser.parse_args(argv)
     if args.threshold < 0:
         parser.error("--threshold must be non-negative")

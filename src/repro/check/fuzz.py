@@ -2,7 +2,7 @@
 
 Each fuzz case builds a real :class:`~repro.mc.controller.MemoryController`
 (with a randomly drawn mitigation design, page policy, refresh mode, and
-geometry) on a private event heap, drives it with a seeded randomized
+geometry) on a private :class:`~repro.mc.events.EventLoop`, drives it with a seeded randomized
 request stream — bursty arrivals, conflict ping-pong, hot rows, writes —
 and replays the traced command stream through the conformance oracle.
 The property under test: *every stream the controller emits is legal.*
@@ -17,14 +17,13 @@ master seed — logging the master seed is enough to replay any case.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..config import DRAMConfig
-from ..dram.commands import BankAddress, LineAddress
 from ..mc.controller import MemoryController
+from ..mc.events import EventLoop
 from ..mc.pagepolicy import make_page_policy
 from ..mc.request import MemRequest
 from ..mitigations import registry as mitigation_registry
@@ -201,16 +200,9 @@ def run_case(case: FuzzCase) -> tuple[list[TraceEvent], list[Violation],
     policy = _make_policy(case)
     config = DRAMConfig(banks_per_subchannel=case.banks,
                         rows_per_bank=case.rows)
-    heap: list = []
-    counter = iter(range(1 << 62))
-
-    def scheduler(time_ps: int, callback) -> None:
-        heapq.heappush(heap, (time_ps, next(counter), callback))
-
-    serviced = []
+    events = EventLoop()
     controller = MemoryController(
-        subchannel=0, config=config, policy=policy,
-        scheduler=scheduler, on_complete=serviced.append,
+        subchannel=0, config=config, policy=policy, events=events,
         page_policy=make_page_policy(case.page_policy),
         refresh_mode=case.refresh_mode)
     tracer = EventTracer(capacity=2_000_000)
@@ -219,28 +211,25 @@ def run_case(case: FuzzCase) -> tuple[list[TraceEvent], list[Violation],
     policy.tracer_subchannel = 0
     controller.start()
     for spec in case.requests:
-        address = LineAddress(BankAddress(0, spec.bank, spec.row), 0)
-        request = MemRequest(core=0, address=address,
-                             arrival_ps=spec.arrival_ps,
-                             is_write=spec.is_write)
-        controller.enqueue(request, now=spec.arrival_ps)
+        controller.enqueue(MemRequest(0, 0, spec.bank, spec.row,
+                                      spec.arrival_ps, spec.is_write),
+                           now=spec.arrival_ps)
 
     total = len(case.requests)
-    popped = 0
     drain_deadline: int | None = None
-    while heap:
-        popped += 1
-        if popped > MAX_EVENTS:
-            return tracer.events(), [], True
-        time_ps, _, callback = heapq.heappop(heap)
-        if drain_deadline is None and len(serviced) == total \
-                and not controller._alert_in_flight:
-            # let pending closes / one refresh round settle, then stop
+
+    def drained(time_ps: int) -> bool:
+        # once every request is serviced, let pending closes and one
+        # refresh round settle, then stop
+        nonlocal drain_deadline
+        if controller._alert_in_flight:
+            return False
+        if drain_deadline is None and controller.stats.serviced == total:
             drain_deadline = time_ps + 2 * policy.timing.tREFI
-        if drain_deadline is not None and time_ps > drain_deadline \
-                and not controller._alert_in_flight:
-            break
-        callback(time_ps)
+        return drain_deadline is not None and time_ps > drain_deadline
+
+    if events.run(stop=drained, max_events=MAX_EVENTS) == MAX_EVENTS:
+        return tracer.events(), [], True
 
     oracle = ConformanceOracle(OracleConfig.from_policy(
         policy, banks=case.banks, refresh_mode=case.refresh_mode))

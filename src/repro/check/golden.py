@@ -34,7 +34,8 @@ from typing import Callable
 from ..mitigations import registry
 from ..obs.tracer import EventTracer, TraceEvent
 from ..sim.runner import (DesignPoint, build_config, build_traces,
-                          make_policy_factory, resolve_engine)
+                          make_policy_factory)
+from ..sim.system import System
 from ..workloads.catalog import workload_cores
 from .driver import oracle_config_for
 from .fuzz import build_case, run_case
@@ -133,14 +134,13 @@ def _file_traces(point: DesignPoint, config) -> list:
 
 
 def run_system(point: DesignPoint, tracer: EventTracer | None = None,
-               engine: str | None = None, use_llc: bool = False,
-               file_traces: bool = False):
+               use_llc: bool = False, file_traces: bool = False):
     """Build and run ``point``'s System with the given extras."""
     config = build_config(point)
     specs = workload_cores(point.workload, config.cores)
     traces = (_file_traces(point, config) if file_traces
               else build_traces(point, config))
-    system = resolve_engine(engine)(
+    system = System(
         config=config,
         policy_factory=make_policy_factory(point, config),
         traces=traces,
@@ -157,15 +157,15 @@ def run_system(point: DesignPoint, tracer: EventTracer | None = None,
 @dataclass(frozen=True)
 class GoldenCase:
     name: str
-    #: engine -> (stats digest, trace)
-    run: Callable[[str | None], tuple[str, list[TraceEvent]]]
+    #: () -> (stats digest, trace)
+    run: Callable[[], tuple[str, list[TraceEvent]]]
     oracle: Callable[[], OracleConfig]
 
 
 def _point_case(name: str, point: DesignPoint, **extras) -> GoldenCase:
-    def run(engine):
+    def run():
         tracer = EventTracer(capacity=TRACE_CAPACITY)
-        result = run_system(point, tracer, engine, **extras)
+        result = run_system(point, tracer, **extras)
         assert tracer.dropped == 0, f"{name}: trace ring overflowed"
         return stats_digest(result), tracer.events()
     return GoldenCase(name, run, lambda: oracle_config_for(point))
@@ -174,7 +174,7 @@ def _point_case(name: str, point: DesignPoint, **extras) -> GoldenCase:
 def _fuzz_case(index: int) -> GoldenCase:
     case = build_case(FUZZ_SEED, index)
 
-    def run(engine):
+    def run():
         events, _, runaway = run_case(case)
         assert not runaway, case.describe()
         census: dict[str, int] = {}
@@ -203,10 +203,9 @@ def cases() -> dict[str, GoldenCase]:
     return out
 
 
-def fingerprint(case: GoldenCase, engine: str | None = None
-                ) -> tuple[Fingerprint, list[TraceEvent]]:
+def fingerprint(case: GoldenCase) -> tuple[Fingerprint, list[TraceEvent]]:
     """Run one case traced; returns its fingerprint and trace."""
-    stats, events = case.run(engine)
+    stats, events = case.run()
     return Fingerprint(stats, trace_digest(events), len(events)), events
 
 
@@ -215,13 +214,13 @@ def load_goldens(path: Path = GOLDENS_PATH) -> dict[str, Fingerprint]:
     return {name: Fingerprint(**entry) for name, entry in raw.items()}
 
 
-def check(engine: str | None = None, quiet: bool = False) -> list[str]:
+def check(quiet: bool = False) -> list[str]:
     """Re-run every case; returns one message per mismatch or
     oracle violation (empty = all goldens reproduced)."""
     goldens = load_goldens()
     failures = []
     for name, case in cases().items():
-        got, events = fingerprint(case, engine)
+        got, events = fingerprint(case)
         want = goldens.get(name)
         ok = got == want
         if not ok:
@@ -242,17 +241,15 @@ def main(argv: list[str] | None = None) -> int:
         description="verify (or --write) the golden fingerprints")
     parser.add_argument("--write", action="store_true",
                         help=f"regenerate {GOLDENS_PATH.name}")
-    parser.add_argument("--engine", default=None,
-                        help="simulation engine to run")
     args = parser.parse_args(argv)
     if args.write:
-        out = {name: fingerprint(case, args.engine)[0].as_dict()
+        out = {name: fingerprint(case)[0].as_dict()
                for name, case in cases().items()}
         GOLDENS_PATH.write_text(json.dumps(out, indent=1, sort_keys=True)
                                 + "\n")
         print(f"wrote {len(out)} goldens to {GOLDENS_PATH}")
         return 0
-    failures = check(args.engine)
+    failures = check()
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
     return 1 if failures else 0

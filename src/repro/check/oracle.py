@@ -2,11 +2,11 @@
 
 Replays a :mod:`repro.obs` event stream (ACT / PRE / RD / WR / REF /
 RFM / ALERT) and re-verifies it against a legality model implemented
-*from the JEDEC rules*, not from the simulator's :class:`~repro.dram.bank.Bank`
-state machine. The controller consults ``Bank.earliest_*`` before every
-command, so ``TimingViolation`` can never catch a misunderstanding the
-two sides share; this oracle is the second, independent implementation
-that can (HammerSim's validation argument, applied to our own model).
+*from the JEDEC rules*, not from the memory controller's per-bank timing
+state. The controller dates every command at its earliest legal time
+and does not re-check legality itself, so this oracle is the
+independent second implementation that catches a misunderstanding of
+the rules (HammerSim's validation argument, applied to our own model).
 
 Checked rules (rule ids in parentheses):
 

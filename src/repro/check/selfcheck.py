@@ -16,10 +16,9 @@
 4. **fuzz smoke** — a bounded run of the property-based MC fuzzer,
    plus replay of the per-mitigation seed corpora under
    ``tests/check/seeds/`` (curated ALERT/RFM-heavy cases);
-5. **engine** — both campaign points re-run under the fast engine
-   (:mod:`repro.sim.fastpath`): stats fingerprints and full command
-   traces must be bit-identical to the reference event loop, and the
-   fast trace must satisfy the conformance oracle on its own.
+5. **goldens** — every case of :mod:`repro.check.golden` must
+   reproduce its committed stats and trace digests, and the oracle
+   must accept every golden trace.
 
 Exit status 0 when every step passes, 1 otherwise — wired into
 ``make check`` (and thereby ``make ci``).
@@ -28,12 +27,11 @@ Exit status 0 when every step passes, 1 otherwise — wired into
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import random
 import sys
 
-from ..obs.tracer import EventTracer
-from ..sim.runner import DesignPoint, run_point
+from ..sim.runner import DesignPoint
+from . import golden
 from .corpus import run_corpus
 from .differential import run_differential
 from .driver import oracle_config_for, trace_point, verify_point
@@ -111,33 +109,12 @@ def run_selfcheck(fuzz_cases: int = 12, fuzz_seed: int = 0xC4EC,
     _check("fuzz/corpus", corpus.ok, corpus.describe().splitlines()[0],
            failures, quiet)
 
-    # 5. the fast engine is bit-identical machinery, not new physics
-    for point in (ABO_POINT, MIX_POINT):
-        label = f"{point.workload}.{point.design}"
-        fingerprints, traces = {}, {}
-        for engine in ("reference", "fast"):
-            tracer = EventTracer(capacity=2_000_000)
-            result = run_point(point, tracer=tracer, engine=engine)
-            fingerprints[engine] = (
-                dict(result.stats),
-                [dataclasses.asdict(s) for s in result.core_stats],
-                [dataclasses.asdict(s) for s in result.mc_stats],
-                result.elapsed_ps)
-            traces[engine] = tracer.events()
-        same_stats = fingerprints["fast"] == fingerprints["reference"]
-        same_trace = traces["fast"] == traces["reference"]
-        _check(f"engine/identity/{label}", same_stats and same_trace,
-               f"stats {'match' if same_stats else 'DIVERGE'}, "
-               f"{len(traces['fast'])} traced events "
-               f"{'match' if same_trace else 'DIVERGE'}",
-               failures, quiet)
-        violations = ConformanceOracle(
-            oracle_config_for(point)).verify(traces["fast"])
-        _check(f"engine/oracle/{label}", not violations,
-               ("zero violations" if not violations
-                else f"{len(violations)} violation(s), first: "
-                     f"{violations[0].rule}"),
-               failures, quiet)
+    # 5. the simulator reproduces its golden fingerprints
+    mismatches = golden.check(quiet=True)
+    _check("goldens", not mismatches,
+           (f"{len(golden.cases())} cases reproduced, oracle clean"
+            if not mismatches else mismatches[0]),
+           failures, quiet)
 
     if failures:
         print(f"selfcheck: {len(failures)} FAILURE(S)", file=sys.stderr)

@@ -25,6 +25,11 @@ from typing import Iterator
 from ..config import SystemConfig
 from .trace import TraceItem
 
+#: Accesses pulled per ``TraceGenerator.next_block`` refill. Per-core RNG
+#: means pulling ahead cannot change the stream; the only waste is up to
+#: one block of draws past the instruction budget.
+TRACE_BLOCK = 256
+
 
 @dataclass
 class CoreStats:
@@ -41,13 +46,12 @@ class CoreStats:
 
 
 class Core:
-    """One trace-driven core.
+    """One trace-driven core: dispatch cursor, trace and miss window.
 
-    The system drives the core through three entry points:
-
-    * :meth:`next_action` — what the core wants to do next,
-    * :meth:`take_request` — commit to issuing the prepared access,
-    * :meth:`on_completion` — an outstanding miss returned.
+    The :class:`~repro.sim.system.System` drives it (the dispatch,
+    ROB-stall and completion rules live in ``System._drive_core`` and
+    ``System._complete``); the core owns its trace, which it stages one
+    access at a time with :meth:`pull`.
     """
 
     def __init__(self, core_id: int, trace: Iterator[TraceItem],
@@ -67,91 +71,55 @@ class Core:
         #: outstanding misses: request_id -> instruction index
         self.outstanding: dict[int, int] = {}
         self._order: collections.deque[tuple[int, int]] = collections.deque()
-        self._next_item: TraceItem | None = None
+        #: the staged access as a raw ``(gap, address, is_write)`` tuple
+        self._next_item: tuple[int, int, bool] | None = None
         self._exhausted = False
         self._waiting_on: int | None = None
         self._resume_floor = 0.0
         self._last_completion = 0.0
+        #: set by the system once the core has nothing left to do
+        self.done = False
+        #: a block source (``next_block(n)``) for the trace, set by the
+        #: system for synthetic traces; otherwise items are pulled one
+        #: by one from the iterator
+        self._gen = None
+        self._block: list[tuple[int, int, bool]] = []
+        self._pos = 0
         self.stats = CoreStats()
 
-    # ------------------------------------------------------------------
-    def _peek(self) -> TraceItem | None:
-        if self._next_item is None and not self._exhausted:
-            try:
-                self._next_item = next(self.trace)
-            except StopIteration:
-                self._exhausted = True
-        return self._next_item
-
-    def _trace_finished(self) -> bool:
-        item = self._peek()
-        budget_left = self.instruction_limit - self.inst_index
-        return item is None or budget_left <= 0 or item.gap + 1 > budget_left
-
-    def next_action(self) -> tuple[str, float | int]:
-        """Returns one of:
-
-        * ``("issue", t)`` — ready to issue the next access at time t (ps),
-        * ``("wait", request_id)`` — ROB full; blocked on that miss,
-        * ``("finish", t)`` — trace/budget exhausted; core done at time t.
-        """
-        if self._trace_finished():
-            return ("finish", self._finish_time())
-        item = self._peek()
-        assert item is not None
-        next_index = self.inst_index + item.gap + 1
-        blocker = self._rob_blocker(next_index)
-        if blocker is not None:
-            self._waiting_on = blocker
-            return ("wait", blocker)
-        issue = max(self.dispatch_ps + item.gap * self.pspi,
-                    self._resume_floor)
-        return ("issue", issue)
-
-    def take_request(self, issue_ps: float) -> TraceItem:
-        """Commit the prepared access; advances the dispatch cursor."""
-        item = self._next_item
-        assert item is not None, "take_request without a pending item"
-        self._next_item = None
-        self.inst_index += item.gap + 1
-        self.dispatch_ps = issue_ps
-        self.stats.instructions = self.inst_index
-        self.stats.requests += 1
+    def pull(self) -> tuple[int, int, bool] | None:
+        """Stage the next trace access in ``_next_item`` and return it;
+        None once the trace is exhausted."""
+        gen = self._gen
+        if gen is not None:
+            pos = self._pos
+            block = self._block
+            if pos >= len(block):
+                block = self._block = gen.next_block(TRACE_BLOCK)
+                pos = 0
+            item = self._next_item = block[pos]
+            self._pos = pos + 1
+            return item
+        if self._exhausted:
+            return None
+        try:
+            nxt = next(self.trace)
+        except StopIteration:
+            self._exhausted = True
+            return None
+        item = self._next_item = (nxt.gap, nxt.address, nxt.is_write)
         return item
 
     def track(self, request_id: int) -> None:
+        """Hold a read in the miss window until it completes."""
         self.outstanding[request_id] = self.inst_index
         self._order.append((request_id, self.inst_index))
-
-    def on_completion(self, request_id: int, now: int) -> None:
-        self.outstanding.pop(request_id, None)
-        while self._order and self._order[0][0] not in self.outstanding:
-            self._order.popleft()
-        self._last_completion = max(self._last_completion, float(now))
-        if request_id == self._waiting_on:
-            # Dispatch was stalled on this miss; it resumes now.
-            self._resume_floor = max(self._resume_floor, float(now))
-            self._waiting_on = None
-
-    @property
-    def done(self) -> bool:
-        return self._trace_finished() and not self.outstanding
 
     def finalize(self) -> CoreStats:
         budget_left = max(self.instruction_limit - self.inst_index, 0)
         self.stats.instructions = self.inst_index + budget_left
         self.stats.finish_ps = int(self._finish_time())
         return self.stats
-
-    # ------------------------------------------------------------------
-    def _rob_blocker(self, next_index: int) -> int | None:
-        """Oldest outstanding miss the ROB cannot retire past, if any."""
-        if not self._order:
-            return None
-        oldest_id, oldest_index = self._order[0]
-        if next_index - oldest_index >= self.rob:
-            return oldest_id
-        return None
 
     def _finish_time(self) -> float:
         """Retirement of the last instruction: the dispatch cursor plus the

@@ -42,7 +42,7 @@ class AddressMapper:
     def map_line_raw(self, line_index: int) -> tuple[int, int, int]:
         """``(subchannel, bank, row)`` of a line, without address objects.
 
-        The fast engine maps every LLC miss through this instead of
+        The system maps every LLC miss through this instead of
         :meth:`map_line`: it never needs the column, and skipping the
         frozen-dataclass construction (plus validation) roughly halves
         the mapping cost. Subclasses get this derived fallback; the

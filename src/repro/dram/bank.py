@@ -1,25 +1,18 @@
-"""DRAM bank state machine.
+"""Per-bank DRAM state: event counters and timing readiness.
 
-A bank is either *precharged* (idle) or has one *open row*. The state
-machine enforces the JEDEC timing legality rules between ACT, column
-commands, and PRE, and records per-episode timing so that MoPAC-C's two
-precharge flavours (normal and counter-update) can coexist: the timing set
-is supplied **per activation episode**, not fixed at construction.
-
-Illegal command sequences raise :class:`TimingViolation` — the memory
-controller is required to consult ``earliest_*`` before issuing, and the
-tests use the exceptions to prove the controller never cheats the timings.
+A bank is either *precharged* (idle) or has one *open row*. The memory
+controller keeps the timing state of all banks of a sub-channel as
+parallel per-bank lists (:class:`TimingSoA`) so its hot path reads
+list slots by index and the maintenance events (REF / RFM) sweep every
+bank in one loop. Legality is not re-checked here: the controller dates
+every command at its earliest legal time, and
+:mod:`repro.check`'s conformance oracle and fuzzer re-verify the JEDEC
+rules from the traced command stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .timing import TimingSet
-
-
-class TimingViolation(Exception):
-    """A DRAM command was issued before its timing constraints allowed."""
+from dataclasses import dataclass
 
 
 @dataclass
@@ -33,128 +26,54 @@ class BankStats:
     row_conflicts: int = 0
 
 
-@dataclass
-class Bank:
-    """One DRAM bank: open-row state plus timing bookkeeping (ps)."""
+class TimingSoA:
+    """Per-bank timing state as parallel lists (times in ps).
 
-    index: int
-    open_row: int | None = None
-    #: timing set governing the *current* open episode (set at ACT)
-    episode_timing: TimingSet | None = None
-    #: earliest time the next ACT may issue
-    ready_act: int = 0
-    #: earliest time a column command may issue (tRCD after ACT)
-    ready_col: int = 0
-    #: earliest time PRE may issue (tRAS after ACT, tWR after WR)
-    ready_pre: int = 0
-    #: time of the most recent ACT (for tRC of the next ACT)
-    last_act: int = -(10**18)
-    #: bank unavailable until this time (REF / RFM stall)
-    blocked_until: int = 0
-    stats: BankStats = field(default_factory=BankStats)
+    * ``open_row`` — the open row, ``-1`` for a closed bank;
+    * ``ready_act`` — earliest next ACT (tRP / tRC after the last PRE);
+    * ``ready_col`` — earliest column command (tRCD after the ACT);
+    * ``ready_pre`` — earliest PRE (tRAS after the ACT, read burst /
+      write recovery after a column command);
+    * ``last_act`` — time of the most recent ACT;
+    * ``blocked_until`` — REF / RFM stall end.
+    """
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def is_open(self) -> bool:
-        return self.open_row is not None
+    def __init__(self, banks: int):
+        self.n = banks
+        self.open_row = [-1] * banks
+        self.ready_act = [0] * banks
+        self.ready_col = [0] * banks
+        self.ready_pre = [0] * banks
+        self.last_act = [-(10 ** 18)] * banks
+        self.blocked_until = [0] * banks
 
-    def earliest_activate(self) -> int:
-        """Earliest legal issue time for the next ACT (bank must be idle)."""
-        return max(self.ready_act, self.blocked_until)
+    def block_all(self, until: int) -> None:
+        """``blocked_until[i] = max(blocked_until[i], until)`` for all banks
+        (the REF / RFM mass block)."""
+        blocked = self.blocked_until
+        for i in range(self.n):
+            if blocked[i] < until:
+                blocked[i] = until
 
-    def earliest_column(self) -> int:
-        return max(self.ready_col, self.blocked_until)
+    def earliest_precharge(self, index: int) -> int:
+        ready_pre = self.ready_pre[index]
+        blocked = self.blocked_until[index]
+        return ready_pre if ready_pre >= blocked else blocked
 
-    def earliest_precharge(self) -> int:
-        return max(self.ready_pre, self.blocked_until)
+    def close_bound(self, now: int) -> int:
+        """Latest earliest-precharge over all *open* banks, floored at now.
 
-    # ------------------------------------------------------------------
-    # Commands
-    # ------------------------------------------------------------------
-    def activate(self, row: int, now: int, timing: TimingSet) -> int:
-        """Open ``row``; returns when the row becomes readable.
-
-        ``timing`` is the episode timing set: PRAC inflates tRCD/tRC for
-        every episode, MoPAC-C only for episodes selected for counter
-        update, the baseline and MoPAC-D never.
+        The refresh/ALERT collision check needs the last instant a
+        refresh's forced closes could be dated.
         """
-        if self.is_open:
-            raise TimingViolation(
-                f"bank {self.index}: ACT while row {self.open_row} open")
-        if now < self.earliest_activate():
-            raise TimingViolation(
-                f"bank {self.index}: ACT at {now} before "
-                f"{self.earliest_activate()}")
-        self.open_row = row
-        self.episode_timing = timing
-        self.last_act = now
-        self.ready_col = now + timing.tRCD
-        self.ready_pre = now + timing.tRAS
-        self.stats.activations += 1
-        return self.ready_col
-
-    def read(self, row: int, now: int) -> int:
-        """Issue a column read; returns data-available time."""
-        timing = self._require_open(row, now)
-        self.stats.reads += 1
-        self.stats.row_hits += 1
-        # Read-to-precharge: the burst must leave the bank before the
-        # row closes, so a forward-dated read cannot be trailed by a
-        # PRE dated earlier than the read itself.
-        self.ready_pre = max(self.ready_pre, now + timing.tBURST)
-        return now + timing.tCAS + timing.tBURST
-
-    def write(self, row: int, now: int) -> int:
-        """Issue a column write; returns completion; extends PRE readiness."""
-        timing = self._require_open(row, now)
-        self.stats.writes += 1
-        self.stats.row_hits += 1
-        # Write recovery: PRE must wait tWR after the write data lands.
-        self.ready_pre = max(self.ready_pre, now + timing.tBURST + timing.tWR)
-        return now + timing.tCAS + timing.tBURST
-
-    def precharge(self, now: int, timing: TimingSet | None = None,
-                  counter_update: bool = False) -> int:
-        """Close the open row; returns when the bank can be re-activated.
-
-        ``timing`` defaults to the episode timing set from the ACT; the
-        memory controller passes the PRAC timing set here for a PREcu so
-        that the precharge pays the counter-update latency (tRP = 36 ns).
-        """
-        if not self.is_open:
-            raise TimingViolation(f"bank {self.index}: PRE while idle")
-        if now < self.earliest_precharge():
-            raise TimingViolation(
-                f"bank {self.index}: PRE at {now} before "
-                f"{self.earliest_precharge()}")
-        timing = timing or self.episode_timing
-        assert timing is not None
-        self.open_row = None
-        self.episode_timing = None
-        self.ready_act = max(now + timing.tRP, self.last_act + timing.tRC)
-        self.stats.precharges += 1
-        if counter_update:
-            self.stats.counter_update_precharges += 1
-        return self.ready_act
-
-    def block_until(self, until: int) -> None:
-        """Make the bank unavailable until ``until`` (REF / RFM stall)."""
-        self.blocked_until = max(self.blocked_until, until)
-
-    def note_conflict(self) -> None:
-        self.stats.row_conflicts += 1
-
-    # ------------------------------------------------------------------
-    def _require_open(self, row: int, now: int) -> TimingSet:
-        if self.open_row != row:
-            raise TimingViolation(
-                f"bank {self.index}: column command to row {row} but open "
-                f"row is {self.open_row}")
-        if now < self.earliest_column():
-            raise TimingViolation(
-                f"bank {self.index}: column command at {now} before "
-                f"{self.earliest_column()}")
-        assert self.episode_timing is not None
-        return self.episode_timing
+        bound = now
+        open_row = self.open_row
+        ready_pre = self.ready_pre
+        blocked = self.blocked_until
+        for i in range(self.n):
+            if open_row[i] >= 0:
+                rp, bu = ready_pre[i], blocked[i]
+                ep = rp if rp >= bu else bu
+                if ep > bound:
+                    bound = ep
+        return bound

@@ -62,22 +62,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
 def effective_salt(salt: str = CACHE_SALT) -> str:
-    """The configured salt plus the user salt and engine from the env.
-
-    The simulation engine (``REPRO_ENGINE``) is folded in only when it
-    differs from the reference: the engines are proven bit-identical
-    (determinism matrix + ``make bench-engine``), but a regression in
-    one must not be able to poison the other's entries — and existing
-    reference-engine caches keep their keys.
-    """
-    from .env import engine_choice
-
+    """The configured salt plus the user salt from the env."""
     extra = env_str("REPRO_CACHE_SALT")
     if extra:
         salt = f"{salt}+{extra}"
-    engine = engine_choice()
-    if engine != "reference":
-        salt = f"{salt}@{engine}"
     return salt
 
 

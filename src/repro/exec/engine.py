@@ -12,8 +12,8 @@ with a synchronous ``run()``:
 
 * repeats in the input list resolve once (``dedup_hits``);
 * misses run inline when ``workers == 1`` or at most one point misses,
-  otherwise in a pool that lives for this one ``run()`` call, so no
-  worker process outlives it;
+  otherwise in a pool of ``min(workers, misses)`` processes that lives
+  for this one ``run()`` call, so no worker process outlives it;
 * the first point that fails raises
   :class:`~repro.exec.resolver.PointFailed` naming it, and the points
   still queued are cancelled.
@@ -97,6 +97,7 @@ class SweepEngine(Resolver):
             elif misses:
                 import asyncio  # only here: see repro.exec.resolver
 
+                self.pool_size = min(self.workers, len(misses))
                 try:
                     asyncio.run(self._execute_all(misses, resolved))
                 except BaseException:

@@ -24,9 +24,6 @@ import os
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
 
-#: Simulation engines selectable via ``REPRO_ENGINE``.
-ENGINES = ("reference", "fast")
-
 
 class EnvKnobError(ValueError):
     """An environment knob holds a value that cannot be parsed."""
@@ -144,13 +141,3 @@ def env_choice(name: str, choices: tuple[str, ...],
     if value not in choices:
         raise EnvKnobError(name, raw, "one of " + "/".join(choices))
     return value
-
-
-def engine_choice(default: str = "reference") -> str:
-    """The simulation engine selected by ``REPRO_ENGINE``.
-
-    ``reference`` is the original event loop; ``fast`` is the
-    bit-identical fast engine (:mod:`repro.sim.fastpath`). See
-    ``docs/performance.md``.
-    """
-    return env_choice("REPRO_ENGINE", ENGINES, default)

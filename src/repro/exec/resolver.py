@@ -165,8 +165,9 @@ class Resolver:
         Whether to consult/populate :data:`repro.sim.runner.memo`.
     simulate_fn, executor_factory:
         Test seams: the per-point simulation (default
-        :func:`simulate_point`) and the pool constructor (default a
-        ``ProcessPoolExecutor`` of ``workers`` processes).
+        :func:`simulate_point`) and the pool constructor, called with
+        the pool size (default a ``ProcessPoolExecutor`` of that many
+        processes).
     """
 
     def __init__(self, workers: int | None = None,
@@ -187,6 +188,9 @@ class Resolver:
         self._executor_factory = executor_factory or (
             lambda n: ProcessPoolExecutor(max_workers=n))
         self._executor = None
+        #: processes in the next pool built (``SweepEngine.run`` sizes
+        #: it to the points that miss)
+        self.pool_size = self.workers
         self._slots: asyncio.Semaphore | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         #: points holding a pool slot (running or queued in the pool)
@@ -342,7 +346,7 @@ class Resolver:
     # ------------------------------------------------------------------
     def _pool(self):
         if self._executor is None:
-            self._executor = self._executor_factory(self.workers)
+            self._executor = self._executor_factory(self.pool_size)
         return self._executor
 
     def _discard(self, executor) -> None:

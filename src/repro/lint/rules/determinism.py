@@ -1,6 +1,6 @@
 """``determinism``: no wall-clock or OS-entropy reads in audited code.
 
-The bit-identity guarantees (``REPRO_ENGINE=fast`` vs reference,
+The bit-identity guarantees (the committed golden fingerprints,
 serial == parallel sweeps, replayable fuzz seeds) hold only if nothing
 on a simulated path observes the host: no clock reads, no OS entropy,
 no ``hash()``-order dependence (``PYTHONHASHSEED`` varies per process,

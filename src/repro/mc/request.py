@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-
-from ..dram.commands import LineAddress
 
 _request_ids = itertools.count()
 
@@ -19,35 +16,35 @@ def next_request_id() -> int:
     return next(_request_ids)
 
 
-@dataclass
 class MemRequest:
-    """One LLC-miss request.
+    """One LLC-miss request to ``(subchannel, bank, row)``.
 
-    ``arrival_ps`` is when it reaches the memory controller; the controller
-    fills in ``completion_ps`` when the data burst finishes.
+    ``arrival_ps`` is when it reaches the memory controller; the
+    controller fills in ``completion_ps`` when the data burst finishes.
     """
 
-    core: int
-    address: LineAddress
-    arrival_ps: int
-    is_write: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    completion_ps: int | None = None
+    __slots__ = ("core", "subchannel", "bank", "row", "arrival_ps",
+                 "is_write", "request_id", "completion_ps")
 
-    @property
-    def subchannel(self) -> int:
-        return self.address.subchannel
-
-    @property
-    def bank(self) -> int:
-        return self.address.bank
-
-    @property
-    def row(self) -> int:
-        return self.address.row
+    def __init__(self, core: int, subchannel: int, bank: int, row: int,
+                 arrival_ps: int, is_write: bool = False):
+        self.core = core
+        self.subchannel = subchannel
+        self.bank = bank
+        self.row = row
+        self.arrival_ps = arrival_ps
+        self.is_write = is_write
+        self.request_id = next(_request_ids)
+        self.completion_ps: int | None = None
 
     @property
     def latency_ps(self) -> int:
         if self.completion_ps is None:
             raise ValueError("request not completed yet")
         return self.completion_ps - self.arrival_ps
+
+    def __repr__(self) -> str:
+        return (f"MemRequest(core={self.core}, sc={self.subchannel}, "
+                f"bank={self.bank}, row={self.row}, "
+                f"arrival_ps={self.arrival_ps}, is_write={self.is_write}, "
+                f"id={self.request_id})")

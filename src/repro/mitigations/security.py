@@ -11,8 +11,7 @@ victim increments per mitigation (paper footnote 5), refresh ranges
 cleared in lockstep with the policy's own clears. Policies feed it from
 the exact sites where they mutate their own counters, so the shadow is
 valid under both the full-system simulator and the activation-level
-attack harness, and identically across the reference and fast engines
-(both drive the same policy-hook sequence).
+attack harness.
 
 Exported under ``mitigation.{sc}.security.*`` on every result snapshot:
 

@@ -15,9 +15,8 @@ guaranteed):
    per buffered event.
 4. **Spans** — installing a :class:`~repro.obs.spans.SpanTracer`
    perturbs nothing either (same IPCs, same stats snapshot), the span
-   *structure* (ids, names, parent links) is deterministic across runs
-   and across the reference/fast engines, and the Chrome-trace export
-   round-trips.
+   *structure* (ids, names, parent links) is deterministic across runs,
+   and the Chrome-trace export round-trips.
 5. **Daemon metrics** (skipped with ``--no-serve``) — a short-lived
    ``repro.serve`` daemon answers ``GET /metrics`` with parseable
    Prometheus text and buffers a ``serve.job`` span tree for a
@@ -114,38 +113,27 @@ def check_spans(point, baseline) -> int:
     """Step 4: span tracing is zero-perturbation and deterministic."""
     from ..sim.runner import run_point
 
-    structures = {}
-    for engine in ("reference", "fast"):
+    # the same run twice: the span structure (not its timestamps) must
+    # be identical, and neither run may perturb the simulation
+    structures = []
+    for _ in range(2):
         spans = SpanTracer()
         token = install_spans(spans)
         try:
-            result = run_point(point, engine=engine)
+            result = run_point(point)
         finally:
             uninstall_spans(token)
         if result.ipcs != baseline.ipcs or result.stats != baseline.stats:
             log.error("FAIL: installing the span tracer perturbed the "
-                      "%s-engine simulation", engine)
+                      "simulation")
             return 1
         if not spans.spans("sim.run"):
-            log.error("FAIL: no sim.run span recorded (%s engine)",
-                      engine)
+            log.error("FAIL: no sim.run span recorded")
             return 1
-        structures[engine] = _span_structure(spans)
-    if structures["reference"] != structures["fast"]:
-        log.error("FAIL: span structure differs between engines: "
-                  "%s vs %s", structures["reference"][:5],
-                  structures["fast"][:5])
-        return 1
-
-    # same engine twice: structure (not timestamps) must be identical
-    spans = SpanTracer()
-    token = install_spans(spans)
-    try:
-        run_point(point)
-    finally:
-        uninstall_spans(token)
-    if _span_structure(spans) != structures["reference"]:
-        log.error("FAIL: span structure not deterministic across runs")
+        structures.append(_span_structure(spans))
+    if structures[0] != structures[1]:
+        log.error("FAIL: span structure not deterministic across runs: "
+                  "%s vs %s", structures[0][:5], structures[1][:5])
         return 1
 
     with tempfile.NamedTemporaryFile("w+", suffix=".json") as handle:
@@ -158,7 +146,7 @@ def check_spans(point, baseline) -> int:
         log.error("FAIL: span Chrome-trace export lost records")
         return 1
     log.info("spans: zero perturbation, %d-span structure identical "
-             "across engines and runs", len(spans.spans()))
+             "across runs", len(spans.spans()))
     return 0
 
 

@@ -19,7 +19,6 @@ subsystem statistics.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -29,21 +28,16 @@ from ..cpu.core import Core, CoreStats
 from ..cpu.trace import TraceItem
 from ..dram.address import make_mapper
 from ..mc.controller import MCStats, MemoryController
+from ..mc.events import (FASTFORWARD_MIN_GAP_PS, OP_COMPLETE, OP_DRIVE,
+                         OP_SERVICE, EventLoop)
 from ..mc.pagepolicy import make_page_policy
-from ..mitigations.base import MitigationPolicy
 from ..mc.request import MemRequest, next_request_id
+from ..mitigations.base import MitigationPolicy
 from ..obs.registry import StatsRegistry
 from ..obs.tracer import EventTracer
+from ..workloads.synthetic import TraceGenerator
 
 PolicyFactory = Callable[[int], MitigationPolicy]
-
-#: Event-time jumps at least this large (ps) count as fast-forwarded
-#: idle time in the ``sim.fastforward_ps`` stat. The event loop always
-#: jumps straight to the next event — there is no tick — so the stat
-#: measures *simulated* idle time crossed in one hop, not wall time; it
-#: is identical across engines because both pop the same event sequence
-#: (see docs/performance.md).
-FASTFORWARD_MIN_GAP_PS = 100_000
 
 
 @dataclass
@@ -219,13 +213,14 @@ class _RowActivityMonitor:
 
 
 class System:
-    """One simulation instance."""
+    """One simulation instance.
 
-    #: Controller class to instantiate per sub-channel. The fast engine
-    #: (:mod:`repro.sim.fastpath`) subclasses :class:`System` and points
-    #: this at its specialised controller; everything else about system
-    #: construction is shared.
-    controller_cls = MemoryController
+    The event loop is an opcode heap (:class:`~repro.mc.events.EventLoop`)
+    shared with the controllers. Core doneness is monotone (traces only
+    advance, outstanding sets only drain), so the loop keeps a count of
+    active cores, updated at the only events that can change it, and
+    stops the moment it reaches zero.
+    """
 
     def __init__(self, config: SystemConfig,
                  policy_factory: PolicyFactory,
@@ -243,15 +238,15 @@ class System:
                 f"need {config.cores} traces, got {len(traces)}")
         self.config = config
         self.mapper = make_mapper(config.dram, mapper_kind)
-        self._heap: list[tuple[int, int, Callable[[int], None]]] = []
-        self._seq = itertools.count()
+        # a request reaches its controller llc_hit_ps after issue, and
+        # its data reaches the core llc_hit_ps after the burst
+        self.events = EventLoop(return_ps=config.llc_hit_ps)
         self.policies = [policy_factory(i)
                          for i in range(config.dram.subchannels)]
         self.controllers = [
-            self.controller_cls(i, config.dram, self.policies[i],
-                                self._schedule, self._on_complete,
-                                make_page_policy(page_policy),
-                                refresh_mode=refresh_mode)
+            MemoryController(i, config.dram, self.policies[i], self.events,
+                             make_page_policy(page_policy),
+                             refresh_mode=refresh_mode)
             for i in range(config.dram.subchannels)
         ]
         if windows is not None and len(windows) != len(traces):
@@ -261,6 +256,12 @@ class System:
                  window=windows[i] if windows is not None else None)
             for i, trace in enumerate(traces)
         ]
+        for core in self.cores:
+            # Synthetic traces refill in blocks; the exact-type check
+            # matters, since a subclass could override the draw helpers
+            # that next_block inlines.
+            if type(core.trace) is TraceGenerator:
+                core._gen = core.trace
         self.llc = (SetAssociativeCache(config.llc_bytes, config.llc_ways,
                                         config.dram.line_bytes)
                     if use_llc else None)
@@ -286,8 +287,6 @@ class System:
                     "finish_ps": c.stats.finish_ps,
                     "ipc": c.stats.ipc(self.config.core_ghz),
                 })
-        self._request_owner: dict[int, int] = {}
-        self._waiters: dict[int, int] = {}
         self._monitor: _RowActivityMonitor | None = None
         if collect_row_activity:
             timing = config.dram.timing
@@ -297,8 +296,12 @@ class System:
                 mc.act_hook = (
                     lambda t, bank, row, _sub=mc.subchannel:
                     self._monitor.notify(t, _sub, bank, row))
-        self._now = 0
-        self._fastforward_ps = 0
+        self._llc_ps = config.llc_hit_ps
+        self._line_bytes = config.dram.line_bytes
+        self._total_lines = self.mapper.total_lines()
+        #: line index -> (controller, bank, row); the working set is
+        #: bounded by the workload footprint
+        self._line_memo: dict[int, tuple] = {}
 
     def _mitigation_aggregates(self) -> dict[str, int]:
         """Cross-sub-channel totals under the bare ``mitigation.`` prefix."""
@@ -311,101 +314,175 @@ class System:
         }
 
     # ------------------------------------------------------------------
-    # Event plumbing
-    # ------------------------------------------------------------------
-    def _schedule(self, time_ps: int, callback: Callable[[int], None]) -> None:
-        heapq.heappush(self._heap, (int(time_ps), next(self._seq), callback))
-
-    def _on_complete(self, request: MemRequest) -> None:
-        core_index = self._request_owner.pop(request.request_id, None)
-        if core_index is None:
-            return  # untracked writeback
-        core = self.cores[core_index]
-        done = request.completion_ps
-        assert done is not None
-        return_time = done + self.config.llc_hit_ps
-        self._schedule(return_time,
-                       lambda now, c=core, r=request.request_id:
-                       self._core_completion(c, r, now))
-
-    def _core_completion(self, core: Core, request_id: int,
-                         now: int) -> None:
-        core.on_completion(request_id, now)
-        if self._waiters.get(request_id) == core.core_id:
-            del self._waiters[request_id]
-        self._drive_core(core, now)
-
-    # ------------------------------------------------------------------
     # Core driving
     # ------------------------------------------------------------------
-    def _drive_core(self, core: Core, now: int) -> None:
+    def _drive_core(self, core: Core, now: int) -> bool:
+        """Issue ``core``'s accesses as far as ``now`` allows.
+
+        An access issues ``gap`` instructions after the previous one
+        (4-wide dispatch), but never before the core resumes from a ROB
+        stall; the core stalls when the next access would sit a full
+        miss window past its oldest outstanding read. Returns True when
+        the core is *done* on exit (trace exhausted or budget spent,
+        with nothing outstanding).
+        """
+        heap = self.events.heap
+        seq = self.events.seq
+        limit = core.instruction_limit
+        rob = core.rob
+        pspi = core.pspi
         while True:
-            action, value = core.next_action()
-            if action == "finish":
-                return
-            if action == "wait":
-                self._waiters[int(value)] = core.core_id
-                return
-            issue = int(value)
+            item = core._next_item
+            if item is None:
+                item = core.pull()
+                if item is None:
+                    return not core.outstanding
+            gap = item[0]
+            advance = gap + 1
+            inst_index = core.inst_index
+            if limit - inst_index < advance:
+                # finish: budget cannot cover the next access
+                return not core.outstanding
+            order = core._order
+            if order:
+                oldest_id, oldest_index = order[0]
+                if inst_index + advance - oldest_index >= rob:
+                    core._waiting_on = oldest_id
+                    return False
+            issue_f = core.dispatch_ps + gap * pspi
+            if issue_f < core._resume_floor:
+                issue_f = core._resume_floor
+            issue = int(issue_f)
             if issue > now:
-                self._schedule(issue,
-                               lambda t, c=core: self._drive_core(c, t))
-                return
-            item = core.take_request(float(issue))
+                heapq.heappush(heap, (issue, next(seq), OP_DRIVE, core, 0))
+                return False
+            core._next_item = None
+            core.inst_index = inst_index = inst_index + advance
+            core.dispatch_ps = float(issue)
+            core.stats.instructions = inst_index
+            core.stats.requests += 1
             self._dispatch(core, item, issue)
 
-    def _dispatch(self, core: Core, item: TraceItem, issue: int) -> None:
-        if self.llc is not None and self.llc.access(item.address,
-                                                    item.is_write):
+    def _dispatch(self, core: Core, item: tuple, issue: int) -> None:
+        """Send one access through the LLC (if any) to its controller."""
+        is_write = item[2]
+        if self.llc is not None and self.llc.access(item[1], is_write):
             # LLC hit: no DRAM traffic, but the data still returns only
             # after the LLC lookup latency. Reads occupy the core's miss
-            # window until then, and the scheduled completion wakes a
-            # core that filled its ROB on cache-resident data — without
-            # it the core would wait on the request id forever.
-            if not item.is_write:
+            # window until then, and the completion wakes a core that
+            # filled its ROB on cache-resident data.
+            if not is_write:
                 request_id = next_request_id()
                 core.track(request_id)
-                self._schedule(issue + self.config.llc_hit_ps,
-                               lambda now, c=core, r=request_id:
-                               self._core_completion(c, r, now))
+                self.events.push(issue + self._llc_ps, OP_COMPLETE, core,
+                                 request_id)
             return
-        arrival = issue + self.config.llc_hit_ps
-        line = self.mapper.map_address(item.address)
-        request = MemRequest(core.core_id, line, arrival, item.is_write)
-        if not item.is_write:
-            # Writes are dirty-line writebacks: they consume DRAM bandwidth
-            # but never block retirement, so the core does not track them.
+        arrival = issue + self._llc_ps
+        line_index = (item[1] // self._line_bytes) % self._total_lines
+        entry = self._line_memo.get(line_index)
+        if entry is None:
+            sub, bank, row = self.mapper.map_line_raw(line_index)
+            entry = self._line_memo[line_index] = (
+                self.controllers[sub], bank, row)
+        mc, bank_index, row = entry
+        request = MemRequest(core.core_id, mc.subchannel, bank_index, row,
+                             arrival, is_write)
+        if not is_write:
+            # Writes are dirty-line writebacks: they consume DRAM
+            # bandwidth but never block retirement.
             core.track(request.request_id)
-            self._request_owner[request.request_id] = core.core_id
-        self.controllers[line.subchannel].enqueue(request, arrival)
+            self.events.owners[request.request_id] = core
+        # MemoryController.enqueue, inlined (the kick lands at arrival)
+        stats = mc.stats
+        stats.requests += 1
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        mc.queues[bank_index].append(request)
+        if not mc._bank_scheduled[bank_index]:
+            mc._bank_scheduled[bank_index] = True
+            heapq.heappush(self.events.heap,
+                           (arrival, next(self.events.seq), OP_SERVICE, mc,
+                            bank_index))
+
+    def _complete(self, core: Core, request_id: int, now: int) -> bool:
+        """A read returned to ``core``; returns True if the core is done.
+
+        A core stalled on this read resumes and drives on. For any other
+        core the drive can only act when its next access is issueable at
+        this exact instant (the completion tied with the core's own
+        pending wake and popped first), or when the read was the one the
+        ROB was waiting past; otherwise the core's pending wake already
+        covers its next issue, and driving would only push a duplicate.
+        """
+        outstanding = core.outstanding
+        outstanding.pop(request_id, None)
+        order = core._order
+        while order and order[0][0] not in outstanding:
+            order.popleft()
+        if now > core._last_completion:
+            core._last_completion = float(now)
+        if request_id == core._waiting_on:
+            if now > core._resume_floor:
+                core._resume_floor = float(now)
+            core._waiting_on = None
+            return self._drive_core(core, now)
+        item = core._next_item
+        if item is None:
+            item = core.pull()
+            if item is None:  # trace exhausted
+                return not outstanding
+        gap = item[0]
+        advance = gap + 1
+        inst_index = core.inst_index
+        if core.instruction_limit - inst_index < advance:  # budget spent
+            return not outstanding
+        if order and inst_index + advance - order[0][1] >= core.rob:
+            return self._drive_core(core, now)
+        issue_f = core.dispatch_ps + gap * core.pspi
+        if issue_f < core._resume_floor:
+            issue_f = core._resume_floor
+        if int(issue_f) <= now:
+            return self._drive_core(core, now)
+        return False
 
     # ------------------------------------------------------------------
     def run(self) -> SystemResult:
-        self._startup()
-        self._run_loop()
-        return self._finalize()
-
-    def _startup(self) -> None:
         for mc in self.controllers:
             mc.start()
+        active = 0
         for core in self.cores:
-            self._drive_core(core, 0)
-
-    def _run_loop(self) -> None:
-        """Reference event loop: pop, advance time, dispatch.
-
-        Subclasses (the fast engine) override only this method; startup
-        and finalisation stay shared so both engines build identical
-        state and identical results from it.
-        """
+            core.done = self._drive_core(core, 0)
+            if not core.done:
+                active += 1
+        events = self.events
+        heap = events.heap
         heappop = heapq.heappop
-        while self._heap and not all(core.done for core in self.cores):
-            time_ps, _, callback = heappop(self._heap)
-            gap = time_ps - self._now
-            if gap >= FASTFORWARD_MIN_GAP_PS:
-                self._fastforward_ps += gap
-            self._now = time_ps
-            callback(time_ps)
+        drive = self._drive_core
+        complete = self._complete
+        now = 0
+        min_gap = FASTFORWARD_MIN_GAP_PS
+        while heap and active:
+            time_ps, _, op, target, arg = heappop(heap)
+            if time_ps - now >= min_gap:
+                events.fastforward_ps += time_ps - now
+            now = time_ps
+            if op == OP_SERVICE:
+                # an inlined service chain advances the clock
+                now = target.service(arg, time_ps)
+                continue
+            if op == OP_COMPLETE:
+                done = complete(target, arg, time_ps)
+            elif op == OP_DRIVE:
+                done = drive(target, time_ps)
+            else:
+                target.maintain(op, arg, time_ps)
+                continue
+            if done and not target.done:
+                target.done = True
+                active -= 1
+        return self._finalize()
 
     def _finalize(self) -> SystemResult:
         core_stats = [core.finalize() for core in self.cores]
@@ -414,7 +491,7 @@ class System:
                     if self._monitor is not None else None)
         sim_stats: dict[str, float] = {
             "elapsed_ps": elapsed,
-            "fastforward_ps": self._fastforward_ps,
+            "fastforward_ps": self.events.fastforward_ps,
         }
         if activity is not None:
             sim_stats["row_activity"] = {

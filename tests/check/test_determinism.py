@@ -3,15 +3,15 @@
 The same design point must produce bit-identical ``SystemResult.stats``
 (and core/MC stats) across every combination of machinery:
 
-* **engine**: the reference event loop vs the fast engine
-  (``REPRO_ENGINE=fast``, :mod:`repro.sim.fastpath`);
+* **reruns**: the same point simulated twice in one process;
 * **transport**: serial inline execution vs the parallel sweep engine;
 * **observability**: with and without an :class:`EventTracer` attached.
 
 Tracing is observability, not physics; parallelism is transport, not
-physics; the fast engine is machinery, not physics. Any divergence here
-means hidden global state, an order-dependent code path, or a fast-path
-shortcut that changed the simulated event sequence.
+physics. Any divergence here means hidden global state or an
+order-dependent code path. That the numbers are the *right* ones — the
+same the simulator has always produced — is pinned separately by the
+golden fingerprints (``tests/check/test_goldens.py``).
 """
 
 import dataclasses
@@ -20,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.driver import oracle_config_for
+from repro.check.oracle import ConformanceOracle
 from repro.exec.engine import SweepEngine
 from repro.obs.tracer import EventTracer
 from repro.sim.runner import DesignPoint, run_point
@@ -32,8 +34,6 @@ POINTS = [
     DesignPoint(workload="hammer", design="qprac", trh=500, **FAST),
 ]
 
-ENGINES = ("reference", "fast")
-
 
 def fingerprint(result):
     return (
@@ -44,43 +44,30 @@ def fingerprint(result):
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("point", POINTS,
                          ids=lambda p: f"{p.workload}.{p.design}")
 class TestTracerTransparency:
-    def test_tracer_on_equals_tracer_off(self, point, engine):
-        bare = run_point(point, engine=engine)
+    def test_tracer_on_equals_tracer_off(self, point):
+        bare = run_point(point)
         tracer = EventTracer(capacity=2_000_000)
-        traced = run_point(point, tracer=tracer, engine=engine)
+        traced = run_point(point, tracer=tracer)
         assert len(tracer) > 0  # the traced run really did record
         assert fingerprint(traced) == fingerprint(bare)
 
-    def test_rerun_is_bit_identical(self, point, engine):
-        assert fingerprint(run_point(point, engine=engine)) \
-            == fingerprint(run_point(point, engine=engine))
+    def test_rerun_is_bit_identical(self, point):
+        assert fingerprint(run_point(point)) == fingerprint(run_point(point))
 
-
-@pytest.mark.parametrize("point", POINTS,
-                         ids=lambda p: f"{p.workload}.{p.design}")
-class TestEngineEquivalence:
-    def test_fast_matches_reference(self, point):
-        fast = run_point(point, engine="fast")
-        reference = run_point(point, engine="reference")
-        assert fingerprint(fast) == fingerprint(reference)
-
-    def test_traced_events_match(self, point):
-        traces = {}
-        for engine in ENGINES:
+    def test_traced_events_repeat(self, point):
+        traces = []
+        for _ in range(2):
             tracer = EventTracer(capacity=2_000_000)
-            run_point(point, tracer=tracer, engine=engine)
-            traces[engine] = tracer.events()
-        assert traces["fast"] == traces["reference"]
+            run_point(point, tracer=tracer)
+            traces.append(tracer.events())
+        assert traces[0] == traces[1]
 
 
 class TestSerialParallelEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sweep_paths_agree(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+    def test_sweep_paths_agree(self):
         serial = SweepEngine(workers=1, cache=None, use_memo=False)
         parallel = SweepEngine(workers=2, cache=None, use_memo=False)
         serial_results = serial.run(POINTS)
@@ -98,12 +85,16 @@ class TestSerialParallelEquivalence:
     page_policy=st.sampled_from(("open", "close", "ton100")),
     refresh_mode=st.sampled_from(("all-bank", "same-bank")),
 )
-def test_engines_agree_on_random_points(workload, design, instructions,
-                                        page_policy, refresh_mode):
-    """Property: the engines agree on arbitrary short design points."""
+def test_random_points_repeat_and_verify(workload, design, instructions,
+                                         page_policy, refresh_mode):
+    """Property: an arbitrary short point reruns bit-identically, and the
+    oracle accepts its command trace."""
     point = DesignPoint(workload=workload, design=design, trh=500,
                         instructions=instructions, rows_per_bank=512,
                         refresh_scale=1 / 256, page_policy=page_policy,
                         refresh_mode=refresh_mode)
-    assert fingerprint(run_point(point, engine="fast")) \
-        == fingerprint(run_point(point, engine="reference"))
+    tracer = EventTracer(capacity=2_000_000)
+    traced = run_point(point, tracer=tracer)
+    assert fingerprint(traced) == fingerprint(run_point(point))
+    oracle = ConformanceOracle(oracle_config_for(point))
+    assert oracle.verify(tracer.events()) == []

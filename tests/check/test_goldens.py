@@ -18,10 +18,9 @@ def test_every_case_has_a_golden():
     assert set(CASES) == set(GOLDENS)
 
 
-@pytest.mark.parametrize("engine", ("reference", "fast"))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_case_matches_golden(name, engine):
+def test_case_matches_golden(name):
     case = CASES[name]
-    got, events = golden.fingerprint(case, engine)
+    got, events = golden.fingerprint(case)
     assert got == GOLDENS[name]
     assert ConformanceOracle(case.oracle()).verify(events) == []

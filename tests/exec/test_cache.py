@@ -43,6 +43,29 @@ class TestPointKey:
         monkeypatch.setenv("REPRO_CACHE_SALT", "experiment-7")
         assert point_key(point) != before
 
+    #: the key this point has always had: caches filled before the
+    #: simulator had one engine stay valid
+    PINNED = ("fb0c1a5b9eb9c2d21861b925ce8097f4c7830"
+              "4f028036b8d5fcdc41aafc90d1d")
+
+    def test_key_is_pinned(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_SALT", raising=False)
+        point = DesignPoint("mcf", "mopac-d", trh=500,
+                            instructions=60_000)
+        assert point_key(point) == self.PINNED
+
+    @pytest.mark.parametrize("value", ["fast", "reference", "turbo"])
+    def test_leftover_engine_knob_is_ignored(self, monkeypatch, value):
+        # a retired knob still set in an old environment is neither
+        # rejected nor folded into the key
+        monkeypatch.delenv("REPRO_CACHE_SALT", raising=False)
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        point = DesignPoint("mcf", "mopac-d", trh=500,
+                            instructions=60_000)
+        assert point_key(point) == self.PINNED
+        assert run_point(DesignPoint(workload="mcf", design="prac",
+                                     **FAST)).total_requests > 0
+
 
 class TestResultCache:
     def test_miss_on_empty(self, tmp_path):

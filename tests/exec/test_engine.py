@@ -48,6 +48,24 @@ class TestInlinePoolEquivalence:
         assert engine.metrics.simulated == len(set(small_points()))
         assert multiprocessing.active_children() == []
 
+    def test_pool_sized_to_the_misses(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        sizes = []
+
+        def factory(n):
+            sizes.append(n)
+            return ThreadPoolExecutor(max_workers=n)
+
+        engine = SweepEngine(workers=8, cache=None, use_memo=False,
+                             simulate_fn=lambda point: (point.design, 0.0),
+                             executor_factory=factory)
+        points = [DesignPoint("mcf", design, **FAST)
+                  for design in ("prac", "mopac-c", "mopac-d")]
+        assert engine.run(points + points[:1]) == \
+            ["prac", "mopac-c", "mopac-d", "prac"]
+        assert sizes == [3]
+
 
 class TestDeduplication:
     def test_duplicates_simulated_once(self):

@@ -13,15 +13,14 @@ from repro.analysis.experiments import (FAST_WORKLOADS,
                                         selected_workloads)
 from repro.exec.cache import CACHE_SALT, default_cache_dir, effective_salt
 from repro.exec.resolver import default_workers
-from repro.exec.env import (EnvKnobError, engine_choice, env_choice,
-                            env_flag, env_float, env_int)
+from repro.exec.env import (EnvKnobError, env_choice, env_flag,
+                            env_float, env_int)
 from repro.obs.log import resolve_level
 
 #: Every knob the package reads: name -> (reader, default when unset).
 KNOBS = {
     "REPRO_CACHE_DIR": (default_cache_dir, None),
     "REPRO_CACHE_SALT": (effective_salt, CACHE_SALT),
-    "REPRO_ENGINE": (engine_choice, "reference"),
     "REPRO_FULL": (selected_workloads, FAST_WORKLOADS),
     "REPRO_INSTRUCTIONS": (instruction_budget, 100_000),
     "REPRO_LOG": (resolve_level, logging.INFO),
@@ -157,24 +156,6 @@ class TestEnvChoice:
             env_choice("X_CHOICE", ("a", "b"), "a")
 
 
-class TestEngineChoice:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert engine_choice() == "reference"
-
-    def test_fast_selected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert engine_choice() == "fast"
-
-    @pytest.mark.parametrize("bad", ["quick", "turbo", "fastt", "2"])
-    def test_unknown_engine_rejected_not_ignored(self, monkeypatch, bad):
-        # a typo'd engine must fail loudly, not silently fall back to
-        # the reference loop and eat the expected speedup
-        monkeypatch.setenv("REPRO_ENGINE", bad)
-        with pytest.raises(EnvKnobError, match="REPRO_ENGINE"):
-            engine_choice()
-
-
 class TestEngineKnobs:
     """The historical failure modes stay fixed (see repro.exec.env)."""
 
@@ -206,7 +187,7 @@ class TestEngineKnobs:
 class TestKnobRegistry:
     @pytest.fixture(autouse=True)
     def clean_env(self, monkeypatch):
-        # the salt folds in REPRO_ENGINE: judge every knob alone
+        # judge every knob alone
         for name in KNOBS:
             monkeypatch.delenv(name, raising=False)
 

@@ -5,15 +5,12 @@ then must stall and issue RFM; with mitigation level 1 the DRAM is
 unavailable for 350 ns. Total ALERT wall time: 530 ns (Table 3).
 """
 
-import heapq
-import itertools
-
 import pytest
 
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
 from repro.dram.timing import ddr5_prac
 from repro.mc.controller import MemoryController
+from repro.mc.events import EventLoop
 from repro.mc.request import MemRequest
 from repro.mitigations.prac import PRACMoatPolicy
 from repro.units import ns
@@ -26,12 +23,9 @@ class AboSim:
                                  rows_per_bank=128, timing=timing)
         self.policy = PRACMoatPolicy(500, 4, 128, 32, timing=timing)
         self.policy.abo_level = abo_level
-        self.heap, self.seq, self.done = [], itertools.count(), []
-        self.mc = MemoryController(
-            0, self.config, self.policy,
-            lambda t, cb: heapq.heappush(self.heap,
-                                         (int(t), next(self.seq), cb)),
-            self.done.append)
+        self.events = EventLoop()
+        self.mc = MemoryController(0, self.config, self.policy,
+                                   self.events)
 
     def force_alert(self):
         """Put a row at ATH and assert ALERT directly."""
@@ -39,15 +33,12 @@ class AboSim:
         self.policy._request_alert()
 
     def submit(self, bank, row, at):
-        request = MemRequest(
-            0, LineAddress(BankAddress(0, bank, row), 0), at)
+        request = MemRequest(0, 0, bank, row, at)
         self.mc.enqueue(request, at)
         return request
 
     def run(self, until=10**12):
-        while self.heap and self.heap[0][0] <= until:
-            t, _, cb = heapq.heappop(self.heap)
-            cb(t)
+        self.events.run(until=until)
 
 
 class TestAboWindow:
@@ -66,7 +57,7 @@ class TestAboWindow:
         sim.submit(1, 3, at=0)  # triggers the alert check path
         sim.run()
         # the RFM window: banks blocked from ~180 ns to ~530 ns
-        blocked_until = sim.mc.banks[2].blocked_until
+        blocked_until = sim.mc.soa.blocked_until[2]
         assert blocked_until >= ns(180 + 350)
         assert blocked_until <= ns(180 + 350) + ns(60)
 
@@ -93,8 +84,8 @@ class TestAboWindow:
             sim.force_alert()
             sim.submit(1, 3, at=0)
             sim.run()
-        assert two.mc.banks[2].blocked_until - \
-            one.mc.banks[2].blocked_until == pytest.approx(ns(350), abs=1)
+        assert two.mc.soa.blocked_until[2] - \
+            one.mc.soa.blocked_until[2] == pytest.approx(ns(350), abs=1)
 
     def test_alert_counted_once(self):
         sim = AboSim()

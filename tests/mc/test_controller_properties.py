@@ -1,15 +1,12 @@
 """Property-based stress of the memory controller."""
 
-import heapq
-import itertools
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
 from repro.dram.timing import ddr5_base, ddr5_prac
 from repro.mc.controller import MemoryController
+from repro.mc.events import EventLoop
 from repro.mc.request import MemRequest
 from repro.mitigations.prac import BaselinePolicy, PRACMoatPolicy
 
@@ -22,24 +19,19 @@ def drive(requests, use_prac=False):
                         rows_per_bank=64, timing=timing)
     policy = (PRACMoatPolicy(500, 4, 64, 8, timing=timing) if use_prac
               else BaselinePolicy(timing))
-    heap, seq, done = [], itertools.count(), []
-    mc = MemoryController(
-        0, config, policy,
-        lambda t, cb: heapq.heappush(heap, (int(t), next(seq), cb)),
-        done.append)
+    events = EventLoop()
+    mc = MemoryController(0, config, policy, events)
     mc.start()
     submitted = []
     for arrival, bank, row, is_write in requests:
-        request = MemRequest(0, LineAddress(BankAddress(0, bank, row), 0),
-                             arrival, is_write)
+        request = MemRequest(0, 0, bank, row, arrival, is_write)
         submitted.append(request)
         mc.enqueue(request, arrival)
     horizon = (max((a for a, *_ in requests), default=0)
                + 100 * timing.tRC + 10 * timing.tRFC)
-    while heap and heap[0][0] <= horizon and len(done) < len(submitted):
-        t, _, cb = heapq.heappop(heap)
-        cb(t)
-    return mc, submitted, done
+    events.run(until=horizon,
+               stop=lambda t: mc.stats.serviced == len(submitted))
+    return mc, submitted
 
 
 request_streams = st.lists(
@@ -53,14 +45,15 @@ request_streams = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(request_streams, st.booleans())
 def test_every_request_completes(requests, use_prac):
-    _, submitted, done = drive(sorted(requests), use_prac)
-    assert len(done) == len(submitted)
+    mc, submitted = drive(sorted(requests), use_prac)
+    assert mc.stats.serviced == len(submitted)
+    assert all(r.completion_ps is not None for r in submitted)
 
 
 @settings(max_examples=30, deadline=None)
 @given(request_streams)
 def test_completion_never_precedes_arrival(requests):
-    _, submitted, _ = drive(sorted(requests))
+    _, submitted = drive(sorted(requests))
     for request in submitted:
         assert request.completion_ps is not None
         assert request.completion_ps > request.arrival_ps
@@ -69,7 +62,7 @@ def test_completion_never_precedes_arrival(requests):
 @settings(max_examples=30, deadline=None)
 @given(request_streams)
 def test_accounting_identity(requests):
-    mc, submitted, _ = drive(sorted(requests))
+    mc, submitted = drive(sorted(requests))
     stats = mc.stats
     assert stats.requests == len(submitted)
     assert stats.row_hits + stats.row_misses + stats.row_conflicts \
@@ -87,8 +80,8 @@ def test_prac_never_faster_than_baseline_in_total(requests):
     request's column access behind a different burst in each run.
     """
     requests = sorted(requests)
-    _, base_requests, _ = drive(requests, use_prac=False)
-    _, prac_requests, _ = drive(requests, use_prac=True)
+    _, base_requests = drive(requests, use_prac=False)
+    _, prac_requests = drive(requests, use_prac=True)
     base_end = max(r.completion_ps for r in base_requests)
     prac_end = max(r.completion_ps for r in prac_requests)
     slack = ddr5_base().tBURST

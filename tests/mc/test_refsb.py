@@ -9,13 +9,13 @@ FAST = dict(instructions=15_000, rows_per_bank=512, refresh_scale=1 / 256)
 
 class TestRefsbMode:
     def test_unknown_mode_rejected(self):
-        from repro.mc.controller import MemoryController
         from repro.config import DRAMConfig
+        from repro.mc.controller import MemoryController
+        from repro.mc.events import EventLoop
         from repro.mitigations.prac import BaselinePolicy
         with pytest.raises(ValueError, match="refresh_mode"):
             MemoryController(0, DRAMConfig(), BaselinePolicy(),
-                             lambda t, cb: None, lambda r: None,
-                             refresh_mode="checkerboard")
+                             EventLoop(), refresh_mode="checkerboard")
 
     def test_same_bank_run_completes(self):
         point = DesignPoint(workload="mcf", design="baseline",
@@ -64,33 +64,25 @@ class TestRefsbCadence:
     bank count the refresh stream drifts ahead of the tREFI cadence.
     """
 
-    def make_controller(self, trefi, banks, events):
+    def fire_times(self, trefi, banks, count):
         from dataclasses import replace
         from repro.config import DRAMConfig
         from repro.dram.timing import ddr5_base
         from repro.mc.controller import MemoryController
+        from repro.mc.events import EventLoop
         from repro.mitigations.prac import BaselinePolicy
+        from repro.obs.tracer import EventTracer
         timing = replace(ddr5_base(), tREFI=trefi,
                          tREFW=8192 * trefi)
         config = DRAMConfig(subchannels=1, banks_per_subchannel=banks,
                             rows_per_bank=256, timing=timing)
-        mc = MemoryController(
-            0, config, BaselinePolicy(timing),
-            scheduler=lambda t, cb: events.append((t, cb)),
-            on_complete=lambda r: None,
-            refresh_mode="same-bank")
+        events = EventLoop()
+        mc = MemoryController(0, config, BaselinePolicy(timing), events,
+                              refresh_mode="same-bank")
+        mc.tracer = EventTracer()
         mc.start()
-        return mc
-
-    def fire_times(self, trefi, banks, count):
-        events = []
-        self.make_controller(trefi, banks, events)
-        times = []
-        while len(times) < count:
-            when, callback = events.pop()
-            times.append(when)
-            callback(when)
-        return times
+        events.run(max_events=count)
+        return [event.time_ps for event in mc.tracer.events("REF")]
 
     def test_full_rotation_lands_on_trefi_boundary(self):
         trefi, banks = 1_000_003, 4  # tREFI not divisible by banks

@@ -12,30 +12,27 @@ the contract its spec declares, with no per-design test code:
   telemetry drift, sampled designs stay within the drift bound;
 * **seed-replay determinism** — the same ``(seed, stream)`` reproduces
   the same run bit-for-bit, twice;
-* **engine bit-identity** — the fast engine produces the same stats and
-  the same traced command stream as the reference event loop;
+* **golden coverage** — every design has a golden fingerprint case
+  (stats and traced command stream, ``repro.check.golden``);
 * **forced recovery paths** — the ALERT/RFM backstops that benign
   streams rarely reach (QPRAC's queue overflow, PRACtical's bank-scoped
   recovery through the real memory controller + conformance oracle).
 """
 
-import dataclasses
-import heapq
-
 import pytest
 
 from repro.attacks.harness import AttackHarness
+from repro.check import golden
 from repro.check.differential import run_differential
 from repro.check.oracle import ConformanceOracle, OracleConfig
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
 from repro.mc.controller import MemoryController
+from repro.mc.events import EventLoop
 from repro.mc.pagepolicy import make_page_policy
 from repro.mc.request import MemRequest
 from repro.mitigations import registry
 from repro.mitigations.practical import PRACticalPolicy
 from repro.obs.tracer import EventTracer
-from repro.sim.runner import DesignPoint, run_point
 
 DESIGNS = registry.names()
 
@@ -152,25 +149,14 @@ class TestSeedReplayDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Engine bit-identity
+# Golden coverage
 # ---------------------------------------------------------------------------
-class TestEngineBitIdentity:
+class TestGoldenCoverage:
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_fast_engine_matches_reference(self, design):
-        point = DesignPoint(workload="hammer", design=design, trh=500,
-                            instructions=5_000, rows_per_bank=128,
-                            refresh_scale=1 / 256, seed=7)
-        fingerprints, traces = {}, {}
-        for engine in ("reference", "fast"):
-            tracer = EventTracer(capacity=500_000)
-            result = run_point(point, tracer=tracer, engine=engine)
-            fingerprints[engine] = (
-                dict(result.stats),
-                [dataclasses.asdict(s) for s in result.mc_stats],
-                result.elapsed_ps)
-            traces[engine] = tracer.events()
-        assert fingerprints["fast"] == fingerprints["reference"]
-        assert traces["fast"] == traces["reference"]
+    def test_design_has_a_golden_case(self, design):
+        """Its stats and trace digests are pinned by test_goldens."""
+        assert f"design-{design}" in golden.load_goldens()
+        assert f"design-{design}" in golden.cases()
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +207,9 @@ class TestForcedAlertPaths:
                                  refresh_groups=64, subarrays=4)
         policy.ath, policy.eth = 6, 3
         config = DRAMConfig(banks_per_subchannel=4, rows_per_bank=64)
-        heap, counter = [], iter(range(1 << 30))
+        events = EventLoop()
         controller = MemoryController(
-            subchannel=0, config=config, policy=policy,
-            scheduler=lambda t, cb: heapq.heappush(
-                heap, (t, next(counter), cb)),
-            on_complete=lambda r: None,
+            subchannel=0, config=config, policy=policy, events=events,
             page_policy=make_page_policy("close"))
         tracer = EventTracer(capacity=200_000)
         controller.tracer = tracer
@@ -238,16 +221,11 @@ class TestForcedAlertPaths:
         for i in range(160):
             bank, row = (1, i % 10) if i % 4 else (3, 20 + i % 3)
             when = 120_000 * (i + 1)
-            address = LineAddress(BankAddress(0, bank, row), 0)
-            controller.enqueue(MemRequest(core=0, address=address,
-                                          arrival_ps=when,
-                                          is_write=False), now=when)
+            controller.enqueue(MemRequest(0, 0, bank, row, when),
+                               now=when)
         deadline = 140_000 * 170
-        while heap:
-            time_ps, _, callback = heapq.heappop(heap)
-            if time_ps > deadline and not controller._alert_in_flight:
-                break
-            callback(time_ps)
+        events.run(stop=lambda t: t > deadline
+                   and not controller._alert_in_flight)
 
         events = tracer.events()
         rfms = [e for e in events if e.kind == "RFM"]

@@ -7,6 +7,7 @@ from repro.cpu.trace import TraceItem
 from repro.dram.timing import ddr5_base
 from repro.mc.request import MemRequest
 from repro.mitigations.prac import BaselinePolicy, PRACMoatPolicy
+from repro.sim import system as system_module
 from repro.sim.system import System
 
 
@@ -23,27 +24,16 @@ def mixed_trace(core, n=150):
                         is_write=(i % 4 == 0))
 
 
-class _CompletionAudit:
-    """Wrap a System to audit request completion behaviour."""
-
-    def __init__(self, system: System):
-        self.completions: dict[int, int] = {}
-        for mc in system.controllers:
-            original = mc.on_complete
-
-            def audited(request: MemRequest, _orig=original):
-                assert request.completion_ps is not None
-                assert request.completion_ps >= request.arrival_ps
-                assert request.request_id not in self.completions
-                self.completions[request.request_id] = \
-                    request.completion_ps
-                _orig(request)
-
-            mc.on_complete = audited
-
-
 @pytest.fixture(params=["baseline", "prac"])
-def run(request):
+def run(request, monkeypatch):
+    born = []
+
+    class Recording(MemRequest):
+        def __init__(self, *args):
+            super().__init__(*args)
+            born.append(self)
+
+    monkeypatch.setattr(system_module, "MemRequest", Recording)
     config = small_config()
     if request.param == "baseline":
         factory = lambda i: BaselinePolicy(config.dram.timing)  # noqa: E731
@@ -55,38 +45,43 @@ def run(request):
     system = System(config, factory,
                     [mixed_trace(i) for i in range(config.cores)],
                     instruction_limit=10_000)
-    audit = _CompletionAudit(system)
     result = system.run()
-    return system, audit, result
+    return system, born, result
 
 
 class TestConservation:
     def test_every_request_completed_exactly_once(self, run):
-        system, audit, result = run
-        assert len(audit.completions) == result.total_requests
+        system, born, result = run
+        assert len(born) == result.total_requests
+        assert len({r.request_id for r in born}) == len(born)
+        for request in born:
+            assert request.completion_ps is not None
+            assert request.completion_ps >= request.arrival_ps
+        assert sum(mc.stats.serviced for mc in system.controllers) \
+            == len(born)
 
     def test_no_requests_stranded(self, run):
-        system, audit, result = run
+        system, _, result = run
         for mc in system.controllers:
             assert mc.pending() == 0
 
     def test_bank_stats_consistent(self, run):
-        system, audit, result = run
+        system, _, result = run
         for mc in system.controllers:
-            for bank in mc.banks:
-                assert bank.stats.activations >= bank.stats.precharges
+            for index, stats in enumerate(mc.bank_stats):
+                assert stats.activations >= stats.precharges
                 # at run end a bank is open iff ACTs exceed PREs
-                diff = bank.stats.activations - bank.stats.precharges
-                assert diff == (1 if bank.is_open else 0)
+                diff = stats.activations - stats.precharges
+                assert diff == (1 if mc.soa.open_row[index] >= 0 else 0)
 
     def test_column_accesses_match_requests(self, run):
-        system, audit, result = run
-        columns = sum(b.stats.reads + b.stats.writes
-                      for mc in system.controllers for b in mc.banks)
+        system, _, result = run
+        columns = sum(b.reads + b.writes
+                      for mc in system.controllers for b in mc.bank_stats)
         assert columns == result.total_requests
 
     def test_hits_plus_activations_cover_requests(self, run):
-        system, audit, result = run
+        system, _, result = run
         for stats in result.mc_stats:
             total = stats.row_hits + stats.row_misses + stats.row_conflicts
             assert total == stats.requests

@@ -13,14 +13,12 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 from compare import compare  # noqa: E402  (path set up above)
 
 
-def summary(fast_s=0.10, identical=True, workload="mix1"):
+def summary(seconds=0.10, digest="d1", workload="mix1"):
     return {
         "rows": [{"workload": workload, "design": "mopac-c",
-                  "instructions": 40_000, "reference_s": 0.5,
-                  "fast_s": fast_s, "speedup": 0.5 / fast_s,
-                  "identical": identical}],
-        "total_fast_s": fast_s,
-        "total_reference_s": 0.5,
+                  "instructions": 40_000, "seconds": seconds,
+                  "requests": 1000, "digest": digest}],
+        "total_s": seconds,
     }
 
 
@@ -38,7 +36,7 @@ class TestCompare:
     def test_slowdown_beyond_threshold_fails(self):
         failures, _ = compare(summary(0.10), summary(0.15),
                               threshold=0.10)
-        assert any("fast engine" in f for f in failures)
+        assert any("engine" in f for f in failures)
         assert any("total" in f for f in failures)
 
     def test_speedup_always_passes(self):
@@ -46,11 +44,11 @@ class TestCompare:
                               threshold=0.10)
         assert failures == []
 
-    def test_lost_bit_identity_fails_regardless_of_speed(self):
-        failures, _ = compare(summary(identical=True),
-                              summary(fast_s=0.01, identical=False),
+    def test_changed_results_fail_regardless_of_speed(self):
+        failures, _ = compare(summary(digest="d1"),
+                              summary(seconds=0.01, digest="d2"),
                               threshold=0.10)
-        assert any("bit-identical" in f for f in failures)
+        assert any("results changed" in f for f in failures)
 
     def test_disjoint_rows_noted_not_failed(self):
         failures, notes = compare(summary(workload="mix1"),
@@ -102,4 +100,4 @@ class TestCommandLine:
         doc = json.loads(baseline_path.read_text())
         failures, _ = compare(doc, doc, threshold=0.0)
         assert failures == []
-        assert doc["all_identical"] is True
+        assert doc["profile"] == "smoke"
