@@ -47,13 +47,12 @@ serve-smoke:
 check:
 	$(PYTHON) -m repro.check.selfcheck --fuzz-cases 12
 
-# Engine A/B smoke: the fast engine must be no slower than the
-# reference and bit-identical on short runs, and must stay within
-# BENCH_THRESHOLD of the committed baseline timings. Sub-second smoke
-# runs on shared machines jitter ~±20%, so the default gate is wide;
-# it still catches losing the fast path (a 2-3x slowdown). Drop
-# --smoke for the full Table 4 mix A/B (docs/performance.md quotes
-# those numbers).
+# Engine smoke: two short runs must simulate the same results as the
+# committed baseline and stay within BENCH_THRESHOLD of its timings.
+# Sub-second smoke runs on shared machines jitter ~±20%, so the
+# default gate is wide; it still catches losing one of the engine's
+# big optimisations (a 2-3x slowdown). Drop --smoke for the full
+# Table 4 mix (docs/performance.md quotes those numbers).
 BENCH_THRESHOLD ?= 0.5
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine.py --smoke \

@@ -2,9 +2,10 @@
 
 Each fuzz case builds a real :class:`~repro.mc.controller.MemoryController`
 (with a randomly drawn mitigation design, page policy, refresh mode, and
-geometry) on a private :class:`~repro.mc.events.EventLoop`, drives it with a seeded randomized
-request stream — bursty arrivals, conflict ping-pong, hot rows, writes —
-and replays the traced command stream through the conformance oracle.
+geometry) on a private :class:`~repro.mc.events.EventLoop`, drives it
+with a seeded randomized request stream — bursty arrivals, conflict
+ping-pong, hot rows, writes — and replays the traced command stream
+through the conformance oracle.
 The property under test: *every stream the controller emits is legal.*
 
 Failures shrink by trace-prefix bisection (:func:`shrink_prefix`) and
@@ -192,7 +193,7 @@ def _make_policy(case: FuzzCase):
 
 
 # ---------------------------------------------------------------------------
-# Micro-harness: one controller on a private heap
+# Micro-harness: one controller on a private event loop
 # ---------------------------------------------------------------------------
 def run_case(case: FuzzCase) -> tuple[list[TraceEvent], list[Violation],
                                       bool]:

@@ -3,7 +3,7 @@
 Each golden case is one small simulation. Its fingerprint is two
 sha256 digests: one of the stats snapshot (plus per-core and per-MC
 stats and the elapsed time) and one of the full :class:`EventTracer`
-command trace. ``goldens.json`` beside this module holds the committed
+command trace. ``tests/check/goldens.json`` holds the committed
 digests; any change to the simulated event sequence changes at least
 one of them. Together with the conformance oracle, which must accept
 every golden trace, they are the referee for changes to the engine.
@@ -41,8 +41,10 @@ from .driver import oracle_config_for
 from .fuzz import build_case, run_case
 from .oracle import ConformanceOracle, OracleConfig
 
-#: committed digests, one entry per case name
-GOLDENS_PATH = Path(__file__).with_name("goldens.json")
+#: committed digests, one entry per case name (in the source checkout,
+#: beside the fuzz seed corpora)
+GOLDENS_PATH = Path(__file__).resolve().parents[3] / "tests" / "check" \
+    / "goldens.json"
 
 #: ample for every case below
 TRACE_CAPACITY = 2_000_000

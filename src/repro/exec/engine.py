@@ -97,7 +97,7 @@ class SweepEngine(Resolver):
             elif misses:
                 import asyncio  # only here: see repro.exec.resolver
 
-                self.pool_size = min(self.workers, len(misses))
+                self._pool_size = min(self.workers, len(misses))
                 try:
                     asyncio.run(self._execute_all(misses, resolved))
                 except BaseException:

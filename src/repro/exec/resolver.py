@@ -190,7 +190,7 @@ class Resolver:
         self._executor = None
         #: processes in the next pool built (``SweepEngine.run`` sizes
         #: it to the points that miss)
-        self.pool_size = self.workers
+        self._pool_size = self.workers
         self._slots: asyncio.Semaphore | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         #: points holding a pool slot (running or queued in the pool)
@@ -346,7 +346,7 @@ class Resolver:
     # ------------------------------------------------------------------
     def _pool(self):
         if self._executor is None:
-            self._executor = self._executor_factory(self.pool_size)
+            self._executor = self._executor_factory(self._pool_size)
         return self._executor
 
     def _discard(self, executor) -> None:

@@ -228,9 +228,9 @@ def memo_get(point: DesignPoint) -> SystemResult | None:
 def resolve_engine() -> type[System]:
     """The System class that :func:`run_point` instantiates.
 
-    There is one simulation engine; this lookup stays because the
-    campaign benchmark (``campaign_bench``) wraps the class it returns
-    to time construction and ``run`` per layer.
+    There is one simulation engine; this lookup stays only because the
+    campaign benchmark (``campaign_bench/workloads.py``) calls it to find
+    the class whose construction and ``run`` it times.
     """
     return System
 
@@ -246,7 +246,6 @@ def run_point(point: DesignPoint,
     to the result as ``result.phases`` either way.
     """
     profiler = profiler or PhaseProfiler()
-    system_cls = resolve_engine()
     log.debug("run_point %s.%s.t%d", point.workload, point.design,
               point.trh)
     with profiler.phase("tracegen"), span("sim.tracegen",
@@ -258,7 +257,7 @@ def run_point(point: DesignPoint,
         traces = build_traces(point, config)
     with profiler.phase("warmup"), span("sim.warmup",
                                         design=point.design):
-        system = system_cls(
+        system = System(
             config=config,
             policy_factory=make_policy_factory(point, config),
             traces=traces,

@@ -392,19 +392,7 @@ class System:
             # bandwidth but never block retirement.
             core.track(request.request_id)
             self.events.owners[request.request_id] = core
-        # MemoryController.enqueue, inlined (the kick lands at arrival)
-        stats = mc.stats
-        stats.requests += 1
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        mc.queues[bank_index].append(request)
-        if not mc._bank_scheduled[bank_index]:
-            mc._bank_scheduled[bank_index] = True
-            heapq.heappush(self.events.heap,
-                           (arrival, next(self.events.seq), OP_SERVICE, mc,
-                            bank_index))
+        mc.enqueue(request, arrival)
 
     def _complete(self, core: Core, request_id: int, now: int) -> bool:
         """A read returned to ``core``; returns True if the core is done.
