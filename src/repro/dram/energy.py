@@ -84,6 +84,11 @@ def energy_of(result: SystemResult) -> EnergyBreakdown:
     )
 
 
+def instructions_of(result: SystemResult) -> int:
+    """Instructions retired by every core of a run."""
+    return sum(s.instructions for s in result.core_stats)
+
+
 def energy_overhead(result: SystemResult,
                     baseline: SystemResult) -> float:
     """Relative total-energy overhead vs a baseline run.
@@ -91,10 +96,17 @@ def energy_overhead(result: SystemResult,
     Uses energy *per retired instruction* so runs of slightly different
     wall time compare fairly.
     """
-    inst = sum(s.instructions for s in result.core_stats)
-    inst_base = sum(s.instructions for s in baseline.core_stats)
-    if not inst or not inst_base:
+    return energy_overhead_of(
+        energy_of(result).total_mj, instructions_of(result),
+        energy_of(baseline).total_mj, instructions_of(baseline))
+
+
+def energy_overhead_of(energy_mj: float, instructions: int,
+                       baseline_mj: float,
+                       baseline_instructions: int) -> float:
+    """:func:`energy_overhead` from the runs' totals alone."""
+    if not instructions or not baseline_instructions:
         return 0.0
-    epi = energy_of(result).total_mj / inst
-    epi_base = energy_of(baseline).total_mj / inst_base
+    epi = energy_mj / instructions
+    epi_base = baseline_mj / baseline_instructions
     return epi / epi_base - 1.0

@@ -60,6 +60,9 @@ CACHE_SALT = "mopac-sim-1"
 #: Environment variable naming the cache directory. Unset = no disk cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
+#: What reading a missing, truncated, corrupt or stale-schema entry raises.
+UNREADABLE = (OSError, ValueError, KeyError, TypeError)
+
 
 def effective_salt(salt: str = CACHE_SALT) -> str:
     """The configured salt plus the user salt from the env."""
@@ -121,24 +124,44 @@ class ResultCache:
         """Expose the hit/miss/corrupt/write counters via an obs registry."""
         registry.register(prefix, self.counters.as_dict)
 
-    def path_for(self, point: Any) -> pathlib.Path:
-        key = point_key(point, self.salt)
+    def key(self, point: Any) -> str:
+        """``point``'s entry key under this cache's salt."""
+        return point_key(point, self.salt)
+
+    def path_for(self, point: Any, key: str | None = None) -> pathlib.Path:
+        return self._entry(key or self.key(point))
+
+    def _entry(self, key: str) -> pathlib.Path:
         return self.directory / key[:2] / f"{key}.json"
 
-    def get(self, point: Any):
-        """Cached result for ``point``, or ``None`` (miss)."""
-        path = self.path_for(point)
+    def load(self, key: str):
+        """Decode the entry stored under ``key``; counts nothing.
+
+        Raises ``FileNotFoundError`` when there is no entry, and one of
+        :data:`UNREADABLE` when it cannot be read or is not a result of
+        this schema. For re-reading results that were already resolved
+        (the serve daemon's ``/result``), which must not count as
+        lookups.
+        """
+        with open(self._entry(key), encoding="utf-8") as handle:
+            data = json.load(handle)
+        return result_from_dict(data)
+
+    def get(self, point: Any, key: str | None = None):
+        """Cached result for ``point``, or ``None`` (miss).
+
+        ``key`` is ``point``'s :meth:`key`, when the caller has it.
+        """
+        key = key or self.key(point)
         try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-            result = result_from_dict(data)
+            result = self.load(key)
         except FileNotFoundError:
             self.counters.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError) as error:
+        except UNREADABLE as error:
             # Truncated/corrupt/stale-schema entries are misses, not
             # crashes; the entry is overwritten on the next put().
-            log.warning("treating %s as a miss (%s: %s)", path,
+            log.warning("treating %s as a miss (%s: %s)", self._entry(key),
                         type(error).__name__, error)
             self.counters.corrupt += 1
             self.counters.misses += 1
@@ -146,9 +169,10 @@ class ResultCache:
         self.counters.hits += 1
         return result
 
-    def put(self, point: Any, result: Any) -> pathlib.Path:
+    def put(self, point: Any, result: Any,
+            key: str | None = None) -> pathlib.Path:
         """Atomically persist ``result`` under ``point``'s key."""
-        path = self.path_for(point)
+        path = self.path_for(point, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(result_to_dict(result))
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -208,11 +208,20 @@ class Resolver:
         """Distinct points the async front-end is executing."""
         return len(self._inflight)
 
+    def key(self, point: Any) -> str:
+        """``point``'s dedup key: its cache key when there is a cache."""
+        if self.cache is not None:
+            return self.cache.key(point)
+        return point_key(point)
+
     # ------------------------------------------------------------------
     # The chain
     # ------------------------------------------------------------------
-    def lookup(self, point: Any) -> tuple[Any, str]:
-        """Memo, then cache: ``(result, source)``, or ``(None, "")``."""
+    def lookup(self, point: Any, key: str | None = None) -> tuple[Any, str]:
+        """Memo, then cache: ``(result, source)``, or ``(None, "")``.
+
+        ``key`` is ``point``'s :meth:`key`, when the caller has it.
+        """
         if self.use_memo:
             result = runner.memo.get(point)
             if result is not None:
@@ -221,7 +230,7 @@ class Resolver:
         if self.cache is not None:
             with span("exec.cache_lookup", workload=point.workload,
                       design=point.design):
-                result = self.cache.get(point)
+                result = self.cache.get(point, key)
             if result is not None:
                 self.metrics.cache_hits += 1
                 if self.use_memo:
@@ -230,7 +239,8 @@ class Resolver:
             self.metrics.cache_misses += 1
         return None, ""
 
-    def _store(self, point: Any, result: Any, wall_s: float) -> None:
+    def _store(self, point: Any, result: Any, wall_s: float,
+               key: str | None = None) -> None:
         self.metrics.simulated += 1
         self.metrics.point_wall_ms.observe(wall_s * 1000.0)
         if self.use_memo:
@@ -238,7 +248,7 @@ class Resolver:
         if self.cache is not None:
             with span("exec.cache_write", workload=point.workload,
                       design=point.design):
-                self.cache.put(point, result)
+                self.cache.put(point, result, key)
 
     def _failed(self, point: Any, error: Exception) -> PointFailed:
         self.metrics.failed += 1
@@ -255,7 +265,8 @@ class Resolver:
         self._store(point, result, wall)
         return result, wall
 
-    async def execute(self, point: Any) -> tuple[Any, float]:
+    async def execute(self, point: Any,
+                      key: str | None = None) -> tuple[Any, float]:
         """Simulate ``point`` in the pool, then store it.
 
         At most two points per worker hold a pool slot: one running and
@@ -301,17 +312,21 @@ class Resolver:
                         raise self._failed(point, error) from error
             finally:
                 self.running -= 1
-        self._store(point, result, wall)
+        self._store(point, result, wall, key)
         return result, wall
 
     # ------------------------------------------------------------------
     # Async front-end
     # ------------------------------------------------------------------
-    async def resolve(self, point: Any) -> Any:
-        """Resolve one point (in flight -> memo -> cache -> pool)."""
+    async def resolve(self, point: Any, key: str | None = None) -> Any:
+        """Resolve one point (in flight -> memo -> cache -> pool).
+
+        ``key`` is ``point``'s :meth:`key`, when the caller has it; it is
+        computed here otherwise.
+        """
         import asyncio
 
-        key = point_key(point)
+        key = key or self.key(point)
         with span("exec.resolve", key=key, workload=point.workload,
                   design=point.design):
             self.metrics.requested += 1
@@ -321,10 +336,10 @@ class Resolver:
                 with span("exec.dedup_wait", key=key):
                     result, _ = await asyncio.shield(task)
                 return result
-            result, _ = self.lookup(point)
+            result, _ = self.lookup(point, key)
             if result is not None:
                 return result
-            task = asyncio.ensure_future(self.execute(point))
+            task = asyncio.ensure_future(self.execute(point, key))
             self._inflight[key] = task
             task.add_done_callback(
                 lambda done, k=key: self._retire(k, done))

@@ -7,7 +7,8 @@ per-core stats (and hence IPCs), per-controller :class:`MCStats`,
 per-sub-channel policy stats, and the optional row-activity census — so
 a cache hit reconstructs a result that is indistinguishable from a
 fresh simulation to every downstream consumer (weighted speedup,
-energy model, table renderers).
+energy model, table renderers). :func:`result_row` reduces a result to
+the few fields a ``results.csv`` row needs.
 
 ``SCHEMA_VERSION`` is bumped whenever the document layout changes;
 :func:`result_from_dict` rejects documents from other schema versions,
@@ -21,6 +22,7 @@ from typing import Any
 
 from ..config import DRAMConfig, SystemConfig
 from ..cpu.core import CoreStats
+from ..dram.energy import energy_of, instructions_of
 from ..dram.timing import TimingSet
 from ..mc.controller import MCStats
 from ..sim.system import RowActivityStats, SystemResult
@@ -60,6 +62,25 @@ def result_to_dict(result: SystemResult) -> dict[str, Any]:
                          if result.row_activity is not None else None),
         "stats": dict(result.stats),
         "phases": dict(result.phases),
+    }
+
+
+def result_row(result: SystemResult) -> dict[str, Any]:
+    """The ``results.csv`` inputs of a result: one compact row document.
+
+    Carries exactly what :func:`repro.tools.campaign.write_results_csv`
+    reads, which is what the serve daemon's ``/result`` returns by
+    default. Every field is an int, a float or a list of floats, so the
+    document survives a JSON round trip bit for bit.
+    """
+    return {
+        "ipcs": result.ipcs,
+        "rbhr": result.row_buffer_hit_rate,
+        "alerts": result.total_alerts,
+        "requests": result.total_requests,
+        "elapsed_ps": result.elapsed_ps,
+        "instructions": instructions_of(result),
+        "energy_mj": energy_of(result).total_mj,
     }
 
 

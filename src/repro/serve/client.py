@@ -9,7 +9,8 @@ that wants to talk to a running daemon::
     client = ServeClient("unix:/tmp/serve/serve.sock")
     job_id = client.submit(points, priority=1)
     client.wait(job_id)
-    results = client.result(job_id)     # list[SystemResult]
+    rows = client.result(job_id)        # results.csv row documents
+    results = client.result(job_id, full=True)   # list[SystemResult]
 
 ``wait()`` polls; with ``tolerate_disconnects=True`` it rides out a
 server restart (connection errors count against the overall deadline,
@@ -200,18 +201,20 @@ class ServeClient:
         path = "/status" if job_id is None else f"/status?id={job_id}"
         return self._call("GET", path)
 
-    def result(self, job_id: str, decode: bool = True) -> list[Any]:
+    def result(self, job_id: str, full: bool = False) -> list[Any]:
         """Results of a done job, in submitted point order.
 
-        ``decode=True`` rebuilds full ``SystemResult`` objects; with
-        ``decode=False`` the raw cache-schema documents come back.
-        Raises :class:`ServeError` (409) while the job is not done.
+        By default one compact row document per point
+        (:func:`~repro.exec.serialize.result_row`: what ``results.csv``
+        needs); ``full=True`` fetches the cache-schema documents and
+        rebuilds full ``SystemResult`` objects. Raises
+        :class:`ServeError`: 409 while the job is not done, 410 when a
+        point's cache entry is gone or unreadable (no partial results).
         """
-        document = self._call("GET", f"/result?id={job_id}")
-        raw = document["results"]
-        if not decode:
-            return raw
-        return [result_from_dict(fields) for fields in raw]
+        if not full:
+            return self._call("GET", f"/result?id={job_id}")["results"]
+        document = self._call("GET", f"/result?id={job_id}&full=1")
+        return [result_from_dict(fields) for fields in document["results"]]
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         return self._call("POST", "/cancel", {"id": job_id})

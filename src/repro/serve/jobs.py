@@ -1,7 +1,9 @@
 """Job model, priority queue, and the crash-safe JSONL journal.
 
 A **job** is an ordered list of design points submitted together; its
-results come back in the same order. Jobs move through::
+results come back in the same order. It holds no results: a done job's
+results are its points' entries in the result cache, which ``/result``
+reads on each call. Jobs move through::
 
     queued -> running -> done
                       -> failed     (point error, timeout, too many
@@ -49,7 +51,12 @@ TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 @dataclasses.dataclass
 class Job:
-    """One submitted batch of design points."""
+    """One submitted batch of design points and their cache keys.
+
+    A job holds no results. Once it is done, each point's result is the
+    result-cache entry under the key at the same index in ``keys``: the
+    cache holds the one copy.
+    """
 
     id: str
     points: list[DesignPoint]
@@ -60,9 +67,9 @@ class Job:
     submitted_s: float = 0.0
     started_s: float | None = None
     finished_s: float | None = None
-    #: resolved results, in point order (populated when state == DONE;
-    #: held in memory only — durable copies live in the result cache)
-    results: list[Any] | None = None
+    #: result-cache key of each point, in point order (set by the server
+    #: when it accepts or resumes the job)
+    keys: list[str] = dataclasses.field(default_factory=list)
 
     def public(self) -> dict[str, Any]:
         """The status document served to clients (no result payload)."""

@@ -34,7 +34,8 @@ MAX_HEADER_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
+    405: "Method Not Allowed", 409: "Conflict", 410: "Gone",
+    413: "Payload Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 

@@ -18,6 +18,9 @@ One :class:`ServeServer` owns:
   journal and resumes when the next server starts on the same state
   directory.
 
+A job holds its points' cache keys, never their results: ``/result``
+re-reads each entry from the result cache, the one copy, on every call.
+
 State directory layout::
 
     <state_dir>/journal.jsonl   durable queue (see repro.serve.jobs)
@@ -36,9 +39,9 @@ import signal
 import time
 from typing import Any, Callable
 
-from ..exec.cache import ResultCache, default_cache_dir, point_key
+from ..exec.cache import UNREADABLE, ResultCache, default_cache_dir
 from ..exec.resolver import PointFailed, Resolver
-from ..exec.serialize import result_to_dict
+from ..exec.serialize import result_row, result_to_dict
 from ..obs.exposition import CONTENT_TYPE, to_prometheus
 from ..obs.log import get_logger
 from ..obs.registry import StatsRegistry
@@ -98,7 +101,7 @@ def _key_summary(job: Job, limit: int = 3) -> str:
     key out of ``/spans`` or the cache directory, short enough to keep
     multi-point lifecycle lines readable.
     """
-    keys = [point_key(point)[:12] for point in job.points[:limit]]
+    keys = [key[:12] for key in job.keys[:limit]]
     extra = len(job.points) - len(keys)
     summary = ",".join(keys)
     return f"{summary}+{extra}" if extra > 0 else summary
@@ -116,7 +119,7 @@ class ServeServer:
                  cache: Any = "auto",
                  simulate_fn: Callable[[Any], tuple[Any, float]] | None = None,
                  executor_factory: Callable[[int], Any] | None = None,
-                 encoder: Callable[[Any], dict] = result_to_dict,
+                 encoder: Callable[[Any], dict] = result_row,
                  metrics_interval_s: float = 1.0):
         self.state_dir = pathlib.Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
@@ -252,6 +255,7 @@ class ServeServer:
         return sum(1 for j in self._jobs.values() if j.state == QUEUED)
 
     def _enqueue(self, job: Job) -> None:
+        job.keys = [self.cache.key(point) for point in job.points]
         self._jobs[job.id] = job
         self._queued_ns.setdefault(job.id, _span_ns())
         heapq.heappush(self._heap, (-job.priority, next(self._seq), job.id))
@@ -411,12 +415,12 @@ class ServeServer:
             with span("serve.execute", parent=self._begin_job_span(job),
                       job_id=job.id):
                 gathered = asyncio.gather(
-                    *(self.resolver.resolve(point) for point in job.points))
+                    *(self._resolve(point, key)
+                      for point, key in zip(job.points, job.keys)))
                 if job.timeout_s is not None:
-                    results = await asyncio.wait_for(gathered,
-                                                     job.timeout_s)
+                    await asyncio.wait_for(gathered, job.timeout_s)
                 else:
-                    results = await gathered
+                    await gathered
         except asyncio.CancelledError:
             if self._draining:
                 # drain: leave the submission journaled (no terminal
@@ -437,10 +441,14 @@ class ServeServer:
             self._finish(job, FAILED,
                          f"{type(error).__name__}: {error}")
         else:
-            job.results = list(results)
             self._finish(job, DONE)
             self._h_latency.observe(
                 (job.finished_s - job.submitted_s) * 1000.0)
+
+    async def _resolve(self, point: DesignPoint, key: str) -> None:
+        """Resolve one point of a job and drop its result: the cache
+        entry under ``key`` is the copy ``/result`` reads."""
+        await self.resolver.resolve(point, key)
 
     def _finish(self, job: Job, state: str, error: str | None = None) -> None:
         job.state = state
@@ -594,11 +602,23 @@ class ServeServer:
             doc = job.public()
             doc["error"] = job.error or f"job is {job.state}, not done"
             return response_bytes(409, doc)
-        return response_bytes(200, {
-            "id": job.id,
-            "state": job.state,
-            "results": [self.encoder(result) for result in job.results],
-        })
+        encode = result_to_dict if request.query.get("full") == "1" \
+            else self.encoder
+        results = []
+        for point, key in zip(job.points, job.keys):
+            try:
+                result = self.cache.load(key)
+            except UNREADABLE as error:
+                # all rows or none: a partial results.csv is worse than
+                # none, and resubmitting the job re-resolves the point
+                return error_bytes(
+                    410, f"{job.id}: cache entry of {point.workload}."
+                         f"{point.design}.t{point.trh} (key {key[:12]}) "
+                         f"is gone or unreadable ({type(error).__name__}); "
+                         f"resubmit the job")
+            results.append(encode(result))
+        return response_bytes(200, {"id": job.id, "state": job.state,
+                                    "results": results})
 
     def _cancel(self, body: Any) -> bytes:
         if not isinstance(body, dict) or "id" not in body:

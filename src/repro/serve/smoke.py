@@ -107,7 +107,7 @@ def check_concurrent(address: str, workers: int) -> int:
             failures.append(f"{name}: job {job_id} ended "
                             f"{status['state']}: {status['error']}")
             return
-        got = [comparable(r) for r in client.result(job_id)]
+        got = [comparable(r) for r in client.result(job_id, full=True)]
         want = [by_key[i] for i in indices]
         if got != want:
             failures.append(f"{name}: results differ from inline run")
@@ -197,7 +197,7 @@ def check_restart(tmp: pathlib.Path, workers: int) -> int:
                 log.error("FAIL: resumed job %s ended %s: %s", job_id,
                           status["state"], status["error"])
                 return 1
-            got = [comparable(r) for r in client.result(job_id)]
+            got = [comparable(r) for r in client.result(job_id, full=True)]
             want = [by_doc[id(p)] for p in job_points]
             if got != want:
                 log.error("FAIL: resumed job %s results differ from "

@@ -305,7 +305,13 @@ def weighted_speedup(result: SystemResult,
     mirroring :func:`harmonic_speedup` — rather than silently deflating
     the mean.
     """
-    pairs = [(x, b) for x, b in zip(result.ipcs, baseline.ipcs) if b > 0]
+    return weighted_speedup_of(result.ipcs, baseline.ipcs)
+
+
+def weighted_speedup_of(ipcs: list[float],
+                        baseline_ipcs: list[float]) -> float:
+    """:func:`weighted_speedup` from the runs' per-core IPCs alone."""
+    pairs = [(x, b) for x, b in zip(ipcs, baseline_ipcs) if b > 0]
     if not pairs:
         return 0.0
     return sum(x / b for x, b in pairs) / len(pairs)

@@ -56,12 +56,13 @@ import pathlib
 from dataclasses import replace
 
 from ..config_io import load_design_point, save_design_point
-from ..dram.energy import energy_overhead
+from ..dram.energy import energy_overhead_of
 from ..exec.cache import CACHE_DIR_ENV
 from ..exec.engine import PointOutcome, SweepEngine
 from ..exec.env import set_knob
+from ..exec.serialize import result_row
 from ..obs.log import configure, get_logger
-from ..sim.runner import DesignPoint, weighted_speedup
+from ..sim.runner import DesignPoint, weighted_speedup_of
 
 log = get_logger("repro.tools.campaign")
 
@@ -107,20 +108,25 @@ def planned_points(directory: pathlib.Path
 def write_results_csv(csv_path: pathlib.Path,
                       ini_paths: list[pathlib.Path],
                       points: list[DesignPoint],
-                      results: list) -> pathlib.Path:
-    """Render one CSV row per evaluation from the flat result list.
+                      rows: list[dict]) -> pathlib.Path:
+    """Render one CSV row per evaluation from the flat row list.
 
-    ``results`` interleaves evaluation and baseline results, exactly as
-    :func:`planned_points` interleaves the flat point list — the local
-    ``run`` and the remote ``fetch`` both funnel through here, which is
-    what keeps their CSVs byte-identical.
+    ``rows`` holds one :func:`~repro.exec.serialize.result_row`
+    document per point and interleaves evaluation and baseline rows,
+    exactly as :func:`planned_points` interleaves the flat point list.
+    The local ``run`` and the remote ``fetch`` both funnel through here,
+    which is what keeps their CSVs byte-identical.
     """
     with open(csv_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS)
         writer.writeheader()
-        for path, point, result, baseline in zip(
-                ini_paths, points, results[0::2], results[1::2]):
-            ws = weighted_speedup(result, baseline)
+        for path, point, row, base in zip(
+                ini_paths, points, rows[0::2], rows[1::2]):
+            ws = weighted_speedup_of(row["ipcs"], base["ipcs"])
+            energy = energy_overhead_of(row["energy_mj"],
+                                        row["instructions"],
+                                        base["energy_mj"],
+                                        base["instructions"])
             writer.writerow({
                 "name": path.stem,
                 "workload": point.workload,
@@ -128,12 +134,11 @@ def write_results_csv(csv_path: pathlib.Path,
                 "trh": point.trh,
                 "slowdown": f"{1 - ws:.6f}",
                 "weighted_speedup": f"{ws:.6f}",
-                "rbhr": f"{result.row_buffer_hit_rate:.4f}",
-                "alerts": result.total_alerts,
-                "energy_overhead":
-                    f"{energy_overhead(result, baseline):.6f}",
-                "elapsed_us": f"{result.elapsed_ps / 1e6:.2f}",
-                "requests": result.total_requests,
+                "rbhr": f"{row['rbhr']:.4f}",
+                "alerts": row["alerts"],
+                "energy_overhead": f"{energy:.6f}",
+                "elapsed_us": f"{row['elapsed_ps'] / 1e6:.2f}",
+                "requests": row["requests"],
             })
     return csv_path
 
@@ -153,9 +158,9 @@ def run(directory: pathlib.Path, workers: int | None = None,
 
     engine = SweepEngine(workers=workers,
                          progress=progress if verbose else None)
-    results = engine.run(flat)
+    rows = [result_row(result) for result in engine.run(flat)]
     log.info("%s", engine.metrics.summary())
-    return write_results_csv(csv_path, ini_paths, points, results)
+    return write_results_csv(csv_path, ini_paths, points, rows)
 
 
 # ----------------------------------------------------------------------
@@ -209,15 +214,15 @@ def fetch(directory: pathlib.Path, server: str | None = None,
     if document["state"] != "done":
         raise RuntimeError(f"{job_id} ended {document['state']}: "
                            f"{document['error']}")
-    results = client.result(job_id)
+    rows = client.result(job_id)
     unique = list(dict.fromkeys(flat))
-    if len(results) != len(unique):
+    if len(rows) != len(unique):
         raise RuntimeError(
-            f"{job_id} returned {len(results)} results for "
+            f"{job_id} returned {len(rows)} results for "
             f"{len(unique)} submitted points; was the campaign "
             f"re-planned after submit?")
     # equal points share a cache key, so this is the key-wise fan-out
-    resolved = dict(zip(unique, results))
+    resolved = dict(zip(unique, rows))
     return write_results_csv(directory / "results.csv", ini_paths,
                              points, [resolved[point] for point in flat])
 

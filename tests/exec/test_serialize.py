@@ -1,12 +1,18 @@
 """JSON round-trip of simulation results."""
 
+import csv
+import io
 import json
+import pathlib
 
 import pytest
 
+from repro.dram.energy import energy_overhead
 from repro.exec.serialize import (SCHEMA_VERSION, result_from_dict,
-                                  result_to_dict)
-from repro.sim.runner import DesignPoint, run_point
+                                  result_row, result_to_dict)
+from repro.mitigations import registry
+from repro.sim.runner import DesignPoint, run_point, weighted_speedup
+from repro.tools import campaign
 
 FAST = dict(instructions=6_000, rows_per_bank=512, refresh_scale=1 / 256)
 
@@ -82,3 +88,55 @@ class TestSchemaGuard:
                                        **FAST))
         back = result_from_dict(result_to_dict(result))
         assert back.row_activity is None
+
+
+class TestResultRow:
+    """``result_row`` documents are all a ``results.csv`` needs, and
+    survive the serve daemon's JSON hop bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        points = [DesignPoint(workload=workload, design=design, trh=500,
+                              **FAST)
+                  for workload in ("mcf", "add")
+                  for design in ("baseline", *registry.names())]
+        flat = [q for point in points for q in (point, point.baseline())]
+        results = {q: run_point(q) for q in dict.fromkeys(flat)}
+        return points, flat, results
+
+    def write(self, directory, grid, rows):
+        points, flat, _ = grid
+        directory.mkdir()
+        paths = [pathlib.Path(f"{p.workload}.{p.design}.t{p.trh}.ini")
+                 for p in points]
+        return campaign.write_results_csv(directory / "results.csv",
+                                          paths, points, rows).read_bytes()
+
+    def test_csv_byte_identical_through_json(self, tmp_path, grid):
+        _, flat, results = grid
+        local = self.write(tmp_path / "local", grid,
+                           [result_row(results[q]) for q in flat])
+        wire = self.write(tmp_path / "wire", grid,
+                          [json.loads(json.dumps(result_row(results[q])))
+                           for q in flat])
+        assert local == wire
+        assert local.count(b"\n") == 1 + len(grid[0])
+
+    def test_csv_matches_the_result_formulas(self, tmp_path, grid):
+        points, flat, results = grid
+        csv_bytes = self.write(tmp_path / "csv", grid,
+                               [result_row(results[q]) for q in flat])
+        rows = csv.DictReader(io.StringIO(csv_bytes.decode()))
+        for point, row in zip(points, rows, strict=True):
+            result, base = results[point], results[point.baseline()]
+            assert row["weighted_speedup"] == \
+                f"{weighted_speedup(result, base):.6f}"
+            assert row["energy_overhead"] == \
+                f"{energy_overhead(result, base):.6f}"
+
+    def test_row_carries_only_csv_inputs(self, result):
+        row = result_row(result)
+        assert set(row) == {"ipcs", "rbhr", "alerts", "requests",
+                            "elapsed_ps", "instructions", "energy_mj"}
+        assert row["ipcs"] == result.ipcs
+        assert len(json.dumps(row)) < 1_000

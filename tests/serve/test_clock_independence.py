@@ -35,7 +35,7 @@ def run_submission(tmp_path, wall_offset_s):
         status = await call(client.wait, job_id, 10.0)
         assert status["state"] == "done"
         captured["status"] = status
-        captured["results"] = await call(client.result, job_id, False)
+        captured["results"] = await call(client.result, job_id)
         captured["keys"] = [point_key(p) for p in (point(0), point(1))]
 
     with mock.patch("repro.serve.server.time.time", skewed_time), \

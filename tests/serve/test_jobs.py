@@ -1,5 +1,6 @@
 """Job model and the crash-safe JSONL journal."""
 
+import dataclasses
 import json
 
 import pytest
@@ -26,12 +27,17 @@ class TestJob:
 
     def test_public_has_no_results(self):
         job = make_job(1, points())
-        job.results = ["should-not-leak"]
+        job.keys = ["ab" * 32, "cd" * 32]
         doc = job.public()
         assert doc["id"] == "job-1"
         assert doc["points"] == 2
-        assert "results" not in doc
+        assert "results" not in doc and "keys" not in doc
         json.dumps(doc)  # must be wire-serialisable
+
+    def test_job_holds_keys_not_results(self):
+        names = {field.name for field in dataclasses.fields(Job)}
+        assert "keys" in names
+        assert "results" not in names
 
     def test_submit_record_round_trip(self):
         job = make_job(3, points(), priority=5, timeout_s=1.5)

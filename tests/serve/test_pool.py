@@ -37,11 +37,14 @@ class StubCache:
         self.store = dict(preloaded or {})
         self.puts = []
 
-    def get(self, p):
-        return self.store.get(point_key(p))
+    def key(self, p):
+        return point_key(p)
 
-    def put(self, p, result):
-        self.store[point_key(p)] = result
+    def get(self, p, key=None):
+        return self.store.get(key or self.key(p))
+
+    def put(self, p, result, key=None):
+        self.store[key or self.key(p)] = result
         self.puts.append(p)
 
     def register_stats(self, registry, prefix="exec.cache"):

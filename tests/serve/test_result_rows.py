@@ -1,0 +1,203 @@
+"""``/result`` reads the result cache, the one copy of each result.
+
+A job holds its points' cache keys, never their results: every
+``/result`` call re-reads the entries, returns ``results.csv`` row
+documents, and fails naming the point when an entry is gone. These
+tests run the daemon in process on a real :class:`ResultCache`, with a
+fake simulation that returns one small real result for every point.
+"""
+
+import asyncio
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from repro.exec import cache as cache_module
+from repro.exec import resolver as resolver_module
+from repro.exec.cache import ResultCache
+from repro.exec.resolver import Resolver
+from repro.exec.serialize import result_row, result_to_dict
+from repro.serve.client import ServeError
+from repro.sim.runner import DesignPoint, run_point
+from repro.tools import campaign
+
+from .test_server import FAST, call, point, run_scenario
+
+
+@pytest.fixture(scope="module")
+def real_result():
+    return run_point(DesignPoint(workload="mcf", design="prac", trh=500,
+                                 **FAST))
+
+
+def serve(tmp_path, scenario, real_result, cache=None):
+    """Run ``scenario`` against a daemon on a real cache."""
+    if cache is None:
+        cache = ResultCache(tmp_path / "cache")
+    return run_scenario(tmp_path, scenario,
+                        simulate_fn=lambda q: (real_result, 0.001),
+                        cache=cache, encoder=result_row)
+
+
+async def finish(client, points):
+    job_id = await call(client.submit, points)
+    status = await call(client.wait, job_id, 10.0)
+    assert status["state"] == "done"
+    return job_id
+
+
+def name(p):
+    return f"{p.workload}.{p.design}.t{p.trh}"
+
+
+class TestRows:
+    def test_rows_by_default_full_documents_on_request(self, tmp_path,
+                                                       real_result):
+        async def scenario(server, client):
+            job_id = await finish(client, [point(0), point(1)])
+            rows = await call(client.result, job_id)
+            assert rows == [result_row(real_result)] * 2
+            full = await call(client.result, job_id, True)
+            assert [result_to_dict(r) for r in full] == \
+                [result_to_dict(real_result)] * 2
+
+        serve(tmp_path, scenario, real_result)
+
+    def test_result_reads_are_not_cache_hits(self, tmp_path, real_result):
+        cache = ResultCache(tmp_path / "cache")
+        warm = [point(seed) for seed in range(3)]
+        for p in warm:
+            cache.put(p, real_result)
+
+        async def scenario(server, client):
+            job_id = await finish(client, warm)
+            for _ in range(2):
+                await call(client.result, job_id)
+            stats = await call(client.stats)
+            assert stats["exec.cache.hits"] == len(warm)
+            assert stats["exec.cache.misses"] == 0
+            assert stats["exec.resolve.cache_hits"] == len(warm)
+
+        serve(tmp_path, scenario, real_result, cache=cache)
+
+    def test_daemon_holds_no_copy(self, tmp_path, real_result):
+        async def scenario(server, client):
+            points = [point(0), point(1)]
+            job_id = await finish(client, points)
+            first = await call(client.result, job_id)
+            assert await call(client.result, job_id) == first
+            server.cache.path_for(points[1]).unlink()
+            with pytest.raises(ServeError) as info:
+                await call(client.result, job_id)
+            assert info.value.status == 410
+
+        serve(tmp_path, scenario, real_result)
+
+
+class TestVanishedEntry:
+    @pytest.mark.parametrize("damage", ["delete", "corrupt"])
+    def test_result_names_the_point(self, tmp_path, real_result, damage):
+        async def scenario(server, client):
+            points = [point(0), DesignPoint(workload="mcf", design="prac",
+                                            trh=250, **FAST), point(2)]
+            job_id = await finish(client, points)
+            path = server.cache.path_for(points[1])
+            if damage == "delete":
+                path.unlink()
+            else:
+                path.write_text('{"schema": 3, "trunc')
+            status, document = await call(client.request, "GET",
+                                          f"/result?id={job_id}")
+            assert status == 410
+            assert "results" not in document
+            assert "mcf.prac.t250" in document["error"]
+            assert server.cache.key(points[1])[:12] in document["error"]
+            assert name(points[0]) not in document["error"]
+
+        serve(tmp_path, scenario, real_result)
+
+    def test_corrupt_entry_is_resimulated_while_resolving(self, tmp_path,
+                                                          real_result):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(point(0), real_result).write_text("truncated {")
+
+        async def scenario(server, client):
+            job_id = await finish(client, [point(0)])
+            assert await call(client.result, job_id) == \
+                [result_row(real_result)]
+            stats = await call(client.stats)
+            assert stats["exec.cache.corrupt"] == 1
+            assert stats["exec.resolve.simulated"] == 1
+
+        serve(tmp_path, scenario, real_result, cache=cache)
+
+    def test_fetch_raises_and_writes_no_csv(self, tmp_path, real_result):
+        plan_dir = tmp_path / "camp"
+        campaign.plan(plan_dir, ["add"], ["prac"], [500], 2_000)
+        _, _, flat = campaign.planned_points(plan_dir)
+
+        async def scenario(server, client):
+            job_id = await call(campaign.submit, plan_dir, server.address)
+            await call(client.wait, job_id, 10.0)
+            server.cache.path_for(flat[1]).unlink()
+            with pytest.raises(ServeError, match=name(flat[1])):
+                await call(campaign.fetch, plan_dir, wait_s=10.0)
+
+        serve(tmp_path, scenario, real_result)
+        assert not (plan_dir / "results.csv").exists()
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Every ``point_key`` call, from the cache and the resolver."""
+    calls = []
+    real = cache_module.point_key
+
+    def counting(p, salt=None):
+        calls.append(p)
+        return real(p, salt)
+
+    monkeypatch.setattr(cache_module, "point_key", counting)
+    monkeypatch.setattr(resolver_module, "point_key", counting)
+    return calls
+
+
+class TestOneKeyPerPoint:
+    def test_resolver_hashes_each_resolve_once(self, tmp_path, real_result,
+                                               key_calls):
+        salted = ResultCache(tmp_path, salt="x")
+        resolver = Resolver(workers=1, cache=salted, use_memo=False,
+                            simulate_fn=lambda q: (real_result, 0.001),
+                            executor_factory=ThreadPoolExecutor)
+        p = point(0)
+
+        async def go():
+            # two concurrent resolves join one execution under one key
+            await asyncio.gather(resolver.resolve(p), resolver.resolve(p))
+            await resolver.resolve(p)  # and a warm one
+
+        try:
+            asyncio.run(go())
+        finally:
+            resolver.shutdown()
+        assert len(key_calls) == 3
+        metrics = resolver.metrics
+        assert (metrics.dedup_hits, metrics.simulated,
+                metrics.cache_hits) == (1, 1, 1)
+        assert salted.path_for(p).exists()
+        assert not ResultCache(tmp_path).path_for(p).exists()
+
+    def test_job_keys_are_the_cache_keys(self, tmp_path, real_result,
+                                         key_calls):
+        salted = ResultCache(tmp_path / "cache", salt="x")
+        points = [point(seed) for seed in range(3)]
+
+        async def scenario(server, client):
+            job_id = await finish(client, points)
+            await call(client.result, job_id)
+            assert len(key_calls) == len(points)
+            job = server._jobs[job_id]
+            assert job.keys == [salted.key(p) for p in points]
+            assert all(salted.path_for(p).exists() for p in points)
+
+        serve(tmp_path, scenario, real_result, cache=salted)

@@ -33,19 +33,33 @@ class StubCache:
         self.store = {}
         self.directory = "<memory>"
 
-    def get(self, p):
-        return self.store.get(point_key(p))
+    def key(self, p):
+        return point_key(p)
 
-    def put(self, p, result):
-        self.store[point_key(p)] = result
+    def get(self, p, key=None):
+        return self.store.get(key or self.key(p))
+
+    def load(self, key):
+        try:
+            return self.store[key]
+        except KeyError:
+            raise FileNotFoundError(key) from None
+
+    def put(self, p, result, key=None):
+        self.store[key or self.key(p)] = result
 
     def register_stats(self, registry, prefix="exec.cache"):
         registry.register(prefix, lambda: {"entries": len(self.store)})
 
 
+def fake_row(result):
+    """The row function for the fake ``{"seed": ...}`` results."""
+    return {"seed": result["seed"]}
+
+
 def make_server(tmp_path, simulate_fn, **kwargs):
     kwargs.setdefault("cache", StubCache())
-    kwargs.setdefault("encoder", lambda r: r)
+    kwargs.setdefault("encoder", fake_row)
     kwargs.setdefault("workers", 2)
     return ServeServer(
         state_dir=tmp_path / "state",
@@ -87,7 +101,7 @@ class TestSubmitRoundTrip:
             status = await call(client.wait, job_id, 10.0)
             assert status["state"] == "done"
             assert status["error"] is None
-            results = await call(client.result, job_id, False)
+            results = await call(client.result, job_id)
             assert results == [{"seed": 0}, {"seed": 1}]
 
         run_scenario(tmp_path, scenario)
@@ -195,7 +209,7 @@ class TestResultStates:
             assert doc["state"] in ("queued", "running")
             release.set()
             await call(client.wait, job_id, 10.0)
-            results = await call(client.result, job_id, False)
+            results = await call(client.result, job_id)
             assert results == [{"seed": 0}]
 
         run_scenario(tmp_path, scenario, simulate_fn=sim)
@@ -348,7 +362,7 @@ class TestDrainAndRestart:
                 for index, job_id in enumerate(job_ids):
                     status = await call(client.wait, job_id, 10.0)
                     assert status["state"] == "done"
-                    results = await call(client.result, job_id, False)
+                    results = await call(client.result, job_id)
                     assert results == [{"seed": index}]
                 stats = await call(client.stats)
                 assert stats["serve.jobs_resumed"] == len(job_ids)
