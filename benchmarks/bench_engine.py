@@ -1,11 +1,14 @@
 """Time the simulation engine on the Table 4 workload mix.
 
 Runs each workload at one design point through ``run_point`` and
-records its wall time and a digest of its results in
+records its wall time, a digest of its results and the event census
+(heap pops per opcode, and pops per serviced request) in
 ``benchmarks/results/BENCH_engine.json``. The digest pins *what* was
 timed: ``compare.py`` refuses to compare timings of runs that simulated
-different numbers. Bit-identity of the simulator itself is the job of
-the golden fingerprints (``python -m repro.check.golden``).
+different numbers. The census is the deterministic measure of the
+loop's work: ``compare.py`` fails a row whose pops rise while its
+digest stays. Bit-identity of the simulator itself is the job of the
+golden fingerprints (``python -m repro.check.golden``).
 
 Two profiles:
 
@@ -50,6 +53,8 @@ def bench(workloads, instructions=None, design="mopac-c"):
         start = time.perf_counter()
         result = run_point(point)
         seconds = time.perf_counter() - start
+        pops = sum(result.census.values())
+        serviced = sum(stats.serviced for stats in result.mc_stats)
         rows.append({
             "workload": workload,
             "design": design,
@@ -57,9 +62,12 @@ def bench(workloads, instructions=None, design="mopac-c"):
             "seconds": round(seconds, 4),
             "requests": result.total_requests,
             "digest": stats_digest(result),
+            "pops": result.census,
+            "pops_per_request": round(pops / serviced, 4),
         })
         print(f"{workload:12s} {seconds:7.2f}s   "
-              f"{result.total_requests} requests")
+              f"{result.total_requests} requests   "
+              f"{pops / serviced:.2f} pops/request")
     total = sum(row["seconds"] for row in rows)
     print(f"{'TOTAL':12s} {total:7.2f}s")
     return {

@@ -3,9 +3,11 @@
 ``bench_engine.py`` records per-(workload, design) wall-clock of the
 engine plus a digest of each run's results. This tool diffs a
 candidate run against a committed baseline and exits non-zero when the
-engine regressed — either in what it simulated (a row's digest
-changed, so the timings no longer measure the same work) or in speed
-(a row's time grew by more than the threshold, 10% by default)::
+engine regressed — in what it simulated (a row's digest changed, so
+the timings no longer measure the same work), in work (a row's event
+pops rose while its digest stayed: the same results cost more heap
+events) or in speed (a row's time grew by more than the threshold,
+10% by default)::
 
     python benchmarks/compare.py results/BENCH_engine_smoke.json \
         results/BENCH_engine_current.json --threshold 0.25
@@ -54,6 +56,13 @@ def compare(baseline: dict, candidate: dict,
             failures.append(f"{label}: results changed (digest "
                             f"{base['digest'][:12]} -> "
                             f"{cand['digest'][:12]})")
+        if base["digest"] == cand["digest"] and "pops" in base \
+                and "pops" in cand:
+            base_pops = sum(base["pops"].values())
+            cand_pops = sum(cand["pops"].values())
+            if cand_pops > base_pops:
+                failures.append(f"{label}: event pops rose for the same "
+                                f"results ({base_pops} -> {cand_pops})")
         base_s, cand_s = base["seconds"], cand["seconds"]
         if base_s > 0 and cand_s > base_s * (1 + threshold):
             ratio = cand_s / base_s - 1
@@ -77,7 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="benchmarks/compare.py",
         description="Diff two BENCH_engine*.json summaries; exit 1 on "
-                    "changed results or a >threshold speed regression.")
+                    "changed results, more event pops for the same "
+                    "results or a >threshold speed regression.")
     parser.add_argument("baseline", type=pathlib.Path,
                         help="committed baseline summary")
     parser.add_argument("candidate", type=pathlib.Path,

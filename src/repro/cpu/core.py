@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..config import SystemConfig
+from ..mc.request import MemRequest
 from .trace import TraceItem
 
 #: Accesses pulled per ``TraceGenerator.next_block`` refill. Per-core RNG
@@ -52,6 +53,13 @@ class Core:
     ROB-stall and completion rules live in ``System._drive_core`` and
     ``System._complete``); the core owns its trace, which it stages one
     access at a time with :meth:`pull`.
+
+    The miss window ``_order`` holds the core's unretired reads, as
+    :class:`~repro.mc.request.MemRequest` objects, oldest first. A read
+    leaves it lazily: the next time the core is driven, every read at
+    the head whose return stamp lies before the driving event retires.
+    The core gets a completion event only for the read it is stalled on
+    (``_waiting_on``) and, once ``draining``, for every read still out.
     """
 
     def __init__(self, core_id: int, trace: Iterator[TraceItem],
@@ -68,13 +76,20 @@ class Core:
 
         self.inst_index = 0  # instructions dispatched so far
         self.dispatch_ps = 0.0  # time the dispatch cursor has reached
-        #: outstanding misses: request_id -> instruction index
-        self.outstanding: dict[int, int] = {}
-        self._order: collections.deque[tuple[int, int]] = collections.deque()
+        #: unretired reads, oldest first
+        self._order: collections.deque[MemRequest] = collections.deque()
         #: the staged access as a raw ``(gap, address, is_write)`` tuple
         self._next_item: tuple[int, int, bool] | None = None
         self._exhausted = False
-        self._waiting_on: int | None = None
+        #: return time -> the first read stamped to return then. An
+        #: entry for a time still ahead is a read not yet returned; a
+        #: wake due at that time defers to it (see System._drive_core).
+        self._returning: dict[int, MemRequest] = {}
+        #: the read a ROB stall waits on
+        self._waiting_on: MemRequest | None = None
+        #: set once the core can issue nothing more (budget spent or
+        #: trace exhausted) and only waits for its reads to return
+        self.draining = False
         self._resume_floor = 0.0
         self._last_completion = 0.0
         #: set by the system once the core has nothing left to do
@@ -110,10 +125,16 @@ class Core:
         item = self._next_item = (nxt.gap, nxt.address, nxt.is_write)
         return item
 
-    def track(self, request_id: int) -> None:
-        """Hold a read in the miss window until it completes."""
-        self.outstanding[request_id] = self.inst_index
-        self._order.append((request_id, self.inst_index))
+    def stamp(self, request: MemRequest, ret: int, rseq: int) -> bool:
+        """Stamp ``request``'s return at ``ret`` with sequence number
+        ``rseq``; True when the core needs the completion event: it is
+        stalled on this read or draining."""
+        request.ret = ret
+        request.rseq = rseq
+        if ret > self._last_completion:
+            self._last_completion = ret
+        self._returning.setdefault(ret, request)
+        return self._waiting_on is request or self.draining
 
     def finalize(self) -> CoreStats:
         budget_left = max(self.instruction_limit - self.inst_index, 0)

@@ -115,7 +115,6 @@ class MemoryController:
         # the service path pushes straight onto the heap
         self._heap = events.heap
         self._seq = events.seq
-        self._owners = events.owners
         self._return_ps = events.return_ps
         self.page_policy = page_policy or OpenPagePolicy()
         #: OpenPagePolicy's post-column hook is a pure no-op (keep_open
@@ -147,6 +146,8 @@ class MemoryController:
         #: REFsb commands issued so far (same-bank mode cadence anchor)
         self._refsb_count = 0
         self._alert_in_flight = False
+        #: the ACT and PRE sites test this before calling _check_alert
+        self._alert_requested = policy.alert_requested
         #: RFM pop time of the in-flight ALERT episode (commit horizon)
         self._alert_deadline: int | None = None
         pair = policy.timing_pair()
@@ -219,9 +220,15 @@ class MemoryController:
             stats.writes += 1
         else:
             stats.reads += 1
-        self.queues[request.bank].append(request)
-        arrival = request.arrival_ps
-        self._kick(request.bank, now if now >= arrival else arrival)
+        bank_index = request.bank
+        self.queues[bank_index].append(request)
+        scheduled = self._bank_scheduled
+        if not scheduled[bank_index]:
+            scheduled[bank_index] = True
+            arrival = request.arrival_ps
+            heapq.heappush(self._heap, (now if now >= arrival else arrival,
+                                        next(self._seq), OP_SERVICE, self,
+                                        bank_index))
 
     def pending(self) -> int:
         return sum(len(q) for q in self.queues)
@@ -406,7 +413,8 @@ class MemoryController:
                     tracer.record(t_act, "ACT", self.subchannel,
                                   bank_index, row, act_cause,
                                   cu=decision.counter_update)
-                self._check_alert(t_act)
+                if not self._alert_in_flight and self._alert_requested():
+                    self._check_alert(t_act)
                 # blocked_until <= t_act <= ready_col, so the column's
                 # earliest time is ready_col.
                 t_col = eff_now
@@ -451,12 +459,16 @@ class MemoryController:
             hist.counts[bisect_left(hist.bounds, latency)] += 1
             hist.count += 1
             hist.total += latency
-            # wake the core waiting on this read, if any
-            request_id = request.request_id
-            owner = self._owners.pop(request_id, None)
+            # Stamp a core's read with its return. The sequence number
+            # is drawn whether or not the completion is pushed, so the
+            # stamp orders against the heap like the event would; only
+            # a core stalled on this read, or draining, gets the event.
+            owner = request.owner
             if owner is not None:
-                heappush(heap, (done + self._return_ps, next(seq),
-                                OP_COMPLETE, owner, request_id))
+                ret = done + self._return_ps
+                rseq = next(seq)
+                if owner.stamp(request, ret, rseq):
+                    heappush(heap, (ret, rseq, OP_COMPLETE, owner, request))
             if not self._page_noop:
                 self._after_column(bank_index, t_col)
             if queue and not scheduled[bank_index]:
@@ -472,9 +484,8 @@ class MemoryController:
                     # and its pop. A tie (heap[0][0] == t_next) must go
                     # through the heap: the pending event has the smaller
                     # seq and pops first.
-                    gap = t_next - now
-                    if gap >= FASTFORWARD_MIN_GAP_PS:
-                        self.events.fastforward_ps += gap
+                    if t_next - now >= FASTFORWARD_MIN_GAP_PS:
+                        self.events.jump(now, t_next)
                     now = t_next
                     continue
                 scheduled[bank_index] = True
@@ -590,7 +601,8 @@ class MemoryController:
         self.policy.on_precharge(bank_index, row, when, counter_update)
         self.policy.note_row_open(bank_index, row, when - open_since)
         self.episodes[bank_index] = None
-        self._check_alert(when)
+        if not self._alert_in_flight and self._alert_requested():
+            self._check_alert(when)
 
     def _force_close(self, bank_index: int, now: int) -> int:
         """Close an open row for a refresh; returns the PRE date."""

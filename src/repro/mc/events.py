@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable
+from typing import Callable, Iterable
 
 # Event opcodes, ordered roughly by frequency for the dispatch switch.
 OP_SERVICE = 0   # (controller, bank_index)
-OP_COMPLETE = 1  # (core, request_id)
+OP_COMPLETE = 1  # (core, request): the read whose data returns
 OP_DRIVE = 2     # (core, 0)
 OP_TIMEOUT = 3   # (controller, (bank_index, access_stamp))
 OP_REF = 4       # (controller, 0)
@@ -32,24 +32,53 @@ OP_RFM = 6       # (controller, 0)
 #: *simulated* idle time crossed in one hop, not wall time.
 FASTFORWARD_MIN_GAP_PS = 100_000
 
+#: opcode names, indexed by opcode (the pop census keys)
+OP_NAMES = ("service", "complete", "drive", "timeout", "ref", "refsb",
+            "rfm")
+
 
 class EventLoop:
-    """One simulation's event heap plus the request-return bookkeeping.
+    """One simulation's event heap plus its clock accounting.
 
-    ``owners`` maps the id of every read a core waits on to that core;
-    a controller that finishes such a read pushes the core's completion
-    event ``return_ps`` after the data burst. Requests nobody waits on
-    (writebacks, a standalone controller's traffic) just complete.
+    ``return_ps`` is how long a read's data takes from the end of its
+    burst to the core. ``pops`` counts the events popped per opcode; it
+    is a census of the loop's work, not a simulation result, so no
+    stats snapshot includes it.
     """
 
     def __init__(self, return_ps: int = 0):
         self.heap: list[tuple] = []
         self.seq = itertools.count()
-        self.owners: dict = {}
         self.return_ps = return_ps
         #: simulated idle time crossed in jumps of at least
         #: FASTFORWARD_MIN_GAP_PS, by the loop or an inlined service chain
         self.fastforward_ps = 0
+        self.pops = [0] * len(OP_NAMES)
+        #: ``(start, end) -> times``: the return times strictly inside
+        #: ``(start, end)`` of reads whose completion was never pushed.
+        #: A pushed completion would have split the jump there, so
+        #: :meth:`jump` splits it the same way.
+        self.returns_within: (Callable[[int, int], Iterable[int]]
+                              | None) = None
+
+    def jump(self, start: int, end: int) -> None:
+        """Count the clock jump ``start -> end`` as fast-forwarded time.
+
+        Only jumps of at least FASTFORWARD_MIN_GAP_PS count; callers
+        skip shorter ones, whose pieces could not count either.
+        """
+        cut = start
+        if self.returns_within is not None:
+            for time_ps in sorted(self.returns_within(start, end)):
+                if time_ps - cut >= FASTFORWARD_MIN_GAP_PS:
+                    self.fastforward_ps += time_ps - cut
+                cut = time_ps
+        if end - cut >= FASTFORWARD_MIN_GAP_PS:
+            self.fastforward_ps += end - cut
+
+    def census(self) -> dict[str, int]:
+        """Events popped so far, by opcode name."""
+        return dict(zip(OP_NAMES, self.pops))
 
     def push(self, when: int, op: int, target, arg) -> None:
         heapq.heappush(self.heap, (int(when), next(self.seq), op, target,
@@ -76,6 +105,7 @@ class EventLoop:
                 break
             _, _, op, controller, arg = heapq.heappop(heap)
             count += 1
+            self.pops[op] += 1
             if op == OP_SERVICE:
                 controller.service(arg, time_ps)
             else:

@@ -1,7 +1,7 @@
 """Full-system simulator: cores -> (LLC) -> address mapper -> controllers.
 
-The :class:`System` owns a global event heap (time-ordered callbacks) and
-wires together:
+The :class:`System` owns a global event heap (time-ordered opcode
+events) and wires together:
 
 * one :class:`~repro.cpu.core.Core` per trace,
 * optionally the shared LLC (by default the calibrated workloads generate
@@ -31,7 +31,7 @@ from ..mc.controller import MCStats, MemoryController
 from ..mc.events import (FASTFORWARD_MIN_GAP_PS, OP_COMPLETE, OP_DRIVE,
                          OP_SERVICE, EventLoop)
 from ..mc.pagepolicy import make_page_policy
-from ..mc.request import MemRequest, next_request_id
+from ..mc.request import UNSTAMPED, MemRequest
 from ..mitigations.base import MitigationPolicy
 from ..obs.registry import StatsRegistry
 from ..obs.tracer import EventTracer
@@ -54,6 +54,9 @@ class SystemResult:
     stats: dict[str, float] = field(default_factory=dict)
     #: wall-time phase breakdown of the run that produced this result
     phases: dict[str, float] = field(default_factory=dict)
+    #: events the run's loop popped, by opcode name: a census of the
+    #: engine's work, outside ``stats`` and not cached
+    census: dict[str, int] = field(default_factory=dict)
 
     @property
     def ipcs(self) -> list[float]:
@@ -216,10 +219,16 @@ class System:
     """One simulation instance.
 
     The event loop is an opcode heap (:class:`~repro.mc.events.EventLoop`)
-    shared with the controllers. Core doneness is monotone (traces only
-    advance, outstanding sets only drain), so the loop keeps a count of
-    active cores, updated at the only events that can change it, and
-    stops the moment it reaches zero.
+    shared with the controllers. A core gets an event only when it needs
+    one: a wake (OP_DRIVE) when its next access falls due, and a
+    completion (OP_COMPLETE) for the read it is stalled on or, once
+    draining, for each read still out. Every other read returns through
+    the stamp the controller stores on it and retires lazily, in the
+    order its completion event would have popped (see
+    :meth:`_drive_core`). Core doneness is monotone (traces only advance,
+    miss windows only drain), so the loop keeps a count of active cores,
+    updated at the only events that can change it, and stops the moment
+    it reaches zero.
     """
 
     def __init__(self, config: SystemConfig,
@@ -241,6 +250,7 @@ class System:
         # a request reaches its controller llc_hit_ps after issue, and
         # its data reaches the core llc_hit_ps after the burst
         self.events = EventLoop(return_ps=config.llc_hit_ps)
+        self.events.returns_within = self._returns_within
         self.policies = [policy_factory(i)
                          for i in range(config.dram.subchannels)]
         self.controllers = [
@@ -316,124 +326,146 @@ class System:
     # ------------------------------------------------------------------
     # Core driving
     # ------------------------------------------------------------------
-    def _drive_core(self, core: Core, now: int) -> bool:
-        """Issue ``core``'s accesses as far as ``now`` allows.
+    def _drive_core(self, core: Core, now: int, seq: int) -> bool:
+        """Issue ``core``'s accesses as far as the event ``(now, seq)``
+        allows.
 
-        An access issues ``gap`` instructions after the previous one
-        (4-wide dispatch), but never before the core resumes from a ROB
-        stall; the core stalls when the next access would sit a full
-        miss window past its oldest outstanding read. Returns True when
-        the core is *done* on exit (trace exhausted or budget spent,
-        with nothing outstanding).
+        First every read at the head of the miss window whose return
+        stamp is at or before ``(now, seq)`` retires: its completion
+        event would already have popped. An access then issues ``gap``
+        instructions after the previous one (4-wide dispatch), but never
+        before the core resumes from a ROB stall; the core stalls when
+        the next access would sit a full miss window past its oldest
+        unretired read. Returns True when the core is *done* on exit
+        (trace exhausted or budget spent, with every read returned).
         """
+        order = core._order
+        returning = core._returning
+        while order:
+            head = order[0]
+            ret = head.ret
+            if ret > now or (ret == now and head.rseq > seq):
+                break
+            order.popleft()
+            returning.pop(ret, None)
+        seqs = self.events.seq
         heap = self.events.heap
-        seq = self.events.seq
         limit = core.instruction_limit
         rob = core.rob
         pspi = core.pspi
+        llc = self.llc
         while True:
             item = core._next_item
             if item is None:
                 item = core.pull()
                 if item is None:
-                    return not core.outstanding
+                    return self._drain(core, now, seq)
             gap = item[0]
             advance = gap + 1
             inst_index = core.inst_index
             if limit - inst_index < advance:
                 # finish: budget cannot cover the next access
-                return not core.outstanding
-            order = core._order
+                return self._drain(core, now, seq)
             if order:
-                oldest_id, oldest_index = order[0]
-                if inst_index + advance - oldest_index >= rob:
-                    core._waiting_on = oldest_id
+                oldest = order[0]
+                if inst_index + advance - oldest.index >= rob:
+                    # stall; a stamped read gets its completion now, an
+                    # unstamped one from the controller at its column
+                    core._waiting_on = oldest
+                    if oldest.ret != UNSTAMPED:
+                        heapq.heappush(heap, (oldest.ret, oldest.rseq,
+                                              OP_COMPLETE, core, oldest))
                     return False
             issue_f = core.dispatch_ps + gap * pspi
             if issue_f < core._resume_floor:
                 issue_f = core._resume_floor
             issue = int(issue_f)
             if issue > now:
-                heapq.heappush(heap, (issue, next(seq), OP_DRIVE, core, 0))
+                # A read returning at ``issue``, stamped before this wake,
+                # would as an event pop first and issue the access: the
+                # wake takes that read's stamp.
+                first = returning.get(issue)
+                heapq.heappush(heap, (issue, next(seqs) if first is None
+                                      else first.rseq, OP_DRIVE, core, 0))
                 return False
             core._next_item = None
             core.inst_index = inst_index = inst_index + advance
             core.dispatch_ps = float(issue)
-            core.stats.instructions = inst_index
             core.stats.requests += 1
-            self._dispatch(core, item, issue)
 
-    def _dispatch(self, core: Core, item: tuple, issue: int) -> None:
-        """Send one access through the LLC (if any) to its controller."""
-        is_write = item[2]
-        if self.llc is not None and self.llc.access(item[1], is_write):
-            # LLC hit: no DRAM traffic, but the data still returns only
-            # after the LLC lookup latency. Reads occupy the core's miss
-            # window until then, and the completion wakes a core that
-            # filled its ROB on cache-resident data.
-            if not is_write:
-                request_id = next_request_id()
-                core.track(request_id)
-                self.events.push(issue + self._llc_ps, OP_COMPLETE, core,
-                                 request_id)
-            return
-        arrival = issue + self._llc_ps
-        line_index = (item[1] // self._line_bytes) % self._total_lines
-        entry = self._line_memo.get(line_index)
-        if entry is None:
-            sub, bank, row = self.mapper.map_line_raw(line_index)
-            entry = self._line_memo[line_index] = (
-                self.controllers[sub], bank, row)
-        mc, bank_index, row = entry
-        request = MemRequest(core.core_id, mc.subchannel, bank_index, row,
-                             arrival, is_write)
-        if not is_write:
-            # Writes are dirty-line writebacks: they consume DRAM
-            # bandwidth but never block retirement.
-            core.track(request.request_id)
-            self.events.owners[request.request_id] = core
-        mc.enqueue(request, arrival)
+            # Send the access through the LLC (if any) to its controller.
+            is_write = item[2]
+            if llc is not None and llc.access(item[1], is_write):
+                # LLC hit: no DRAM traffic, but a read's data still
+                # returns only after the lookup latency, and the read
+                # holds the miss window until then. The core is neither
+                # stalled on it nor draining, so it gets no event yet.
+                if not is_write:
+                    request = MemRequest(core.core_id, -1, -1, -1, issue,
+                                         False, core, inst_index)
+                    core.stamp(request, issue + self._llc_ps, next(seqs))
+                    order.append(request)
+                continue
+            arrival = issue + self._llc_ps
+            line_index = (item[1] // self._line_bytes) % self._total_lines
+            entry = self._line_memo.get(line_index)
+            if entry is None:
+                sub, bank_index, row = self.mapper.map_line_raw(line_index)
+                entry = self._line_memo[line_index] = (
+                    self.controllers[sub], bank_index, row)
+            mc, bank_index, row = entry
+            if is_write:
+                # Writes are dirty-line writebacks: they consume DRAM
+                # bandwidth but never block retirement.
+                request = MemRequest(core.core_id, mc.subchannel,
+                                     bank_index, row, arrival, True)
+            else:
+                request = MemRequest(core.core_id, mc.subchannel,
+                                     bank_index, row, arrival, False, core,
+                                     inst_index)
+                order.append(request)
+            mc.enqueue(request, arrival)
 
-    def _complete(self, core: Core, request_id: int, now: int) -> bool:
-        """A read returned to ``core``; returns True if the core is done.
+    def _drain(self, core: Core, now: int, seq: int) -> bool:
+        """``core`` can issue nothing more; True once every read returned.
 
-        A core stalled on this read resumes and drives on. For any other
-        core the drive can only act when its next access is issueable at
-        this exact instant (the completion tied with the core's own
-        pending wake and popped first), or when the read was the one the
-        ROB was waiting past; otherwise the core's pending wake already
-        covers its next issue, and driving would only push a duplicate.
+        On entering the drain, each read still out past ``(now, seq)``
+        gets its completion event, so the core sees its last return;
+        reads stamped later get theirs from the controller.
         """
-        outstanding = core.outstanding
-        outstanding.pop(request_id, None)
         order = core._order
-        while order and order[0][0] not in outstanding:
-            order.popleft()
-        if now > core._last_completion:
-            core._last_completion = float(now)
-        if request_id == core._waiting_on:
+        if not order:
+            return True
+        if not core.draining:
+            core.draining = True
+            heap = self.events.heap
+            for request in order:
+                ret = request.ret
+                if ret != UNSTAMPED and (
+                        ret > now or (ret == now and request.rseq > seq)):
+                    heapq.heappush(heap, (ret, request.rseq, OP_COMPLETE,
+                                          core, request))
+        return False
+
+    def _complete(self, core: Core, request: MemRequest, now: int,
+                  seq: int) -> bool:
+        """``request`` returned to ``core``, which is stalled on it or
+        draining; returns True if the core is done."""
+        if not core.draining:
+            # the stall ends: nothing issues before the data is back
             if now > core._resume_floor:
                 core._resume_floor = float(now)
             core._waiting_on = None
-            return self._drive_core(core, now)
-        item = core._next_item
-        if item is None:
-            item = core.pull()
-            if item is None:  # trace exhausted
-                return not outstanding
-        gap = item[0]
-        advance = gap + 1
-        inst_index = core.inst_index
-        if core.instruction_limit - inst_index < advance:  # budget spent
-            return not outstanding
-        if order and inst_index + advance - order[0][1] >= core.rob:
-            return self._drive_core(core, now)
-        issue_f = core.dispatch_ps + gap * core.pspi
-        if issue_f < core._resume_floor:
-            issue_f = core._resume_floor
-        if int(issue_f) <= now:
-            return self._drive_core(core, now)
-        return False
+        return self._drive_core(core, now, seq)
+
+    def _returns_within(self, start: int, end: int) -> list[int]:
+        """Return times of stamped reads strictly inside ``(start, end)``.
+
+        These are the returns whose completion was never pushed: a
+        pushed completion pops at its time, so no jump crosses it.
+        """
+        return [request.ret for core in self.cores
+                for request in core._order if start < request.ret < end]
 
     # ------------------------------------------------------------------
     def run(self) -> SystemResult:
@@ -441,35 +473,45 @@ class System:
             mc.start()
         active = 0
         for core in self.cores:
-            core.done = self._drive_core(core, 0)
+            # below every stamp: nothing has returned yet
+            core.done = self._drive_core(core, 0, -1)
             if not core.done:
                 active += 1
         events = self.events
         heap = events.heap
+        pops = events.pops
         heappop = heapq.heappop
         drive = self._drive_core
         complete = self._complete
         now = 0
         min_gap = FASTFORWARD_MIN_GAP_PS
+        services = drives = completions = 0
         while heap and active:
-            time_ps, _, op, target, arg = heappop(heap)
+            time_ps, seq, op, target, arg = heappop(heap)
             if time_ps - now >= min_gap:
-                events.fastforward_ps += time_ps - now
+                events.jump(now, time_ps)
             now = time_ps
             if op == OP_SERVICE:
+                services += 1
                 # an inlined service chain advances the clock
                 now = target.service(arg, time_ps)
                 continue
-            if op == OP_COMPLETE:
-                done = complete(target, arg, time_ps)
-            elif op == OP_DRIVE:
-                done = drive(target, time_ps)
+            if op == OP_DRIVE:
+                drives += 1
+                done = drive(target, time_ps, seq)
+            elif op == OP_COMPLETE:
+                completions += 1
+                done = complete(target, arg, time_ps, seq)
             else:
+                pops[op] += 1
                 target.maintain(op, arg, time_ps)
                 continue
             if done and not target.done:
                 target.done = True
                 active -= 1
+        pops[OP_SERVICE] += services
+        pops[OP_DRIVE] += drives
+        pops[OP_COMPLETE] += completions
         return self._finalize()
 
     def _finalize(self) -> SystemResult:
@@ -498,4 +540,5 @@ class System:
             elapsed_ps=elapsed,
             row_activity=activity,
             stats=self.registry.snapshot(),
+            census=self.events.census(),
         )

@@ -5,7 +5,8 @@ import pytest
 from repro.config import DRAMConfig
 from repro.dram.timing import ddr5_base
 from repro.mc.controller import MemoryController
-from repro.mc.events import OP_COMPLETE, OP_REF, EventLoop
+from repro.mc.events import (FASTFORWARD_MIN_GAP_PS, OP_COMPLETE, OP_REF,
+                             EventLoop)
 from repro.mitigations.prac import BaselinePolicy
 from repro.obs.tracer import EventTracer
 
@@ -65,3 +66,29 @@ class TestRun:
         events, mc, _ = refreshing_controller()
         with pytest.raises(ValueError, match="not a controller event"):
             mc.maintain(OP_COMPLETE, 0, 0)
+
+
+class TestCensus:
+    def test_pops_are_counted_by_opcode(self):
+        events, mc, _ = refreshing_controller()
+        events.run(max_events=3)
+        census = events.census()
+        assert census["ref"] == 3
+        assert sum(census.values()) == 3
+
+
+class TestJump:
+    GAP = FASTFORWARD_MIN_GAP_PS
+
+    def test_whole_jump_without_returns(self):
+        events = EventLoop()
+        events.jump(0, 3 * self.GAP)
+        assert events.fastforward_ps == 3 * self.GAP
+
+    def test_returns_inside_split_the_jump(self):
+        # pieces 0.5, 1.5 and 1.0 gaps: the short first one drops out
+        events = EventLoop()
+        events.returns_within = lambda start, end: [2 * self.GAP,
+                                                    self.GAP // 2]
+        events.jump(0, 3 * self.GAP)
+        assert events.fastforward_ps == 2 * self.GAP + self.GAP // 2

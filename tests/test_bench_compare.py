@@ -13,13 +13,18 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 from compare import compare  # noqa: E402  (path set up above)
 
 
-def summary(seconds=0.10, digest="d1", workload="mix1"):
-    return {
-        "rows": [{"workload": workload, "design": "mopac-c",
-                  "instructions": 40_000, "seconds": seconds,
-                  "requests": 1000, "digest": digest}],
-        "total_s": seconds,
-    }
+def summary(seconds=0.10, digest="d1", workload="mix1", pops=None):
+    row = {"workload": workload, "design": "mopac-c",
+           "instructions": 40_000, "seconds": seconds,
+           "requests": 1000, "digest": digest}
+    if pops is not None:
+        row["pops"] = pops
+    return {"rows": [row], "total_s": seconds}
+
+
+def census(service=1000, complete=200, drive=800):
+    return {"service": service, "complete": complete, "drive": drive,
+            "timeout": 0, "ref": 3, "refsb": 0, "rfm": 0}
 
 
 class TestCompare:
@@ -50,6 +55,35 @@ class TestCompare:
                               threshold=0.10)
         assert any("results changed" in f for f in failures)
 
+    def test_more_pops_for_same_results_fail(self):
+        failures, _ = compare(summary(pops=census()),
+                              summary(seconds=0.01,
+                                      pops=census(complete=201)),
+                              threshold=0.10)
+        assert failures == ["mix1/mopac-c: event pops rose for the same "
+                            "results (2003 -> 2004)"]
+
+    def test_fewer_or_moved_pops_pass(self):
+        # the gate is on the total: pops may move between opcodes
+        failures, _ = compare(summary(pops=census()),
+                              summary(pops=census(complete=100,
+                                                  drive=850)),
+                              threshold=0.10)
+        assert failures == []
+
+    def test_pops_of_changed_results_are_not_compared(self):
+        failures, _ = compare(summary(digest="d1", pops=census()),
+                              summary(digest="d2",
+                                      pops=census(service=5000)),
+                              threshold=0.10)
+        assert len(failures) == 1
+        assert "results changed" in failures[0]
+
+    def test_rows_without_census_skip_the_pop_gate(self):
+        failures, _ = compare(summary(), summary(pops=census()),
+                              threshold=0.10)
+        assert failures == []
+
     def test_disjoint_rows_noted_not_failed(self):
         failures, notes = compare(summary(workload="mix1"),
                                   summary(workload="mcf"),
@@ -74,6 +108,12 @@ class TestCommandLine:
         proc = self.run(tmp_path, summary(), summary())
         assert proc.returncode == 0, proc.stderr
         assert "OK" in proc.stdout
+
+    def test_pop_regression_exits_one(self, tmp_path):
+        proc = self.run(tmp_path, summary(pops=census()),
+                        summary(pops=census(drive=900)))
+        assert proc.returncode == 1
+        assert "event pops rose" in proc.stdout
 
     def test_regression_exits_one(self, tmp_path):
         proc = self.run(tmp_path, summary(0.10), summary(0.50))
