@@ -12,8 +12,8 @@ Three pillars (see docs/verification.md):
   MC scheduler and page policies with randomized request streams and
   shrinks any oracle violation by trace-prefix bisection.
 
-``python -m repro.check.selfcheck`` runs all three (wired into
-``make check``).
+``tests/check`` runs all three, plus the seed corpora and the golden
+fingerprints, as part of the tier-1 suite.
 """
 
 from .oracle import (ConformanceOracle, OracleConfig, Violation,

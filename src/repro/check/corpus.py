@@ -1,8 +1,8 @@
-"""Per-mitigation fuzz seed corpora: curated cases replayed in CI.
+"""Per-mitigation fuzz seed corpora: curated cases the tier-1 suite replays.
 
 A corpus entry pins one fuzzer case — ``(master_seed, index)`` plus the
 expected design and event-kind census — chosen because it exercises a
-path the plain smoke run may miss (ALERT/RFM recovery for the exact
+path the plain fuzz campaign may miss (ALERT/RFM recovery for the exact
 designs, bank-scoped RFMs for PRACtical, SRQ pressure for MoPAC-D,
 proactive-service storms for QPRAC). Replay re-derives the case from its
 seeds, re-runs the controller, re-verifies the trace with the
@@ -23,17 +23,13 @@ from __future__ import annotations
 
 import collections
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .fuzz import build_case, run_case
 
 #: kinds pinned in the census (order matches the JSON files)
 CENSUS_KINDS = ("ACT", "PRE", "RD", "WR", "REF", "RFM", "ALERT", "MITIGATE")
-
-#: repo-relative default corpus location (wired into ``make check``)
-DEFAULT_ROOT = Path("tests/check/seeds")
-
 
 @dataclass(frozen=True)
 class CorpusCase:
@@ -50,26 +46,6 @@ class CorpusCase:
         return f"{self.design}/case-{self.index}"
 
 
-@dataclass
-class CorpusReport:
-    cases_run: int = 0
-    events_checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    skipped: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def describe(self) -> str:
-        if self.skipped:
-            return "corpus: no seed corpus found (skipped)"
-        head = (f"corpus: {self.cases_run} case(s), "
-                f"{self.events_checked} events "
-                + ("OK" if self.ok else f"{len(self.failures)} FAILURES"))
-        return "\n".join([head] + ["  " + f for f in self.failures])
-
-
 def census(events) -> dict[str, int]:
     """Event-kind counts of a trace, restricted to the pinned kinds."""
     counts = collections.Counter(e.kind for e in events)
@@ -78,7 +54,7 @@ def census(events) -> dict[str, int]:
     return out
 
 
-def load_corpus(root: Path | str = DEFAULT_ROOT) -> list[CorpusCase]:
+def load_corpus(root: Path | str) -> list[CorpusCase]:
     """Load every corpus case under ``root``, sorted by (design, index)."""
     root = Path(root)
     cases: list[CorpusCase] = []
@@ -119,18 +95,3 @@ def replay_corpus_case(entry: CorpusCase) -> tuple[int, list[str]]:
                 if entry.expect.get(k) != got.get(k)}
         failures.append(f"{entry.label}: census drift {diff}")
     return len(events), failures
-
-
-def run_corpus(root: Path | str = DEFAULT_ROOT) -> CorpusReport:
-    """Replay the whole corpus; missing corpus directories skip cleanly."""
-    report = CorpusReport()
-    root = Path(root)
-    if not root.is_dir():
-        report.skipped = True
-        return report
-    for entry in load_corpus(root):
-        checked, failures = replay_corpus_case(entry)
-        report.cases_run += 1
-        report.events_checked += checked
-        report.failures.extend(failures)
-    return report

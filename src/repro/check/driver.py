@@ -4,7 +4,7 @@
 with tracing enabled and replays the captured command stream through a
 :class:`~repro.check.oracle.ConformanceOracle` configured from the same
 policy parameters (but none of the simulator's timing machinery). This
-is the primitive behind ``python -m repro.check.selfcheck`` and the
+is the primitive behind ``tests/check/test_oracle.py`` and the
 ``repro.tools.campaign verify`` subcommand.
 """
 

@@ -56,7 +56,7 @@ SMALL = dict(rows_per_bank=128, refresh_scale=1 / 256)
 _DESIGN_POINT = dict(workload="hammer", trh=100, instructions=60_000,
                      **SMALL)
 
-#: fuzz master seed of ``make check``'s smoke run
+#: fuzz master seed of ``tests/check/test_fuzz.py``'s campaign
 FUZZ_SEED = 0xC4EC
 FUZZ_CASES = 6
 

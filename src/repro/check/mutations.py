@@ -3,7 +3,7 @@
 A verification oracle that never fires is indistinguishable from one
 that checks nothing, so each mutation below takes a *legal* traced
 stream, breaks exactly one protocol rule, and returns the mutated
-stream; the selfcheck (and ``tests/check``) assert the oracle flags it.
+stream; ``tests/check/test_oracle.py`` asserts the oracle flags it.
 
 * :func:`drop_pre` — remove a PRE whose bank is re-activated later:
   the next ACT lands on an open bank (open-row exclusivity);

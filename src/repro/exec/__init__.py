@@ -13,8 +13,8 @@ Public surface:
   store underneath (``REPRO_CACHE_DIR``),
 * :mod:`repro.exec.serialize` — the JSON schema cached results use.
 
-``python -m repro.exec.smoke`` runs the end-to-end self-check (inline
-vs pool equivalence, warm-cache rerun with zero simulations).
+``tests/exec/test_engine.py`` pins its contracts: inline == pool,
+and a warm-cache rerun simulates nothing.
 """
 
 from .cache import (CACHE_DIR_ENV, CACHE_SALT, CacheCounters, ResultCache,

@@ -9,7 +9,8 @@ structurally for every ``register(MitigationSpec(name=...))`` entry:
   parametrizes over ``registry.names()``/``registry.specs()`` (full
   coverage by construction) or names the design literally;
 * **seed corpus** — a replay directory exists under
-  ``tests/check/seeds/<name>/`` (``make check`` replays it);
+  ``tests/check/seeds/<name>/`` (``tests/check/test_corpus.py``
+  replays it);
 * **docs row** — ``docs/mitigations.md`` mentions the design.
 
 It also reports the reverse drift: a seed-corpus directory for a

@@ -8,12 +8,12 @@ so builtin ``hash`` values — and any iteration order derived from them
 — differ across the workers a parallel sweep forks).
 
 Scope is every repro module except :mod:`repro.obs` — the telemetry
-layer is *defined* to be wall-clock (spans, phase profiler, sampled
-series) and proven zero-perturbation by ``repro.obs.selfcheck``
-instead — and :mod:`repro.lint` itself. Host-facing code with
-legitimate clock use (serve deadlines, engine wall-time metrics)
-carries reasoned ``# repro: allow(determinism)`` waivers asserting the
-value never reaches a result payload or cache key;
+layer is *defined* to be wall-clock (spans, sampled series) and proven
+zero-perturbation by ``tests/obs/test_integration.py`` instead — and
+:mod:`repro.lint` itself. Host-facing code with legitimate clock use
+(serve deadlines, engine wall-time metrics) carries reasoned
+``# repro: allow(determinism)`` waivers asserting the value never
+reaches a result payload or cache key;
 ``tests/serve/test_clock_independence.py`` backs those words with a
 regression test.
 """

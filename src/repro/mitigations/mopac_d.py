@@ -153,6 +153,8 @@ class MoPACDPolicy(MitigationPolicy):
             raise ValueError("srq_size must be at least the ABO drain count")
         if chips < 1:
             raise ValueError("chips must be >= 1")
+        if drain_on_ref is not None and drain_on_ref < 0:
+            raise ValueError("drain_on_ref must be >= 0")
         self.trh = trh
         self.nup = nup
         if params is None:

@@ -1,4 +1,4 @@
-"""Unified observability layer: stats registry, tracer, profiler, logging.
+"""Unified observability layer: stats registry, tracers, logging.
 
 ``repro.obs`` is the one place the rest of the stack reports into:
 
@@ -9,8 +9,6 @@
 * :class:`~repro.obs.tracer.EventTracer` — opt-in bounded ring buffer
   of ACT/PRE/REF/RFM/ALERT/DRAIN/MITIGATE events, exportable as JSONL
   and Chrome trace-event JSON (open it in Perfetto);
-* :class:`~repro.obs.profiler.PhaseProfiler` — context-manager wall
-  timers whose breakdown travels with results and campaign output;
 * :mod:`repro.obs.log` — stdlib logging under the ``repro`` namespace
   with a ``REPRO_LOG`` level knob.
 
@@ -23,7 +21,6 @@ perturbs simulation behaviour or RNG streams.
 from .exposition import parse_prometheus, to_prometheus
 from .log import configure as configure_logging
 from .log import get_logger
-from .profiler import PhaseProfiler
 from .registry import Counter, Gauge, Histogram, StatsRegistry
 from .spans import Span, SpanTracer, current_span, current_tracer
 from .spans import install as install_spans
@@ -37,7 +34,6 @@ __all__ = [
     "EventTracer",
     "Gauge",
     "Histogram",
-    "PhaseProfiler",
     "Series",
     "SeriesBoard",
     "Span",

@@ -9,8 +9,7 @@ counter semantics at the snapshot level, and scrapers can apply
 ``rate()`` regardless.
 
 Also provides :func:`parse_prometheus`, a minimal parser used by the
-tests, the selfcheck's ``/metrics`` scrape step, and
-``python -m repro.obs.top`` — proving the output round-trips through a
+tests and ``python -m repro.obs.top`` — proving the output round-trips through a
 consumer that is not our own serialiser.
 """
 

@@ -20,7 +20,7 @@ Two registration styles coexist:
 
 Snapshot values are ints and floats only; nested dicts flatten with
 ``.`` separators. Keys are emitted sorted, which makes snapshots
-directly comparable across runs (the determinism self-check relies on
+directly comparable across runs (the determinism tests rely on
 this).
 """
 

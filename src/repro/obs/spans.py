@@ -13,8 +13,9 @@ Design rules (mirroring the PR 2 tracer):
   manager unless a :class:`SpanTracer` has been :func:`install`\\ ed in
   the current :mod:`contextvars` context: no clock reads, no
   allocations beyond the context-manager object, and never any RNG, so
-  a spans-off run is bit-identical to one before this module existed
-  (``repro.obs.selfcheck`` proves it);
+  a spans-off run is bit-identical to one before this module existed,
+  and a spans-on run is too (``tests/obs/test_integration.py`` proves
+  it);
 * **deterministic ids** — span ids come from a plain
   ``itertools.count`` private to each tracer, independent of
   :mod:`repro.rng` and of wall time, so the *structure* of a trace

@@ -20,10 +20,9 @@ Public surface:
 * :mod:`repro.serve.protocol` — the HTTP/JSON wire format and the
   ``unix:/path`` / ``host:port`` address syntax.
 
-``python -m repro.serve.smoke`` is the end-to-end self-check: three
-concurrent clients over overlapping sweep points, bit-identical to the
-inline engine, dedup observed, SIGTERM + restart resumes the journaled
-queue. See ``docs/serving.md`` for the API and failure semantics.
+``tests/serve`` pins the service contracts (dedup, restart resume,
+bit-identity with ``campaign run`` on a real daemon). See
+``docs/serving.md`` for the API and failure semantics.
 """
 
 from ..exec.resolver import PointFailed

@@ -2,7 +2,7 @@
 
 Stdlib-only (``http.client`` + a Unix-socket transport); no asyncio on
 the client side. Used by the ``campaign submit/status/fetch``
-subcommands and the serve smoke test, and importable by anything else
+subcommands and the serve tests, and importable by anything else
 that wants to talk to a running daemon::
 
     from repro.serve.client import ServeClient

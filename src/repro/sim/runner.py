@@ -29,6 +29,7 @@ workload.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -38,7 +39,6 @@ from ..mitigations.mopac_c import MoPACCPolicy
 from ..mitigations.mopac_d import MoPACDPolicy
 from ..mitigations.prac import BaselinePolicy, PRACMoatPolicy
 from ..obs.log import get_logger
-from ..obs.profiler import PhaseProfiler
 from ..obs.spans import span
 from ..obs.tracer import EventTracer
 from ..workloads.catalog import workload_cores
@@ -93,6 +93,9 @@ class DesignPoint:
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}; "
                              f"choose from {DESIGNS}")
+        if self.instructions <= 0:
+            raise ValueError(f"instructions must be positive, got "
+                             f"{self.instructions}")
 
     def baseline(self) -> "DesignPoint":
         """The matching baseline point (same everything, no mitigation)."""
@@ -235,28 +238,35 @@ def resolve_engine() -> type[System]:
     return System
 
 
+def _wall_clock() -> float:
+    """Phase-timing clock behind ``result.phases``.
+
+    The phases are wall-time provenance: they travel with a cached
+    result but stay out of its stats digest and its cache key.
+    """
+    # repro: allow(determinism) — phase provenance, never in stats or keys
+    return time.perf_counter()
+
+
 def run_point(point: DesignPoint,
-              tracer: EventTracer | None = None,
-              profiler: PhaseProfiler | None = None) -> SystemResult:
+              tracer: EventTracer | None = None) -> SystemResult:
     """Simulate one design point from scratch (no cache layers).
 
-    ``tracer`` (opt-in) records the run's DRAM command events;
-    ``profiler`` accumulates the tracegen/warmup/sim phase breakdown
-    (one is created per call when omitted). The breakdown is attached
-    to the result as ``result.phases`` either way.
+    ``tracer`` (opt-in) records the run's DRAM command events. The
+    tracegen/warmup/sim wall-time breakdown is attached to the result
+    as ``result.phases``.
     """
-    profiler = profiler or PhaseProfiler()
     log.debug("run_point %s.%s.t%d", point.workload, point.design,
               point.trh)
-    with profiler.phase("tracegen"), span("sim.tracegen",
-                                          workload=point.workload):
+    start = _wall_clock()
+    with span("sim.tracegen", workload=point.workload):
         config = build_config(point)
         specs = workload_cores(point.workload, config.cores)
         windows = [round(config.rob_entries * spec.mlp_boost)
                    for spec in specs]
         traces = build_traces(point, config)
-    with profiler.phase("warmup"), span("sim.warmup",
-                                        design=point.design):
+    built = _wall_clock()
+    with span("sim.warmup", design=point.design):
         system = System(
             config=config,
             policy_factory=make_policy_factory(point, config),
@@ -268,10 +278,12 @@ def run_point(point: DesignPoint,
             refresh_mode=point.refresh_mode,
             tracer=tracer,
         )
-    with profiler.phase("sim"), span("sim.run", workload=point.workload,
-                                     design=point.design, trh=point.trh):
+    warm = _wall_clock()
+    with span("sim.run", workload=point.workload, design=point.design,
+              trh=point.trh):
         result = system.run()
-    result.phases = profiler.snapshot()
+    result.phases = {"tracegen": built - start, "warmup": warm - built,
+                     "sim": _wall_clock() - warm}
     return result
 
 

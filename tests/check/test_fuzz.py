@@ -56,9 +56,9 @@ class TestCaseDerivation:
 
 class TestRunAndReplay:
     def test_small_campaign_is_clean(self):
-        report = run_fuzz(cases=4, master_seed=0xC4EC)
+        report = run_fuzz(cases=12, master_seed=0xC4EC)
         assert report.ok, report.describe()
-        assert report.cases_run == 4
+        assert report.cases_run == 12
         assert report.events_checked > 0
 
     def test_replay_reproduces_the_exact_trace(self):

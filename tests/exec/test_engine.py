@@ -80,16 +80,17 @@ class TestDeduplication:
 
 
 class TestCacheBehaviour:
-    def test_warm_rerun_simulates_nothing(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_rerun_simulates_nothing(self, tmp_path, workers):
         points = small_points()
-        cold = SweepEngine(workers=1, cache=ResultCache(tmp_path),
+        cold = SweepEngine(workers=workers, cache=ResultCache(tmp_path),
                            use_memo=False)
         cold_results = cold.run(points)
         assert cold.metrics.simulated == len(set(points))
         assert cold.metrics.cache_hits == 0
 
         clear_cache()
-        warm_engine = SweepEngine(workers=1,
+        warm_engine = SweepEngine(workers=workers,
                                   cache=ResultCache(tmp_path),
                                   use_memo=False)
         warm_results = warm_engine.run(points)

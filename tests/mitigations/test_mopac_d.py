@@ -161,6 +161,14 @@ class TestDrains:
         assert policy.srq_occupancy(0) == occupancy - 2
         assert policy.stats.ref_drains == 2
 
+    def test_zero_drain_on_ref_keeps_srq_across_refresh(self):
+        policy = make_policy(500, drain_on_ref=0)
+        self.fill(policy, range(100, 110))
+        occupancy = policy.srq_occupancy(0)
+        policy.on_refresh(50_000)
+        assert policy.srq_occupancy(0) == occupancy
+        assert policy.stats.ref_drains == 0
+
     def test_default_drain_rate_from_table8(self):
         assert make_policy(250).drain_on_ref == 4
         assert make_policy(500).drain_on_ref == 2
@@ -239,3 +247,8 @@ class TestValidation:
     def test_bad_trh(self):
         with pytest.raises(ValueError):
             make_policy(trh=0)
+
+    def test_negative_drain_on_ref(self):
+        with pytest.raises(ValueError, match="drain_on_ref"):
+            make_policy(drain_on_ref=-1)
+        assert make_policy(drain_on_ref=0).drain_on_ref == 0

@@ -1,13 +1,19 @@
 """Observability wired through the full stack: snapshots, tracing, phases."""
 
+import copy
+import io
+import json
+import time
+
 import pytest
 
-from repro.obs import EventTracer
+from repro.check.golden import stats_digest
+from repro.obs import EventTracer, SpanTracer, install_spans, uninstall_spans
 from repro.sim.runner import DesignPoint, run_point
 
 FAST = dict(trh=500, instructions=6_000, rows_per_bank=512,
             refresh_scale=1 / 256)
-#: SRQ-pressure point guaranteeing ALERT/RFM traffic (see obs.selfcheck).
+#: SRQ-pressure point guaranteeing ALERT/RFM traffic.
 ABO = dict(workload="hammer", design="mopac-d", trh=250,
            instructions=12_000, rows_per_bank=128, refresh_scale=1 / 256,
            p=1.0, srq_size=5, drain_on_ref=0)
@@ -23,6 +29,11 @@ def traced():
     tracer = EventTracer()
     result = run_point(DesignPoint(**ABO), tracer=tracer)
     return tracer, result
+
+
+@pytest.fixture(scope="module")
+def plain():
+    return run_point(DesignPoint(**ABO))
 
 
 class TestSnapshot:
@@ -73,11 +84,18 @@ class TestTracing:
         assert drains, "SRQ-pressure run must drain"
         assert {event.cause for event in drains} <= {"ref", "rfm"}
 
-    def test_tracing_does_not_perturb(self, traced):
+    def test_tracing_does_not_perturb(self, traced, plain):
         _, traced_result = traced
-        plain = run_point(DesignPoint(**ABO))
         assert plain.ipcs == traced_result.ipcs
         assert plain.stats == traced_result.stats
+
+    def test_chrome_export_holds_every_event(self, traced):
+        tracer, _ = traced
+        buffer = io.StringIO()
+        written = tracer.to_chrome_trace(buffer)
+        events = json.loads(buffer.getvalue())["traceEvents"]
+        assert written == len(tracer) == len(events)
+        assert {e["name"] for e in events} == set(tracer.counts())
 
     def test_events_time_ordered_per_subchannel(self, traced):
         tracer, _ = traced
@@ -88,10 +106,54 @@ class TestTracing:
                 last[event.subchannel] = event.time_ps
 
 
+class TestSpans:
+    def test_span_tracer_perturbs_nothing_and_repeats(self, plain):
+        structures = []
+        for _ in range(2):
+            spans = SpanTracer()
+            token = install_spans(spans)
+            try:
+                result = run_point(DesignPoint(**ABO))
+            finally:
+                uninstall_spans(token)
+            assert result.ipcs == plain.ipcs
+            assert result.stats == plain.stats
+            assert spans.spans("sim.run"), "no sim.run span recorded"
+            structures.append([(s.span_id, s.parent_id, s.name)
+                               for s in spans.spans()])
+        # ids, names and parent links repeat; only timestamps may not
+        assert structures[0] == structures[1]
+
+        buffer = io.StringIO()
+        written = spans.to_chrome_trace(buffer)
+        events = json.loads(buffer.getvalue())["traceEvents"]
+        # one metadata record precedes the span events
+        assert len(events) == written == len(spans.spans()) + 1
+
+
 class TestPhases:
     def test_phase_breakdown_attached(self, result):
         assert set(result.phases) == {"tracegen", "warmup", "sim"}
         assert all(seconds >= 0 for seconds in result.phases.values())
+
+    def test_phases_in_pipeline_order(self, result):
+        assert list(result.phases) == ["tracegen", "warmup", "sim"]
+
+    def test_phases_fit_inside_the_call(self):
+        start = time.perf_counter()
+        result = run_point(DesignPoint(workload="mcf", design="prac", **FAST))
+        elapsed = time.perf_counter() - start
+        assert 0 < sum(result.phases.values()) <= elapsed
+
+    def test_traced_run_is_timed(self, traced):
+        _, traced_result = traced
+        assert list(traced_result.phases) == ["tracegen", "warmup", "sim"]
+
+    def test_phases_stay_out_of_stats_digest(self, result):
+        retimed = copy.copy(result)
+        retimed.phases = {name: seconds + 1.0
+                          for name, seconds in result.phases.items()}
+        assert stats_digest(retimed) == stats_digest(result)
 
     def test_sim_dominates(self, result):
         # the event loop is the run; generator setup is bookkeeping

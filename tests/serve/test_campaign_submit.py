@@ -12,16 +12,17 @@ import pytest
 
 import repro
 from repro.serve.client import ServeClient
+from repro.serve.jobs import Journal
 from repro.tools import campaign
 
 SRC = pathlib.Path(repro.__file__).resolve().parent.parent
 
 
-def start_daemon(tmp_path):
+def start_daemon(tmp_path, *options):
     """A one-worker ``repro.serve`` on ``tmp_path``'s state dir and cache.
 
-    It leads its own session, so a SIGKILL of the group takes its pool
-    workers down with it.
+    ``options`` are extra daemon flags. It leads its own session, so a
+    SIGKILL of the group takes its pool workers down with it.
     """
     address = f"unix:{tmp_path / 'serve.sock'}"
     env = dict(os.environ)
@@ -31,7 +32,7 @@ def start_daemon(tmp_path):
         [sys.executable, "-m", "repro.serve",
          "--state-dir", str(tmp_path / "state"), "--address", address,
          "--workers", "1", "--cache-dir", str(tmp_path / "cache"),
-         "--quiet"], env=env, start_new_session=True)
+         "--quiet", *options], env=env, start_new_session=True)
     try:
         ServeClient(address).wait_ready(timeout_s=60)
     except BaseException:
@@ -76,6 +77,8 @@ def test_submit_sends_each_unique_point_once(tmp_path, daemon):
     assert csv_path.read_bytes() == reference
     stats = ServeClient(daemon).stats()
     assert stats["exec.resolve.requested"] == len(unique)
+    # one cache entry per unique point, none rewritten
+    assert stats["exec.cache.writes"] == len(unique)
 
 
 def test_sigkilled_daemon_resumes_bit_identically(tmp_path):
@@ -102,6 +105,40 @@ def test_sigkilled_daemon_resumes_bit_identically(tmp_path):
         # the restarted daemon resumes the journaled job under its id
         assert campaign.fetch(plan_dir, wait_s=300).read_bytes() == \
             reference
+    finally:
+        stop_daemon(process)
+
+
+def test_sigterm_keeps_queued_jobs_for_the_restart(tmp_path):
+    plans = [tmp_path / "camp-a", tmp_path / "camp-b"]
+    campaign.plan(plans[0], ["add"], ["prac", "mopac-d"], [500], 8_000)
+    campaign.plan(plans[1], ["mcf"], ["mopac-d"], [500], 8_000)
+    references = []
+    for plan_dir in plans:
+        references.append(campaign.run(plan_dir, workers=1,
+                                       verbose=False).read_bytes())
+        (plan_dir / "results.csv").unlink()
+    journal = tmp_path / "state" / "journal.jsonl"
+
+    # one job at a time and no drain grace: a SIGTERM right after the
+    # submissions strands at least the second job in the queue
+    address, process = start_daemon(tmp_path, "--max-jobs", "1",
+                                    "--drain-s", "0")
+    try:
+        job_ids = [campaign.submit(plan_dir, address) for plan_dir in plans]
+    finally:
+        stop_daemon(process)  # a drained daemon exits 0
+    pending = {job.id for job in Journal.load(journal)}
+    assert job_ids[-1] in pending
+
+    address, process = start_daemon(tmp_path)
+    try:
+        for plan_dir, job_id, reference in zip(plans, job_ids, references):
+            if job_id not in pending:
+                continue  # finished before the SIGTERM; compacted away
+            assert campaign.fetch(plan_dir, wait_s=300).read_bytes() == \
+                reference
+        assert Journal.load(journal) == []
     finally:
         stop_daemon(process)
 

@@ -174,6 +174,11 @@ class TestValidation:
                                    {"points": [point_fields()],
                                     "timeout_s": -1})
             assert status == 400
+            status, doc = await call(client.request, "POST", "/submit",
+                                     {"points": [dict(point_fields(),
+                                                      instructions=0)]})
+            assert status == 400
+            assert "instructions must be positive" in doc["error"]
 
         run_scenario(tmp_path, scenario)
 

@@ -13,6 +13,12 @@ class TestDesignPoint:
         with pytest.raises(ValueError, match="unknown design"):
             DesignPoint(workload="mcf", design="magic")
 
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_non_positive_instruction_budget_rejected(self, instructions):
+        with pytest.raises(ValueError, match="instructions must be positive"):
+            DesignPoint(workload="mcf", design="prac",
+                        instructions=instructions)
+
     def test_baseline_projection(self):
         point = DesignPoint(workload="mcf", design="prac", trh=250,
                             drain_on_ref=4, chips=8, **FAST)

@@ -48,6 +48,13 @@ class TestIniRoundtrip:
         with pytest.raises(ValueError):
             design_point_from_ini("[dram]\nsubchannels = 2\n")
 
+    def test_non_positive_instructions_rejected(self):
+        text = design_point_to_ini(
+            DesignPoint(workload="mcf", design="prac", instructions=1))
+        text = text.replace("instructions = 1\n", "instructions = 0\n")
+        with pytest.raises(ValueError, match="instructions must be positive"):
+            design_point_from_ini(text)
+
 
 class TestConfigSummary:
     def test_paper_summary(self):
@@ -78,6 +85,11 @@ class TestCampaign:
         assert campaign.main(["stats", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "prac" in out and "mopac-c" in out
+
+    def test_plan_refuses_non_positive_instructions(self, tmp_path):
+        with pytest.raises(ValueError, match="instructions must be positive"):
+            campaign.plan(pathlib.Path(tmp_path), ["mcf"], ["prac"], [500], 0)
+        assert not list(pathlib.Path(tmp_path).glob("*.ini"))
 
     def test_stats_without_run_fails(self, tmp_path):
         assert campaign.main(["stats", "--dir", str(tmp_path)]) == 2
