@@ -28,7 +28,6 @@ from ..mc.events import EventLoop
 from ..mc.pagepolicy import make_page_policy
 from ..mc.request import MemRequest
 from ..mitigations import registry as mitigation_registry
-from ..mitigations.prac import BaselinePolicy
 from ..obs.tracer import EventTracer, TraceEvent
 from ..rng import derive_seed
 from .oracle import ConformanceOracle, OracleConfig, Violation
@@ -184,8 +183,6 @@ def _gen_requests(rng: random.Random, banks: int,
 
 
 def _make_policy(case: FuzzCase):
-    if case.design == "baseline":
-        return BaselinePolicy()
     overrides = _FUZZ_OVERRIDES.get(case.design, {})
     return mitigation_registry.make_policy(
         case.design, case.trh, case.banks, case.rows,

@@ -55,7 +55,7 @@ log = get_logger(__name__)
 
 #: Simulator behaviour generation. Bump on any change that alters the
 #: numbers a DesignPoint produces.
-CACHE_SALT = "mopac-sim-1"
+CACHE_SALT = "mopac-sim-2"
 
 #: Environment variable naming the cache directory. Unset = no disk cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

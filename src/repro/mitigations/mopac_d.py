@@ -157,6 +157,8 @@ class MoPACDPolicy(MitigationPolicy):
             raise ValueError("drain_on_ref must be >= 0")
         self.trh = trh
         self.nup = nup
+        if nup:
+            self.name = "mopac-d-nup"
         if params is None:
             if nup:
                 nup_params = mopac_d_nup_params(trh, p, tth)

@@ -13,10 +13,13 @@ mitigation automatically subjects it to:
 * the property-based MC scheduler fuzzer + conformance oracle,
 * ~30 contract tests (determinism, conservation, engine bit-identity).
 
-Policies are constructed through :func:`make_policy`; stochastic designs
-receive a :func:`repro.rng.derive_seed`-derived private stream named
-after the design, so the same ``seed`` reproduces the same run for every
-consumer of the registry.
+:func:`make_policy` is the only policy constructor: the simulator, the
+attack CLI, the differential harness and the fuzzer all call it, so a
+security verdict covers the instance whose slowdown gets reported.
+Stochastic designs draw from ``derive_seed(seed, name) ^ subchannel``;
+``base_timing`` (the system's DRAM timing, ``None``: policy defaults)
+yields the set :attr:`MitigationSpec.timing` names. ``baseline`` and
+``mopac-d-nup`` build by name but stay out of :func:`names`.
 """
 
 from __future__ import annotations
@@ -25,20 +28,24 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..dram.timing import MoPACTimings, TimingSet, derive_prac
 from ..rng import derive_seed
+from ..security.rowpress import (mopac_c_rowpress_params,
+                                 mopac_d_rowpress_params)
 from .base import MitigationPolicy
 from .cnc_prac import CnCPRACPolicy
 from .mint import MINTPolicy
 from .moat import MOATPolicy
 from .mopac_c import MoPACCPolicy
 from .mopac_d import MoPACDPolicy
-from .prac import PRACMoatPolicy
+from .prac import BaselinePolicy, PRACMoatPolicy
 from .practical import PRACticalPolicy
 from .pride import PrIDEPolicy
 from .qprac import QPRACPolicy, QPRACProactivePolicy
 from .trr import TRRPolicy
 
-#: factory signature: (trh, banks, rows, refresh_groups, seed, **overrides)
+#: factory signature: (trh, banks, rows, refresh_groups, seed, **overrides);
+#: ``seed`` is already the design's private per-sub-channel seed
 PolicyFactory = Callable[..., MitigationPolicy]
 
 
@@ -66,8 +73,13 @@ class MitigationSpec:
     #: minimum T_RH the design's analysis tolerates (None: trh itself).
     #: The security ledger judges the design at max(trh, tolerated).
     tolerated_trh: Callable[[int], int] | None = None
-    #: constructor knobs worth sweeping, for docs: (name, meaning)
+    #: constructor knobs, (name, meaning): the docs' knob table and the
+    #: design-point fields (``repro.sim.runner``) this design accepts
     knobs: tuple[tuple[str, str], ...] = field(default=())
+
+    def takes(self, knob: str) -> bool:
+        """Whether ``knob`` is one of this design's declared knobs."""
+        return any(name == knob for name, _ in self.knobs)
 
     def effective_trh(self, trh: int) -> int:
         """Threshold the security verdict holds this design to."""
@@ -75,13 +87,28 @@ class MitigationSpec:
             return trh
         return max(trh, self.tolerated_trh(trh))
 
+    def timing_overrides(self, base: TimingSet | None) -> dict:
+        """Constructor timing arguments for a system whose DRAM runs
+        ``base`` (``None``: the policy's own defaults)."""
+        if base is None:
+            return {}
+        if self.timing == "base":
+            return {"timing": base}
+        if self.timing == "prac":
+            return {"timing": derive_prac(base)}
+        return {"timings": MoPACTimings(normal=base,
+                                        counter_update=derive_prac(base))}
+
     def build(self, trh: int, banks: int = 32, rows: int = 65536,
-              refresh_groups: int | None = None, seed: int = 0,
+              refresh_groups: int | None = None, seed: int = 0, *,
+              base_timing: TimingSet | None = None, subchannel: int = 0,
               **overrides) -> MitigationPolicy:
         groups = refresh_groups if refresh_groups is not None \
             else min(8192, rows)
-        policy = self.factory(trh=trh, banks=banks, rows=rows,
-                              refresh_groups=groups, seed=seed, **overrides)
+        kwargs = {**self.timing_overrides(base_timing), **overrides}
+        policy = self.factory(
+            trh=trh, banks=banks, rows=rows, refresh_groups=groups,
+            seed=derive_seed(seed, self.name) ^ subchannel, **kwargs)
         assert policy.name == self.name, \
             f"factory for {self.name!r} built {policy.name!r}"
         return policy
@@ -99,15 +126,22 @@ def register(spec: MitigationSpec) -> MitigationSpec:
 
 
 def get(name: str) -> MitigationSpec:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    spec = _REGISTRY.get(name) or _UNCOMPARED.get(name)
+    if spec is None:
         raise KeyError(f"unknown mitigation {name!r}; "
-                       f"registered: {', '.join(_REGISTRY)}") from None
+                       f"registered: {', '.join(buildable())}")
+    return spec
 
 
 def names() -> tuple[str, ...]:
+    """The compared designs, in table order."""
     return tuple(_REGISTRY)
+
+
+def buildable() -> tuple[str, ...]:
+    """Every design :func:`make_policy` builds: the compared ones plus
+    ``baseline`` and ``mopac-d-nup``."""
+    return names() + tuple(_UNCOMPARED)
 
 
 def specs() -> tuple[MitigationSpec, ...]:
@@ -115,20 +149,18 @@ def specs() -> tuple[MitigationSpec, ...]:
 
 
 def make_policy(name: str, trh: int, banks: int = 32, rows: int = 65536,
-                refresh_groups: int | None = None, seed: int = 0,
+                refresh_groups: int | None = None, seed: int = 0, *,
+                base_timing: TimingSet | None = None, subchannel: int = 0,
                 **overrides) -> MitigationPolicy:
-    """Build a registered design with a design-private derived seed."""
+    """Build a design by name with its design-private derived seed."""
     return get(name).build(trh, banks, rows, refresh_groups, seed,
+                           base_timing=base_timing, subchannel=subchannel,
                            **overrides)
 
 
 # ---------------------------------------------------------------------------
 # Registrations. Order = presentation order in comparison tables.
 # ---------------------------------------------------------------------------
-
-def _rng(seed: int, name: str) -> random.Random:
-    return random.Random(derive_seed(seed, name))
-
 
 def _mint_tolerated(trh: int) -> int:
     # deferred: repro.security imports dram/sim machinery that itself
@@ -140,6 +172,35 @@ def _mint_tolerated(trh: int) -> int:
 def _pride_tolerated(trh: int) -> int:
     from ..security.tolerated import pride_tolerated
     return pride_tolerated(1)
+
+
+def _mopac_c(trh, banks, rows, refresh_groups, seed, p=None,
+             rowpress=False, **kw) -> MoPACCPolicy:
+    # rowpress: the Appendix A parameters, derated for Row-Press
+    if rowpress:
+        kw["params"] = mopac_c_rowpress_params(trh, p)
+    return MoPACCPolicy(trh, banks, rows, p=p, refresh_groups=refresh_groups,
+                        rng=random.Random(seed), **kw)
+
+
+def _mopac_d(trh, banks, rows, refresh_groups, seed, p=None,
+             rowpress=False, **kw) -> MoPACDPolicy:
+    if rowpress:
+        kw["params"] = mopac_d_rowpress_params(trh, p)
+    return MoPACDPolicy(trh, banks, rows, p=p, refresh_groups=refresh_groups,
+                        rng=random.Random(seed), **kw)
+
+
+_ROWPRESS_KNOB = ("rowpress", "Row-Press-derated ATH* (Appendix A)")
+_MOPAC_D_KNOBS = (
+    ("p", "sampling probability (default: C-search)"),
+    ("srq_size", "sampled-row-queue capacity"),
+    ("drain_on_ref", "SRQ entries drained per REF (default: Table 8)"),
+    ("chips", "DRAM chips, each sampling on its own (Appendix B)"),
+    ("sampler", "selection mechanism: mint (paper) or para (footnote 6)"),
+    ("abo_level", "RFMs per ALERT (JEDEC menu: 1, 2, 4)"),
+    _ROWPRESS_KNOB,
+)
 
 
 register(MitigationSpec(
@@ -204,31 +265,26 @@ register(MitigationSpec(
 
 register(MitigationSpec(
     name="mopac-c",
-    factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
-        MoPACCPolicy(trh, banks, rows, refresh_groups=refresh_groups,
-                     rng=_rng(seed, "mopac-c"), **kw),
+    factory=_mopac_c,
     description="MoPAC-C: MC-side probabilistic PREcu selection",
     exact=False, timing="dual",
-    knobs=(("p", "PREcu selection probability (default: C-search)"),),
+    knobs=(("p", "PREcu selection probability (default: C-search)"),
+           _ROWPRESS_KNOB),
 ))
 
 register(MitigationSpec(
     name="mopac-d",
-    factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
-        MoPACDPolicy(trh, banks, rows, refresh_groups=refresh_groups,
-                     rng=_rng(seed, "mopac-d"), **kw),
+    factory=_mopac_d,
     description="MoPAC-D: in-DRAM probabilistic counting with SRQ",
     exact=False, timing="base",
-    knobs=(("srq_size", "sampled-row-queue capacity"),
-           ("abo_level", "RFMs per ALERT (JEDEC menu: 1, 2, 4)"),
-           ("nup", "no-update-period filtering")),
+    knobs=_MOPAC_D_KNOBS,
 ))
 
 register(MitigationSpec(
     name="mint",
     factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
         MINTPolicy(banks=banks, rows=rows, refresh_groups=refresh_groups,
-                   rng=_rng(seed, "mint"), **kw),
+                   rng=random.Random(seed), **kw),
     description="MINT: one uniform sample per window, mitigate at REF",
     counting=False, timing="base",
     tolerated_trh=_mint_tolerated,
@@ -240,7 +296,7 @@ register(MitigationSpec(
     name="pride",
     factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
         PrIDEPolicy(banks=banks, rows=rows, refresh_groups=refresh_groups,
-                    rng=_rng(seed, "pride"), **kw),
+                    rng=random.Random(seed), **kw),
     description="PrIDE: Bernoulli samples into a lossy FIFO, drain at REF",
     counting=False, timing="base",
     tolerated_trh=_pride_tolerated,
@@ -260,3 +316,19 @@ register(MitigationSpec(
            ("mitigation_threshold", "count required to mitigate"),
            ("refs_per_mitigation", "REFs per service opportunity")),
 ))
+
+#: buildable by name (get, make_policy, buildable) but not compared:
+#: outside names(), so no table row, seed corpus or fuzz draw
+_UNCOMPARED = {spec.name: spec for spec in (
+    MitigationSpec(
+        name="baseline",
+        factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
+            BaselinePolicy(**kw),
+        description="Unprotected DDR5 (the slowdown reference)",
+        counting=False, secure=False, timing="base"),
+    MitigationSpec(
+        name="mopac-d-nup",
+        factory=lambda **kw: _mopac_d(nup=True, **kw),
+        description="MoPAC-D with no-update-period filtering (Section 8)",
+        exact=False, timing="base", knobs=_MOPAC_D_KNOBS),
+)}

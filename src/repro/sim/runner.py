@@ -13,14 +13,11 @@ every simulation it has already performed — in any earlier process.
 :func:`sweep` fans its misses out across worker processes
 (``workers=1`` keeps them inline; both give bit-identical numbers).
 
-Designs (paper nomenclature):
-
-* ``baseline``   — unprotected DDR5,
-* ``prac``       — PRAC + ABO with MOAT (Figure 2's 10% offender),
-* ``qprac``      — PRAC with proactive priority-queue service (S 9.1),
-* ``mopac-c``    — Section 5,
-* ``mopac-d``    — Section 6,
-* ``mopac-d-nup``— Section 8.
+A point's ``design`` is any name :func:`repro.mitigations.registry.buildable`
+lists (``baseline`` is unprotected DDR5). Every sub-channel's policy is
+built by :func:`repro.mitigations.registry.make_policy`, with the point's
+design fields as knobs; a field the design's spec does not declare
+must keep its default.
 
 Slowdown is reported as the paper does: 1 - WS(design)/WS(baseline) with
 weighted speedup normalised per-core against the baseline run of the same
@@ -30,14 +27,12 @@ workload.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from ..config import SystemConfig
+from ..mitigations import registry
 from ..mitigations.base import MitigationPolicy
-from ..mitigations.mopac_c import MoPACCPolicy
-from ..mitigations.mopac_d import MoPACDPolicy
-from ..mitigations.prac import BaselinePolicy, PRACMoatPolicy
 from ..obs.log import get_logger
 from ..obs.spans import span
 from ..obs.tracer import EventTracer
@@ -47,9 +42,12 @@ from .system import System, SystemResult
 
 log = get_logger(__name__)
 
-DESIGNS = ("baseline", "prac", "qprac", "mopac-c", "mopac-d",
-           "mopac-d-nup", "moat", "qprac-proactive", "cnc-prac",
-           "practical", "mint", "pride", "trr")
+DESIGNS = registry.buildable()
+
+#: DesignPoint fields that are design knobs; a design takes the ones its
+#: registry spec declares
+KNOB_FIELDS = ("p", "srq_size", "drain_on_ref", "chips", "sampler",
+               "abo_level", "rowpress")
 
 #: Default experiment scale: instructions per core. The paper runs 100M;
 #: slowdown ratios are stationary, so the scaled default converges to the
@@ -96,6 +94,14 @@ class DesignPoint:
         if self.instructions <= 0:
             raise ValueError(f"instructions must be positive, got "
                              f"{self.instructions}")
+        spec = registry.get(self.design)
+        for name in KNOB_FIELDS:
+            if getattr(self, name) != _KNOB_DEFAULTS[name] \
+                    and not spec.takes(name):
+                raise ValueError(
+                    f"design {self.design!r} does not take {name} "
+                    f"(got {getattr(self, name)!r}); its knobs: "
+                    f"{', '.join(n for n, _ in spec.knobs) or 'none'}")
 
     def baseline(self) -> "DesignPoint":
         """The matching baseline point (same everything, no mitigation)."""
@@ -110,100 +116,22 @@ class DesignPoint:
         )
 
 
+_KNOB_DEFAULTS = {f.name: f.default for f in fields(DesignPoint)
+                  if f.name in KNOB_FIELDS}
+
+
 def make_policy_factory(point: DesignPoint,
                         config: SystemConfig) -> Callable[[int], MitigationPolicy]:
     """Build the per-sub-channel policy constructor for a design point."""
-    banks = config.dram.banks_per_subchannel
-    rows = config.dram.rows_per_bank
-    groups = min(8192, rows)
-    timing = config.dram.timing
+    spec = registry.get(point.design)
+    knobs = {name: getattr(point, name) for name in KNOB_FIELDS
+             if spec.takes(name)}
 
     def factory(subchannel: int) -> MitigationPolicy:
-        if point.design == "baseline":
-            return BaselinePolicy(timing=timing)
-        if point.design == "prac":
-            from ..dram.timing import ddr5_prac
-            prac_timing = ddr5_prac().scaled_refresh(point.refresh_scale) \
-                if point.refresh_scale < 1 else ddr5_prac()
-            return PRACMoatPolicy(point.trh, banks, rows, groups,
-                                  timing=prac_timing)
-        if point.design == "qprac":
-            from ..dram.timing import ddr5_prac
-            from ..mitigations.qprac import QPRACPolicy
-            prac_timing = ddr5_prac().scaled_refresh(point.refresh_scale) \
-                if point.refresh_scale < 1 else ddr5_prac()
-            return QPRACPolicy(point.trh, banks, rows, groups,
-                               timing=prac_timing)
-        if point.design == "mopac-c":
-            import random
-            from ..dram.timing import MoPACTimings, ddr5_prac
-            from ..security.rowpress import mopac_c_rowpress_params
-            cu = ddr5_prac().scaled_refresh(point.refresh_scale) \
-                if point.refresh_scale < 1 else ddr5_prac()
-            pair = MoPACTimings(normal=timing, counter_update=cu)
-            params = (mopac_c_rowpress_params(point.trh, point.p)
-                      if point.rowpress else None)
-            return MoPACCPolicy(point.trh, banks, rows, p=point.p,
-                                refresh_groups=groups, timings=pair,
-                                rng=random.Random(point.seed ^ subchannel),
-                                params=params)
-        if point.design in ("mopac-d", "mopac-d-nup"):
-            import random
-            from ..security.rowpress import mopac_d_rowpress_params
-            params = (mopac_d_rowpress_params(point.trh, point.p)
-                      if point.rowpress else None)
-            return MoPACDPolicy(
-                point.trh, banks, rows, p=point.p,
-                srq_size=point.srq_size,
-                drain_on_ref=point.drain_on_ref,
-                nup=(point.design == "mopac-d-nup"),
-                chips=point.chips, refresh_groups=groups, timing=timing,
-                rng=random.Random(point.seed ^ (subchannel << 4)),
-                params=params, sampler=point.sampler,
-                abo_level=point.abo_level)
-        if point.design == "moat":
-            from ..dram.timing import ddr5_prac
-            from ..mitigations.moat import MOATPolicy
-            prac_timing = ddr5_prac().scaled_refresh(point.refresh_scale) \
-                if point.refresh_scale < 1 else ddr5_prac()
-            return MOATPolicy(point.trh, banks, rows, groups,
-                              timing=prac_timing)
-        if point.design == "qprac-proactive":
-            from ..dram.timing import ddr5_prac
-            from ..mitigations.qprac import QPRACProactivePolicy
-            prac_timing = ddr5_prac().scaled_refresh(point.refresh_scale) \
-                if point.refresh_scale < 1 else ddr5_prac()
-            return QPRACProactivePolicy(point.trh, banks, rows, groups,
-                                        timing=prac_timing)
-        if point.design == "cnc-prac":
-            from ..mitigations.cnc_prac import CnCPRACPolicy
-            return CnCPRACPolicy(point.trh, banks, rows, groups,
-                                 timing=timing)
-        if point.design == "practical":
-            from ..dram.timing import MoPACTimings, ddr5_prac
-            from ..mitigations.practical import PRACticalPolicy
-            cu = ddr5_prac().scaled_refresh(point.refresh_scale) \
-                if point.refresh_scale < 1 else ddr5_prac()
-            pair = MoPACTimings(normal=timing, counter_update=cu)
-            return PRACticalPolicy(point.trh, banks, rows, groups,
-                                   timings=pair)
-        if point.design == "mint":
-            import random
-            from ..mitigations.mint import MINTPolicy
-            return MINTPolicy(banks=banks, rows=rows, refresh_groups=groups,
-                              timing=timing,
-                              rng=random.Random(point.seed ^ subchannel))
-        if point.design == "pride":
-            import random
-            from ..mitigations.pride import PrIDEPolicy
-            return PrIDEPolicy(banks=banks, rows=rows,
-                               refresh_groups=groups, timing=timing,
-                               rng=random.Random(point.seed ^ subchannel))
-        if point.design == "trr":
-            from ..mitigations.trr import TRRPolicy
-            return TRRPolicy(banks=banks, rows=rows, refresh_groups=groups,
-                             timing=timing)
-        raise AssertionError(point.design)
+        return spec.build(
+            point.trh, config.dram.banks_per_subchannel,
+            config.dram.rows_per_bank, seed=point.seed,
+            base_timing=config.dram.timing, subchannel=subchannel, **knobs)
 
     return factory
 

@@ -15,41 +15,11 @@ import random
 
 from ..attacks import patterns
 from ..attacks.harness import run_attack
-from ..mitigations.mint import MINTPolicy
-from ..mitigations.mopac_c import MoPACCPolicy
-from ..mitigations.mopac_d import MoPACDPolicy
-from ..mitigations.prac import BaselinePolicy, PRACMoatPolicy
-from ..mitigations.pride import PrIDEPolicy
-from ..mitigations.trr import TRRPolicy
+from ..mitigations import registry
 
-DESIGNS = ("baseline", "trr", "mint", "pride", "prac", "mopac-c",
-           "mopac-d", "mopac-d-nup")
+DESIGNS = registry.buildable()
 PATTERNS = ("single-sided", "double-sided", "many-sided", "multi-bank",
             "srq-fill", "decoy")
-
-
-def build_policy(design: str, trh: int, banks: int, rows: int,
-                 groups: int, seed: int):
-    rng = random.Random(seed)
-    geo = dict(banks=banks, rows=rows, refresh_groups=groups)
-    if design == "baseline":
-        return BaselinePolicy()
-    if design == "trr":
-        return TRRPolicy(banks=banks, entries=16, mitigation_threshold=64,
-                         refs_per_mitigation=4)
-    if design == "mint":
-        return MINTPolicy(banks=banks, rng=rng)
-    if design == "pride":
-        return PrIDEPolicy(banks=banks, rng=rng)
-    if design == "prac":
-        return PRACMoatPolicy(trh, **geo)
-    if design == "mopac-c":
-        return MoPACCPolicy(trh, **geo, rng=rng)
-    if design == "mopac-d":
-        return MoPACDPolicy(trh, **geo, rng=rng)
-    if design == "mopac-d-nup":
-        return MoPACDPolicy(trh, nup=True, **geo, rng=rng)
-    raise ValueError(f"unknown design {design!r}")
 
 
 def build_pattern(name: str, banks: int, aggressors: int, seed: int):
@@ -86,8 +56,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    policy = build_policy(args.design, args.trh, args.banks, args.rows,
-                          args.refresh_groups, args.seed)
+    policy = registry.make_policy(args.design, args.trh, args.banks,
+                                  args.rows, args.refresh_groups, args.seed)
     pattern = build_pattern(args.pattern, args.banks, args.aggressors,
                             args.seed)
     result = run_attack(policy, pattern, args.acts, trh=args.trh,

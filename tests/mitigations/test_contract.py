@@ -12,6 +12,10 @@ the contract its spec declares, with no per-design test code:
   telemetry drift, sampled designs stay within the drift bound;
 * **seed-replay determinism** — the same ``(seed, stream)`` reproduces
   the same run bit-for-bit, twice;
+* **one constructor** — the simulator's per-sub-channel policy for a
+  design point is the registry's policy for the same design, geometry
+  and base timing, and stochastic designs give each sub-channel its own
+  stream;
 * **golden coverage** — every design has a golden fingerprint case
   (stats and traced command stream, ``repro.check.golden``);
 * **forced recovery paths** — the ALERT/RFM backstops that benign
@@ -33,6 +37,7 @@ from repro.mc.request import MemRequest
 from repro.mitigations import registry
 from repro.mitigations.practical import PRACticalPolicy
 from repro.obs.tracer import EventTracer
+from repro.sim.runner import DesignPoint, build_config, make_policy_factory
 
 DESIGNS = registry.names()
 
@@ -130,12 +135,16 @@ class TestDifferentialInvariants:
 # Seed-replay determinism
 # ---------------------------------------------------------------------------
 def _harness_fingerprint(design, seed):
+    policy = _spec(design).build(250, banks=2, rows=128, refresh_groups=32,
+                                 seed=seed)
+    return _policy_fingerprint(policy, design, seed, 2, 128, 32)
+
+
+def _policy_fingerprint(policy, design, seed, banks, rows, groups):
     from repro.check.differential import make_targets
-    spec = _spec(design)
-    policy = spec.build(250, banks=2, rows=128, refresh_groups=32,
-                        seed=seed)
-    harness = AttackHarness(policy, spec.effective_trh(250), 2, 128, 32)
-    targets = make_targets(seed, 2, 128, 2_500)
+    harness = AttackHarness(policy, _spec(design).effective_trh(250),
+                            banks, rows, groups)
+    targets = make_targets(seed, banks, rows, 2_500)
     result = harness.run(iter(targets), 2_500)
     return (result.ledger.max_count, result.elapsed_ps, result.alerts,
             dict(policy.stats.__dict__))
@@ -146,6 +155,54 @@ class TestSeedReplayDeterminism:
     def test_same_seed_same_run(self, design):
         assert _harness_fingerprint(design, 7) \
             == _harness_fingerprint(design, 7)
+
+
+# ---------------------------------------------------------------------------
+# One constructor: the simulated policy is the registry's policy
+# ---------------------------------------------------------------------------
+#: designs that draw from a random stream
+STOCHASTIC = {"mopac-c", "mopac-d", "mopac-d-nup", "mint", "pride"}
+
+#: every buildable design, compared or not
+BUILDABLE = registry.buildable()
+
+
+class TestOneConstructor:
+    POINT = dict(workload="hammer", trh=250, rows_per_bank=128, seed=7)
+
+    def _pair(self, design, subchannel=0):
+        """(runner-built, registry-built) policy for one sub-channel."""
+        point = DesignPoint(design=design, **self.POINT)
+        config = build_config(point)
+        runner = make_policy_factory(point, config)(subchannel)
+        direct = registry.make_policy(
+            design, 250, config.dram.banks_per_subchannel, 128, seed=7,
+            base_timing=config.dram.timing, subchannel=subchannel)
+        return runner, direct, config.dram.banks_per_subchannel
+
+    def _fingerprint(self, policy, design, banks):
+        return _policy_fingerprint(policy, design, 7, banks, 128, 128)
+
+    def test_every_compared_design_is_buildable(self):
+        assert set(DESIGNS) < set(BUILDABLE)
+        assert set(BUILDABLE) - set(DESIGNS) == {"baseline", "mopac-d-nup"}
+
+    @pytest.mark.parametrize("design", BUILDABLE)
+    def test_runner_policy_is_the_registry_policy(self, design):
+        runner, direct, banks = self._pair(design)
+        assert type(runner) is type(direct)
+        assert OracleConfig.from_policy(runner, banks) \
+            == OracleConfig.from_policy(direct, banks)
+        assert self._fingerprint(runner, design, banks) \
+            == self._fingerprint(direct, design, banks)
+
+    @pytest.mark.parametrize("design", BUILDABLE)
+    def test_subchannels_draw_their_own_streams(self, design):
+        first, _, banks = self._pair(design, subchannel=0)
+        second, _, _ = self._pair(design, subchannel=1)
+        same = (self._fingerprint(first, design, banks)
+                == self._fingerprint(second, design, banks))
+        assert same == (design not in STOCHASTIC)
 
 
 # ---------------------------------------------------------------------------

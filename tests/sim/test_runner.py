@@ -20,7 +20,7 @@ class TestDesignPoint:
                         instructions=instructions)
 
     def test_baseline_projection(self):
-        point = DesignPoint(workload="mcf", design="prac", trh=250,
+        point = DesignPoint(workload="mcf", design="mopac-d", trh=250,
                             drain_on_ref=4, chips=8, **FAST)
         base = point.baseline()
         assert base.design == "baseline"
@@ -28,6 +28,27 @@ class TestDesignPoint:
         assert base.instructions == point.instructions
         # mitigation-only knobs are dropped
         assert base.chips == 1
+
+    @pytest.mark.parametrize("knob,value", [
+        ("srq_size", 8), ("drain_on_ref", 4), ("chips", 8), ("p", 0.25),
+        ("sampler", "para"), ("abo_level", 2), ("rowpress", True)])
+    def test_knob_the_design_does_not_take_is_rejected(self, knob, value):
+        # PRAC takes none of them; a silently ignored knob would still
+        # get its own cache key and re-simulate plain PRAC
+        with pytest.raises(ValueError,
+                           match=f"design 'prac' does not take {knob}"):
+            DesignPoint(workload="mcf", design="prac", **{knob: value})
+
+    def test_mopac_c_takes_only_p_and_rowpress(self):
+        DesignPoint(workload="mcf", design="mopac-c", p=0.25, rowpress=True)
+        with pytest.raises(ValueError, match="'mopac-c' does not take chips"):
+            DesignPoint(workload="mcf", design="mopac-c", chips=2)
+
+    @pytest.mark.parametrize("design", ["mopac-d", "mopac-d-nup"])
+    def test_mopac_d_takes_every_design_field(self, design):
+        DesignPoint(workload="mcf", design=design, p=0.25, srq_size=8,
+                    drain_on_ref=4, chips=2, sampler="para", abo_level=2,
+                    rowpress=True)
 
     def test_baseline_keeps_row_activity_collection(self):
         point = DesignPoint(workload="mcf", design="prac", trh=500,

@@ -36,6 +36,20 @@ class TestTablesCLI:
         assert tables.main([]) == 0
 
 
+class _Attacked(Exception):
+    """Raised by the run_attack stub with what the CLI passed it."""
+
+
+def _attacked(monkeypatch, design, *argv):
+    """(policy, harness geometry) the hammer CLI attacks for ``design``."""
+    def capture(policy, pattern, activations, **geometry):
+        raise _Attacked(policy, geometry)
+    monkeypatch.setattr(hammer, "run_attack", capture)
+    with pytest.raises(_Attacked) as caught:
+        hammer.main(["--design", design, *argv])
+    return caught.value.args
+
+
 class TestHammerCLI:
     def test_secure_design_returns_zero(self, capsys):
         code = hammer.main(["--design", "mopac-d", "--pattern",
@@ -51,8 +65,25 @@ class TestHammerCLI:
         assert "ATTACK SUCCEEDED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("design", hammer.DESIGNS)
-    def test_every_design_constructs(self, design):
-        hammer.build_policy(design, 500, 4, 256, 32, seed=1)
+    def test_every_design_constructs(self, design, monkeypatch):
+        policy, _ = _attacked(monkeypatch, design)
+        assert policy.name == design
+
+    @pytest.mark.parametrize("design", hammer.DESIGNS)
+    def test_policy_refreshes_the_harness_geometry(self, design,
+                                                   monkeypatch):
+        # a policy built for another geometry would refresh rows the
+        # attack never touches
+        policy, geometry = _attacked(monkeypatch, design, "--banks", "4",
+                                     "--rows", "1024",
+                                     "--refresh-groups", "64")
+        holders = [policy] + list(getattr(policy, "chips", []))
+        schedules = [schedule for holder in holders
+                     for schedule in getattr(holder, "refresh_schedules", [])]
+        assert len(schedules) in (0, geometry["banks"])
+        for schedule in schedules:
+            assert (schedule.rows, schedule.groups) \
+                == (geometry["rows"], geometry["refresh_groups"])
 
     @pytest.mark.parametrize("pattern", hammer.PATTERNS)
     def test_every_pattern_constructs(self, pattern):
