@@ -25,6 +25,7 @@ Two consumers:
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -82,46 +83,83 @@ class AttackHarness:
     def run(self, pattern: Iterator[Target], activations: int,
             stop_on_failure: bool = False) -> AttackResult:
         """Issue ``activations`` targets from ``pattern``."""
-        timing = self.policy.timing
+        if activations <= 0:
+            raise ValueError(
+                f"activations must be positive, got {activations}")
+        # The per-ACT path is the hot loop of every security verdict:
+        # hooks and timing fields live in locals, and the ALERT, REF and
+        # mitigation helpers are entered only when they have work.
+        # alert_requested() is pure in every policy, so it is not asked
+        # while an ALERT deadline is already pending.
+        policy = self.policy
+        timing = policy.timing
+        t_faw, t_rrd = timing.tFAW, timing.tRRD
+        t_alert = timing.tALERT_NORMAL
+        on_activate = policy.on_activate
+        on_precharge = policy.on_precharge
+        note_row_open = policy.note_row_open
+        alert_requested = policy.alert_requested
+        ledger = self.ledger
+        count = ledger.on_activate
+        observe = [observer.on_activate for observer in self.observers]
+        bank_ready = self.bank_ready
+        recent = self._recent_acts
+        trh = self.trh
+        now = self.now
+        next_ref = self.next_ref if self.enable_refresh else math.inf
+        deadline = self._alert_deadline
+        acts = 0
         for _ in range(activations):
             bank, row = next(pattern)
-            issue = max(self.now, self.bank_ready[bank])
-            if len(self._recent_acts) == 4:
-                issue = max(issue, self._recent_acts[0] + timing.tFAW)
-            self._maybe_service_alert(issue)
-            issue = max(issue, self.now)
-            issue = self._maybe_refresh(issue)
-            self._recent_acts.append(issue)
+            issue = bank_ready[bank]
+            if issue < now:
+                issue = now
+            if len(recent) == 4 and recent[0] + t_faw > issue:
+                issue = recent[0] + t_faw
+            if deadline is not None and issue >= deadline:
+                self.now = now
+                self._maybe_service_alert(issue)
+                now = self.now
+                deadline = self._alert_deadline
+                if issue < now:
+                    issue = now
+            if issue >= next_ref:
+                issue = self._maybe_refresh(issue)
+                next_ref = self.next_ref
+            recent.append(issue)
 
-            decision = self.policy.on_activate(bank, row, issue)
-            self.ledger.on_activate(bank, row)
-            for observer in self.observers:
-                observer.on_activate(bank, row)
-            self._acts += 1
-            pre_time = issue + decision.act_timing.tRAS
-            self.policy.on_precharge(bank, row, pre_time,
-                                     decision.counter_update)
-            self.policy.note_row_open(bank, row, decision.act_timing.tRAS)
-            episode = max(decision.act_timing.tRAS + decision.pre_timing.tRP,
-                          decision.act_timing.tRC)
-            self.bank_ready[bank] = issue + episode
-            self.now = max(self.now, issue + timing.tRRD)
-            self._apply_mitigations()
-            if self.policy.alert_requested() and self._alert_deadline is None:
-                self._alert_deadline = issue + timing.tALERT_NORMAL
-            if stop_on_failure and self.ledger.max_count > self.trh:
+            decision = on_activate(bank, row, issue)
+            count(bank, row)
+            for hook in observe:
+                hook(bank, row)
+            acts += 1
+            act_timing = decision.act_timing
+            t_ras = act_timing.tRAS
+            on_precharge(bank, row, issue + t_ras, decision.counter_update)
+            note_row_open(bank, row, t_ras)
+            episode = t_ras + decision.pre_timing.tRP
+            if episode < act_timing.tRC:
+                episode = act_timing.tRC
+            bank_ready[bank] = issue + episode
+            if issue + t_rrd > now:
+                now = issue + t_rrd
+            if policy.pending_mitigations:
+                self._apply_mitigations()
+            if deadline is None and alert_requested():
+                deadline = self._alert_deadline = issue + t_alert
+            if stop_on_failure and ledger.max_count > trh:
                 break
+        self.now = now
+        self._acts += acts
         return AttackResult(
-            ledger=self.ledger.report(), activations=self._acts,
-            elapsed_ps=max(self.now, max(self.bank_ready)),
+            ledger=ledger.report(), activations=self._acts,
+            elapsed_ps=max(now, max(bank_ready)),
             alerts=self._alerts,
         )
 
     # ------------------------------------------------------------------
     def _maybe_refresh(self, issue: int) -> int:
         """Inject REF commands due before ``issue``; returns revised time."""
-        if not self.enable_refresh:
-            return issue
         timing = self.policy.timing
         while issue >= self.next_ref:
             self.policy.on_refresh(self.next_ref)

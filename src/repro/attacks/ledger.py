@@ -17,9 +17,7 @@ reality — if they pass, they pass with margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..mitigations.prac_state import RefreshSchedule
 
@@ -49,7 +47,7 @@ class HammerLedger:
         self.banks = banks
         self.rows = rows
         self.trh = trh
-        self.counts = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        self.counts = [[0] * rows for _ in range(banks)]
         self.refresh_schedule = RefreshSchedule(rows, refresh_groups)
         self.max_count = 0
         self.max_bank = 0
@@ -60,8 +58,8 @@ class HammerLedger:
         """Count one activation; returns the row's running count."""
         self.total_activations += 1
         counts = self.counts[bank]
-        counts[row] += 1
-        value = int(counts[row])
+        value = counts[row] + 1
+        counts[row] = value
         if value > self.max_count:
             self.max_count = value
             self.max_bank = bank
@@ -76,8 +74,9 @@ class HammerLedger:
     def on_refresh(self) -> None:
         """One REF: the next refresh group's rows are freshened."""
         start, stop = self.refresh_schedule.advance()
-        for bank in range(self.banks):
-            self.counts[bank][start:stop] = 0
+        cleared = [0] * (stop - start)
+        for counts in self.counts:
+            counts[start:stop] = cleared
 
     def report(self) -> LedgerReport:
         return LedgerReport(

@@ -31,11 +31,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..attacks.harness import AttackHarness, Target
 from ..mitigations import registry as mitigation_registry
-from ..mitigations.prac_state import BLAST_RADIUS, RefreshSchedule
+from ..mitigations.prac_state import PRACShadow, RefreshSchedule
 from ..rng import derive_seed
 
 #: designs whose per-row counters must exactly track activations
@@ -45,51 +43,39 @@ EXACT_DESIGNS = tuple(s.name for s in mitigation_registry.specs() if s.exact)
 DESIGNS = mitigation_registry.names()
 
 
-class CounterConservationAuditor:
+class CounterConservationAuditor(PRACShadow):
     """Shadow PRAC counters maintained from the ledger-observer stream.
 
-    Implements the harness observer interface. The shadow mirrors the
-    exact-PRAC counter semantics — +1 per activation, aggressor reset
-    plus blast-radius victim increments per mitigation (footnote 5),
-    refresh groups cleared round-robin — without touching any policy
-    state, so comparing it against ``policy.counter_value`` catches
-    lost, duplicated, or misattributed counter updates on either side.
+    Implements the harness observer interface. The shadow is the
+    exact-PRAC :class:`~repro.mitigations.prac_state.PRACShadow` —
+    +1 per activation, aggressor reset plus blast-radius victim
+    increments per mitigation (footnote 5) — with refresh groups
+    cleared round-robin by the auditor's own schedules, and touches no
+    policy state, so comparing it against ``policy.counter_value``
+    catches lost, duplicated, or misattributed counter updates on
+    either side.
     """
 
+    __slots__ = ("schedules",)
+
     def __init__(self, banks: int, rows: int, refresh_groups: int):
-        self.banks = banks
-        self.rows = rows
-        self.counts = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        super().__init__(banks, rows)
         self.schedules = [RefreshSchedule(rows, refresh_groups)
                           for _ in range(banks)]
 
-    def on_activate(self, bank: int, row: int) -> None:
-        self.counts[bank][row] += 1
-
     def on_refresh(self) -> None:
         for bank in range(self.banks):
-            start, stop = self.schedules[bank].advance()
-            self.counts[bank][start:stop] = 0
-
-    def on_mitigation(self, bank: int, row: int) -> None:
-        counts = self.counts[bank]
-        counts[row] = 0
-        for offset in range(1, BLAST_RADIUS + 1):
-            for victim in (row - offset, row + offset):
-                if 0 <= victim < self.rows:
-                    counts[victim] += 1
+            self.on_refresh_range(bank, *self.schedules[bank].advance())
 
     def mismatches(self, policy) -> list[tuple[int, int, int, int]]:
         """(bank, row, shadow, policy) for every diverging counter."""
         out = []
         for bank in range(self.banks):
-            diff = np.nonzero(
-                self.counts[bank]
-                != np.array([policy.counter_value(bank, r)
-                             for r in range(self.rows)]))[0]
-            for row in diff:
-                out.append((bank, int(row), int(self.counts[bank][row]),
-                            policy.counter_value(bank, int(row))))
+            counts = self.counts[bank]
+            for row in range(self.rows):
+                value = policy.counter_value(bank, row)
+                if counts[row] != value:
+                    out.append((bank, row, counts[row], value))
         return out
 
 
@@ -202,6 +188,9 @@ def run_differential(trh: int = 500, activations: int = 60_000,
     ``drift_bound`` (``None``: the Rowhammer threshold — an estimate that
     falls behind the truth by ``trh`` has lost the security argument).
     """
+    if activations <= 0:
+        raise ValueError(
+            f"activations must be positive, got {activations}")
     if designs is None:
         designs = mitigation_registry.names()
     if drift_bound is None:

@@ -14,9 +14,7 @@ All MoPAC variants reuse this machinery — they differ only in *when* and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 #: Victim rows refreshed around a mitigated aggressor (blast radius 2).
 BLAST_RADIUS = 2
@@ -57,7 +55,7 @@ class PRACCounters:
             raise ValueError("banks and rows must be positive")
         self.banks = banks
         self.rows = rows
-        self.counters = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        self.counters = [[0] * rows for _ in range(banks)]
         self.trackers = [MoatTracker() for _ in range(banks)]
 
     def update(self, bank: int, row: int, increment: int) -> int:
@@ -66,13 +64,13 @@ class PRACCounters:
         Returns the new counter value.
         """
         counters = self.counters[bank]
-        counters[row] += increment
-        value = int(counters[row])
+        value = counters[row] + increment
+        counters[row] = value
         self.trackers[bank].observe(row, value)
         return value
 
     def value(self, bank: int, row: int) -> int:
-        return int(self.counters[bank][row])
+        return self.counters[bank][row]
 
     def tracker(self, bank: int) -> MoatTracker:
         return self.trackers[bank]
@@ -97,7 +95,7 @@ class PRACCounters:
             for victim in (row - offset, row + offset):
                 if 0 <= victim < self.rows:
                     counters[victim] += 1
-                    tracker.observe(victim, int(counters[victim]))
+                    tracker.observe(victim, counters[victim])
         return row
 
     def refresh_rows(self, bank: int, start: int, stop: int) -> None:
@@ -106,13 +104,67 @@ class PRACCounters:
         If the MOAT-tracked row falls in the refreshed range its entry is
         invalidated (its counter is now zero).
         """
-        self.counters[bank][start:stop] = 0
+        self.counters[bank][start:stop] = [0] * (stop - start)
         tracker = self.trackers[bank]
         if tracker.valid and start <= tracker.row < stop:
             tracker.invalidate()
 
-    def max_value(self, bank: int) -> int:
-        return int(self.counters[bank].max())
+
+class PRACShadow:
+    """Exact-PRAC true activation counts, kept apart from any policy.
+
+    +1 per activation, aggressor reset plus blast-radius victim
+    increments per mitigation (paper footnote 5), row ranges cleared by
+    refresh; ``peak`` keeps the highest count each bank's rows ever
+    reached, raised as counts rise so that reading it scans no rows.
+    Two feeders each own an instance: the differential harness's
+    :class:`~repro.check.differential.CounterConservationAuditor` (fed
+    from the harness's observer stream, with its own refresh schedule)
+    and every policy's
+    :class:`~repro.mitigations.security.SecurityTelemetry` (fed by the
+    policy from the sites where it mutates its own counters).
+    """
+
+    __slots__ = ("banks", "rows", "counts", "peak")
+
+    def __init__(self, banks: int, rows: int):
+        if banks <= 0 or rows <= 0:
+            raise ValueError("banks and rows must be positive")
+        self.banks = banks
+        self.rows = rows
+        self.counts = [[0] * rows for _ in range(banks)]
+        self.peak = [0] * banks
+
+    def on_activate(self, bank: int, row: int) -> None:
+        """One true activation of (bank, row)."""
+        counts = self.counts[bank]
+        value = counts[row] + 1
+        counts[row] = value
+        if value > self.peak[bank]:
+            self.peak[bank] = value
+
+    def on_mitigation(self, bank: int, row: int) -> None:
+        """Victim refresh of ``row``: truth resets, neighbours +1."""
+        counts = self.counts[bank]
+        counts[row] = 0
+        for offset in range(1, BLAST_RADIUS + 1):
+            for victim in (row - offset, row + offset):
+                if 0 <= victim < self.rows:
+                    value = counts[victim] + 1
+                    counts[victim] = value
+                    if value > self.peak[bank]:
+                        self.peak[bank] = value
+
+    def on_refresh_range(self, bank: int, start: int, stop: int) -> None:
+        """Periodic refresh cleared rows [start, stop) of ``bank``."""
+        self.counts[bank][start:stop] = [0] * (stop - start)
+
+    def true_count(self, bank: int, row: int) -> int:
+        return self.counts[bank][row]
+
+    def max_disturbance(self, bank: int) -> int:
+        """Highest true count any row of ``bank`` ever reached."""
+        return self.peak[bank]
 
 
 @dataclass

@@ -33,8 +33,6 @@ from .base import EpisodeDecision, MitigationPolicy
 from .prac_state import BLAST_RADIUS, MoatTracker, RefreshSchedule
 from .security import SecurityTelemetry
 
-import numpy as np
-
 #: Default subarrays per bank (real parts have 32-128; the scaled-down
 #: geometries used in tests keep the ratio rows/subarray meaningful).
 DEFAULT_SUBARRAYS = 8
@@ -51,7 +49,7 @@ class SubarrayState:
         self.banks = banks
         self.rows = rows
         self.subarrays = subarrays
-        self.counters = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        self.counters = [[0] * rows for _ in range(banks)]
         self.trackers = [[MoatTracker() for _ in range(subarrays)]
                          for _ in range(banks)]
 
@@ -61,13 +59,13 @@ class SubarrayState:
 
     def update(self, bank: int, row: int, increment: int) -> int:
         counters = self.counters[bank]
-        counters[row] += increment
-        value = int(counters[row])
+        value = counters[row] + increment
+        counters[row] = value
         self.trackers[bank][self.subarray_of(row)].observe(row, value)
         return value
 
     def value(self, bank: int, row: int) -> int:
-        return int(self.counters[bank][row])
+        return self.counters[bank][row]
 
     def max_tracked(self, bank: int) -> int:
         """Hottest tracked value across the bank's subarrays."""
@@ -92,11 +90,11 @@ class SubarrayState:
                 if 0 <= victim < self.rows:
                     counters[victim] += 1
                     self.trackers[bank][self.subarray_of(victim)].observe(
-                        victim, int(counters[victim]))
+                        victim, counters[victim])
         return row
 
     def refresh_rows(self, bank: int, start: int, stop: int) -> None:
-        self.counters[bank][start:stop] = 0
+        self.counters[bank][start:stop] = [0] * (stop - start)
         for tracker in self.trackers[bank]:
             if tracker.valid and start <= tracker.row < stop:
                 tracker.invalidate()

@@ -259,30 +259,30 @@ def compare_mitigations(trh: int = 500, activations: int = 60_000,
     """Cross-mitigation comparison table (paper §9.2) from one command.
 
     Runs every registered post-PRAC design (or ``designs``) through the
-    differential harness on one seeded adversarial stream, plus an
-    unprotected baseline for the slowdown column, and renders one row
-    per design: contract class, timing family, the threshold the
-    security ledger held it to, the ledger verdict, service activity,
-    telemetry drift, and harness slowdown. Returns ``(table, ok)``.
+    differential harness on one seeded adversarial stream, plus the
+    unprotected ``baseline`` (its spec is not secure, so its ledger is
+    recorded, not failed) for the slowdown column, and renders one row
+    per compared design: contract class, timing family, the threshold
+    the security ledger held it to, the ledger verdict, service
+    activity, telemetry drift, and harness slowdown. Returns
+    ``(table, ok)``.
     """
-    from ..attacks.harness import AttackHarness
-    from ..check.differential import make_targets, run_differential
-    from ..mitigations.prac import BaselinePolicy
+    from ..check.differential import run_differential
+    from ..mitigations import registry
 
+    compared = tuple(designs) if designs else registry.names()
     report = run_differential(trh=trh, activations=activations,
                               banks=banks, rows=rows,
                               refresh_groups=refresh_groups, seed=seed,
-                              designs=tuple(designs) if designs else None)
-    baseline = AttackHarness(
-        BaselinePolicy(), trh, banks, rows, refresh_groups).run(
-        iter(make_targets(seed, banks, rows, activations)), activations)
+                              designs=compared + ("baseline",))
+    *outcomes, baseline = report.outcomes
     base_ps = baseline.elapsed_ps
 
     fields = ("design", "class", "timing", "eff_trh", "secure",
               "max_count", "alerts", "mitigations", "cu_per_act",
               "drift_max", "slowdown")
     table_rows = []
-    for o in report.outcomes:
+    for o in outcomes:
         if o.attack_succeeded:
             verdict = "BROKEN" if o.expected_secure else "broken*"
         else:
@@ -402,10 +402,13 @@ def main(argv: list[str] | None = None) -> int:
         set_knob(CACHE_DIR_ENV, args.cache_dir)
 
     if args.command == "compare-mitigations":
-        table, ok = compare_mitigations(
-            trh=args.trh, activations=args.activations, seed=args.seed,
-            designs=tuple(args.designs) if args.designs else None,
-            csv_path=pathlib.Path(args.csv) if args.csv else None)
+        try:
+            table, ok = compare_mitigations(
+                trh=args.trh, activations=args.activations, seed=args.seed,
+                designs=tuple(args.designs) if args.designs else None,
+                csv_path=pathlib.Path(args.csv) if args.csv else None)
+        except ValueError as error:
+            parser.error(str(error))
         print(table, end="")
         return 0 if ok else 1
     if args.command == "plan":

@@ -97,3 +97,11 @@ class TestStopOnFailure:
                             enable_refresh=False, **GEO)
         assert result.attack_succeeded
         assert result.activations < 10_000
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("activations", [0, -5])
+    def test_non_positive_activations_raise(self, activations):
+        harness = AttackHarness(BaselinePolicy(), trh=100, **GEO)
+        with pytest.raises(ValueError, match="activations"):
+            harness.run(single_sided(0, 5), activations)

@@ -60,6 +60,13 @@ class TestSeededStreams:
             assert 0 <= row < 64
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("activations", [0, -1])
+    def test_non_positive_activations_raise(self, activations):
+        with pytest.raises(ValueError, match="activations"):
+            run_differential(**{**FAST, "activations": activations})
+
+
 class TestAuditorHasTeeth:
     """A conservation check that can't fail proves nothing; corrupt one
     side and make sure the mismatch surfaces."""
@@ -113,8 +120,8 @@ class TestAuditorHasTeeth:
         for row in range(64):
             auditor.on_activate(0, row)
         auditor.on_refresh()  # clears rows 0..7
-        assert not auditor.counts[0][:8].any()
-        assert auditor.counts[0][8:].all()
+        assert not any(auditor.counts[0][:8])
+        assert all(auditor.counts[0][8:])
 
 
 class TestDriftTelemetry:

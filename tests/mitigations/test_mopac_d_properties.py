@@ -57,7 +57,7 @@ def test_counters_never_negative(ops):
     policy = driven_policy(ops)
     for chip in policy.chips:
         for bank in range(chip.prac.banks):
-            assert chip.prac.counters[bank].min() >= 0
+            assert min(chip.prac.counters[bank]) >= 0
 
 
 @settings(max_examples=40, deadline=None)
