@@ -36,9 +36,9 @@ typecheck:
 # Table 4 mix (docs/performance.md quotes those numbers). The attack
 # harness is gated the same way: every §9.2 table design must give
 # the committed BENCH_harness.json digests. Its rows are 0.1-0.3 s
-# runs that jitter by up to ±55% here even as best of 5, so their
-# timing gate fails only past 2x, i.e. on losing the list counters
-# and the hoisted loop together.
+# runs that jitter by up to ±55% on a shared 2-vCPU host even as best
+# of 5, so their timing gate fails only past 2x, i.e. on losing the
+# plain-int counters and the hoisted loop together.
 BENCH_THRESHOLD ?= 0.5
 bench-engine:
 	$(PYTHON) benchmarks/bench_engine.py --smoke \

@@ -47,6 +47,8 @@ class HammerLedger:
         self.banks = banks
         self.rows = rows
         self.trh = trh
+        # lists, not prac_state.zeros arrays: the ledger lives only in
+        # the attack harness, where list indexing is the fastest
         self.counts = [[0] * rows for _ in range(banks)]
         self.refresh_schedule = RefreshSchedule(rows, refresh_groups)
         self.max_count = 0

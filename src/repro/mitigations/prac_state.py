@@ -14,10 +14,25 @@ All MoPAC variants reuse this machinery — they differ only in *when* and
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 #: Victim rows refreshed around a mitigated aggressor (blast radius 2).
 BLAST_RADIUS = 2
+
+_ZERO = array("q", [0])
+
+
+def zeros(n: int) -> array:
+    """``n`` zeroed int64 counters (none when ``n`` <= 0).
+
+    Indexing reads and writes plain Python ints. An ``array`` rather
+    than a list because the simulator builds these for every bank of
+    every point: a list's slots would each be set, freed and traversed
+    by the cyclic GC (about 4.5 ms per point at 32 banks x 4,096 rows).
+    docs/performance.md weighs this against the attack harness's speed.
+    """
+    return _ZERO * n
 
 
 @dataclass
@@ -55,7 +70,7 @@ class PRACCounters:
             raise ValueError("banks and rows must be positive")
         self.banks = banks
         self.rows = rows
-        self.counters = [[0] * rows for _ in range(banks)]
+        self.counters = [zeros(rows) for _ in range(banks)]
         self.trackers = [MoatTracker() for _ in range(banks)]
 
     def update(self, bank: int, row: int, increment: int) -> int:
@@ -104,7 +119,7 @@ class PRACCounters:
         If the MOAT-tracked row falls in the refreshed range its entry is
         invalidated (its counter is now zero).
         """
-        self.counters[bank][start:stop] = [0] * (stop - start)
+        self.counters[bank][start:stop] = zeros(stop - start)
         tracker = self.trackers[bank]
         if tracker.valid and start <= tracker.row < stop:
             tracker.invalidate()
@@ -132,7 +147,7 @@ class PRACShadow:
             raise ValueError("banks and rows must be positive")
         self.banks = banks
         self.rows = rows
-        self.counts = [[0] * rows for _ in range(banks)]
+        self.counts = [zeros(rows) for _ in range(banks)]
         self.peak = [0] * banks
 
     def on_activate(self, bank: int, row: int) -> None:
@@ -157,7 +172,7 @@ class PRACShadow:
 
     def on_refresh_range(self, bank: int, start: int, stop: int) -> None:
         """Periodic refresh cleared rows [start, stop) of ``bank``."""
-        self.counts[bank][start:stop] = [0] * (stop - start)
+        self.counts[bank][start:stop] = zeros(stop - start)
 
     def true_count(self, bank: int, row: int) -> int:
         return self.counts[bank][row]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from ..dram.timing import MoPACTimings, TimingSet
 from ..security.moat_model import moat_ath, moat_eth
 from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import BLAST_RADIUS, MoatTracker, RefreshSchedule
+from .prac_state import BLAST_RADIUS, MoatTracker, RefreshSchedule, zeros
 from .security import SecurityTelemetry
 
 #: Default subarrays per bank (real parts have 32-128; the scaled-down
@@ -49,7 +49,7 @@ class SubarrayState:
         self.banks = banks
         self.rows = rows
         self.subarrays = subarrays
-        self.counters = [[0] * rows for _ in range(banks)]
+        self.counters = [zeros(rows) for _ in range(banks)]
         self.trackers = [[MoatTracker() for _ in range(subarrays)]
                          for _ in range(banks)]
 
@@ -94,7 +94,7 @@ class SubarrayState:
         return row
 
     def refresh_rows(self, bank: int, start: int, stop: int) -> None:
-        self.counters[bank][start:stop] = [0] * (stop - start)
+        self.counters[bank][start:stop] = zeros(stop - start)
         for tracker in self.trackers[bank]:
             if tracker.valid and start <= tracker.row < stop:
                 tracker.invalidate()
