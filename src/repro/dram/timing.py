@@ -89,10 +89,13 @@ class TimingSet:
     def scaled_refresh(self, scale: float) -> "TimingSet":
         """Return a copy with the refresh window shrunk by ``scale``.
 
-        Scaled-down runs keep per-access timings identical but shorten
-        tREFW (and tREFI proportionally) so that refresh-window-relative
-        statistics (APRI, hot-row counts, drain-on-REF rates) converge in
-        far fewer simulated instructions. ``scale=1`` is the paper setup.
+        Scaled-down runs keep every other timing identical, tREFI
+        included, and replace only tREFW with ``int(tREFW * scale)``,
+        floored at one tREFI. A scaled window therefore holds ``scale``
+        times as many REF commands as the paper's, so refresh-window-
+        relative statistics (APRI, hot-row counts, drain-on-REF rates)
+        converge in far fewer simulated instructions. ``scale=1`` is the
+        paper setup; ``scale`` outside (0, 1] raises ``ValueError``.
         """
         if not 0 < scale <= 1:
             raise ValueError("scale must be in (0, 1]")

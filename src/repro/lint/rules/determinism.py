@@ -8,7 +8,7 @@ so builtin ``hash`` values — and any iteration order derived from them
 — differ across the workers a parallel sweep forks).
 
 Scope is every repro module except :mod:`repro.obs` — the telemetry
-layer is *defined* to be wall-clock (spans, sampled series) and proven
+layer is *defined* to be wall-clock (spans, phase timings) and proven
 zero-perturbation by ``tests/obs/test_integration.py`` instead — and
 :mod:`repro.lint` itself. Host-facing code with legitimate clock use
 (serve deadlines, engine wall-time metrics) carries reasoned

@@ -1,11 +1,10 @@
 """``stats-namespace``: registered metric names match the schema.
 
-Every name handed to ``StatsRegistry.counter/gauge/histogram``, every
-provider prefix handed to ``.register``/``register_stats``, and every
-``SeriesBoard.register`` series must fall under a namespace declared in
-:mod:`repro.obs.schema` — the same schema the
-``docs/observability.md`` table is generated from, so code, docs, and
-dashboards cannot drift apart silently.
+Every name handed to ``StatsRegistry.counter/gauge/histogram`` and
+every provider prefix handed to ``.register``/``register_stats`` must
+fall under a namespace declared in :mod:`repro.obs.schema` — the same
+schema the ``docs/observability.md`` table is generated from, so code
+and docs cannot drift apart silently.
 
 Name literals are matched *shape-wise*: ``f"mc.{mc.subchannel}"``
 checks as ``mc.{}`` against the ``mc.{sc}`` template. Sites whose
@@ -50,7 +49,7 @@ class StatsVisitor(RuleVisitor):
     @staticmethod
     def _name_argument(node: ast.Call, index: int) -> ast.AST | None:
         if node.func.attr == "register":
-            # the stats/series overload is register(<str-ish>, provider);
+            # the stats overload is register(<str-ish>, provider);
             # other register() methods (mitigation specs, handlers)
             # take non-string firsts and fall through here
             if len(node.args) != 2:
@@ -74,8 +73,8 @@ class StatsVisitor(RuleVisitor):
 class StatsNamespace(AstRule):
     id = "stats-namespace"
     severity = "error"
-    description = ("every registered metric / provider prefix / sampled "
-                   "series name must match a namespace declared in "
+    description = ("every registered metric / provider prefix name "
+                   "must match a namespace declared in "
                    "repro.obs.schema (docs/observability.md is "
                    "generated from it)")
     fix_hint = ("pick a name under an existing namespace, or declare "

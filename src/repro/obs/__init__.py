@@ -18,7 +18,6 @@ from the live dataclasses the simulator already maintains, and nothing
 perturbs simulation behaviour or RNG streams.
 """
 
-from .exposition import parse_prometheus, to_prometheus
 from .log import configure as configure_logging
 from .log import get_logger
 from .registry import Counter, Gauge, Histogram, StatsRegistry
@@ -26,7 +25,6 @@ from .spans import Span, SpanTracer, current_span, current_tracer
 from .spans import install as install_spans
 from .spans import span
 from .spans import uninstall as uninstall_spans
-from .timeseries import Series, SeriesBoard
 from .tracer import EventTracer, TraceEvent, merge_events
 
 __all__ = [
@@ -34,8 +32,6 @@ __all__ = [
     "EventTracer",
     "Gauge",
     "Histogram",
-    "Series",
-    "SeriesBoard",
     "Span",
     "SpanTracer",
     "StatsRegistry",
@@ -46,8 +42,6 @@ __all__ = [
     "get_logger",
     "install_spans",
     "merge_events",
-    "parse_prometheus",
     "span",
-    "to_prometheus",
     "uninstall_spans",
 ]

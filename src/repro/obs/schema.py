@@ -1,8 +1,7 @@
 """The declared metric-name schema: one source of truth for namespaces.
 
 Every dotted name registered into a :class:`~repro.obs.registry.StatsRegistry`
-(or sampled into a :class:`~repro.obs.timeseries.SeriesBoard`) must fall
-under one of the namespaces declared here. Three consumers keep the
+must fall under one of the namespaces declared here. Three consumers keep the
 schema honest:
 
 * the ``stats-namespace`` lint rule (:mod:`repro.lint.rules.stats`)
@@ -77,9 +76,9 @@ NAMESPACES: tuple[Namespace, ...] = (
               "`sim.row_activity.*` (when collected)"),
     Namespace("serve",
               "the simulation daemon (`GET /stats`, see "
-              "`docs/serving.md`) and its sampled series",
+              "`docs/serving.md`)",
               "`serve.jobs_completed`, `serve.queue_depth`, "
-              "`serve.job_latency_ms.p99`, `serve.pool.points_per_s`"),
+              "`serve.job_latency_ms.p99`, `serve.pool.inflight_points`"),
     Namespace("exec.cache",
               "result-cache counters (`ResultCache.register_stats`)",
               "`exec.cache.hits`, `exec.cache.writes`"),

@@ -5,7 +5,7 @@ Options::
     python -m repro.serve --state-dir .repro-serve \
         [--address unix:/path.sock | --address host:port] \
         [--workers N] [--max-jobs N] [--drain-s S] [--cache-dir DIR] \
-        [--metrics-interval S] [--quiet]
+        [--quiet]
 
 The server runs until SIGTERM/SIGINT (or ``POST /shutdown``), drains
 gracefully, and exits 0. Anything still queued stays in the journal
@@ -45,19 +45,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default: "
                              "REPRO_CACHE_DIR or <state-dir>/cache)")
-    parser.add_argument("--metrics-interval", type=float, default=1.0,
-                        help="time-series sampling interval in seconds "
-                             "(default: 1.0; see GET /metrics)")
     parser.add_argument("--quiet", action="store_true",
                         help="only log warnings")
     args = parser.parse_args(argv)
     configure("warning" if args.quiet else None)
 
-    server = ServeServer(
-        state_dir=args.state_dir, address=args.address,
-        workers=args.workers, max_jobs=args.max_jobs,
-        drain_s=args.drain_s, cache_dir=args.cache_dir,
-        metrics_interval_s=args.metrics_interval)
+    try:
+        server = ServeServer(
+            state_dir=args.state_dir, address=args.address,
+            workers=args.workers, max_jobs=args.max_jobs,
+            drain_s=args.drain_s, cache_dir=args.cache_dir)
+    except ValueError as error:
+        parser.error(str(error))
     try:
         return asyncio.run(server.run())
     except KeyboardInterrupt:  # pragma: no cover - interactive only

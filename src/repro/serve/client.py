@@ -133,8 +133,7 @@ class ServeClient:
     def request_raw(self, method: str, path: str,
                     body: Any | None = None) -> tuple[int, str, bytes]:
         """One round trip without decoding; returns
-        ``(status, content_type, raw_body)`` — for non-JSON endpoints
-        such as the Prometheus ``/metrics`` exposition."""
+        ``(status, content_type, raw_body)``."""
         if self.kind == "unix":
             conn: http.client.HTTPConnection = _UnixHTTPConnection(
                 self.target, self.timeout_s)
@@ -169,17 +168,6 @@ class ServeClient:
 
     def stats(self) -> dict[str, Any]:
         return self._call("GET", "/stats")
-
-    def metrics(self) -> dict[str, Any]:
-        """Stats snapshot plus sampled time-series (JSON format)."""
-        return self._call("GET", "/metrics?format=json")
-
-    def metrics_text(self) -> tuple[str, str]:
-        """Prometheus exposition; returns ``(content_type, text)``."""
-        status, content_type, raw = self.request_raw("GET", "/metrics")
-        if status >= 400:
-            raise ServeError(status, raw.decode("utf-8", "replace"))
-        return content_type, raw.decode("utf-8")
 
     def spans(self, name: str | None = None) -> dict[str, Any]:
         """Buffered lifecycle spans, optionally filtered by name."""

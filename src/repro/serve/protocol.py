@@ -157,16 +157,10 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
 # ----------------------------------------------------------------------
 def response_bytes(status: int, document: Any) -> bytes:
     """Serialise one JSON response with framing headers."""
-    return text_bytes(status, json.dumps(document), "application/json")
-
-
-def text_bytes(status: int, text: str,
-               content_type: str = "text/plain; charset=utf-8") -> bytes:
-    """Serialise one non-JSON response (Prometheus exposition etc.)."""
-    body = text.encode("utf-8")
+    body = json.dumps(document).encode("utf-8")
     reason = _REASONS.get(status, "Unknown")
     head = (f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
+            "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n")
     return head.encode("latin-1") + body

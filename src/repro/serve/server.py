@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import math
 import os
 import pathlib
 import signal
@@ -42,17 +43,15 @@ from typing import Any, Callable
 from ..exec.cache import UNREADABLE, ResultCache, default_cache_dir
 from ..exec.resolver import PointFailed, Resolver
 from ..exec.serialize import result_row, result_to_dict
-from ..obs.exposition import CONTENT_TYPE, to_prometheus
 from ..obs.log import get_logger
 from ..obs.registry import StatsRegistry
 from ..obs.spans import (Span, SpanTracer, install as install_spans, span,
                          uninstall as uninstall_spans)
-from ..obs.timeseries import SeriesBoard
 from ..sim.runner import DesignPoint
 from .jobs import (CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job, Journal,
                    make_job, next_job_id)
 from .protocol import (ProtocolError, Request, error_bytes, parse_address,
-                       read_request, response_bytes, text_bytes)
+                       read_request, response_bytes)
 
 log = get_logger(__name__)
 
@@ -81,19 +80,6 @@ def _span_ns() -> int:
     return time.perf_counter_ns()
 
 
-def _rate(fn: Callable[[], float], interval_s: float) -> Callable[[], float]:
-    """Turn a cumulative counter reader into a per-second rate sampler."""
-    last: list[float | None] = [None]
-
-    def sample() -> float:
-        value = fn()
-        previous, last[0] = last[0], value
-        if previous is None:
-            return 0.0
-        return (value - previous) / interval_s
-    return sample
-
-
 def _key_summary(job: Job, limit: int = 3) -> str:
     """First few cache keys of a job's points, for log lines.
 
@@ -119,14 +105,17 @@ class ServeServer:
                  cache: Any = "auto",
                  simulate_fn: Callable[[Any], tuple[Any, float]] | None = None,
                  executor_factory: Callable[[int], Any] | None = None,
-                 encoder: Callable[[Any], dict] = result_row,
-                 metrics_interval_s: float = 1.0):
-        self.state_dir = pathlib.Path(state_dir)
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.address = address or default_socket(self.state_dir)
-        self.kind, self.target = parse_address(self.address)
+                 encoder: Callable[[Any], dict] = result_row):
+        # validated before the state directory exists, so a rejected
+        # server leaves nothing behind
         if max_jobs < 1:
             raise ValueError("max_jobs must be >= 1")
+        if not math.isfinite(drain_s) or drain_s < 0:
+            raise ValueError("drain_s must be finite and >= 0")
+        self.state_dir = pathlib.Path(state_dir)
+        self.address = address or default_socket(self.state_dir)
+        self.kind, self.target = parse_address(self.address)
+        self.state_dir.mkdir(parents=True, exist_ok=True)
         self.max_jobs = max_jobs
         self.drain_s = drain_s
         self.encoder = encoder
@@ -170,12 +159,6 @@ class ServeServer:
         self.spans = SpanTracer()
         self._job_spans: dict[str, Span] = {}
         self._queued_ns: dict[str, int] = {}
-        if metrics_interval_s <= 0:
-            raise ValueError("metrics_interval_s must be positive")
-        self.metrics_interval_s = metrics_interval_s
-        self.board = SeriesBoard(interval_s=metrics_interval_s)
-        self._register_series()
-        self._sampler: asyncio.Task | None = None
 
         self._jobs: dict[str, Job] = {}
         self._heap: list[tuple[int, int, str]] = []
@@ -193,51 +176,6 @@ class ServeServer:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _register_series(self) -> None:
-        board = self.board
-        board.register("serve.queue_depth", self.queue_depth)
-        board.register("serve.jobs_running",
-                       lambda: sum(1 for j in self._jobs.values()
-                                   if j.state == RUNNING))
-        board.register("serve.jobs_completed",
-                       lambda: self._c_completed.value)
-        board.register("serve.jobs_per_s",
-                       _rate(lambda: self._c_completed.value,
-                             self.metrics_interval_s))
-        board.register("serve.job_latency_p50_ms",
-                       lambda: self._h_latency.percentile(0.5))
-        board.register("serve.job_latency_p99_ms",
-                       lambda: self._h_latency.percentile(0.99))
-        resolver, metrics = self.resolver, self.resolver.metrics
-        board.register("serve.pool.inflight_points",
-                       lambda: resolver.inflight)
-        board.register("serve.pool.running_points",
-                       lambda: resolver.running)
-        for series, name in (("dedup_hits", "dedup_hits"),
-                             ("cache_hits", "cache_hits"),
-                             ("cache_misses", "cache_misses"),
-                             ("points_simulated", "simulated")):
-            board.register(f"serve.pool.{series}",
-                           lambda key=name: getattr(metrics, key))
-        board.register("serve.pool.cache_hit_rate", self._cache_hit_rate)
-        board.register("serve.pool.points_per_s",
-                       _rate(self._points_resolved,
-                             self.metrics_interval_s))
-
-    def _cache_hit_rate(self) -> float:
-        metrics = self.resolver.metrics
-        total = metrics.cache_hits + metrics.cache_misses
-        return metrics.cache_hits / total if total else 0.0
-
-    def _points_resolved(self) -> float:
-        metrics = self.resolver.metrics
-        return metrics.simulated + metrics.cache_hits + metrics.dedup_hits
-
-    async def _sample_loop(self) -> None:
-        while True:
-            self.board.sample()
-            await asyncio.sleep(self.metrics_interval_s)
-
     def _begin_job_span(self, job: Job) -> Span:
         """Root span of a job's lifecycle tree (lazy for resumed jobs)."""
         root = self._job_spans.get(job.id)
@@ -298,7 +236,6 @@ class ServeServer:
                 self._handle, host=host, port=port)
         self._install_signal_handlers()
         dispatcher = asyncio.ensure_future(self._dispatch())
-        self._sampler = asyncio.ensure_future(self._sample_loop())
         log.info("serving on %s (workers=%d, max_jobs=%d, cache=%s)",
                  self.address, self.resolver.workers, self.max_jobs,
                  self.cache.directory)
@@ -308,7 +245,6 @@ class ServeServer:
             await self._done.wait()
         finally:
             dispatcher.cancel()
-            self._sampler.cancel()
             self._remove_signal_handlers()
             uninstall_spans(spans_token)
         log.info("shut down cleanly (%d job(s) left journaled)",
@@ -502,36 +438,22 @@ class ServeServer:
             })
         if path == "/stats":
             return response_bytes(200, self.registry.snapshot())
-        if path == "/metrics":
-            return self._metrics(request)
         if path == "/spans":
             return self._spans(request)
         if path == "/status":
             return self._status(request)
         if path == "/result":
             return self._result(request)
+        if path not in ("/submit", "/cancel", "/shutdown"):
+            return error_bytes(404, f"unknown endpoint {path}")
         if method != "POST":
             return error_bytes(405, f"{method} {path} not supported")
         if path == "/submit":
             return self._submit(request.json())
         if path == "/cancel":
             return self._cancel(request.json())
-        if path == "/shutdown":
-            self.request_drain()
-            return response_bytes(202, {"draining": True})
-        return error_bytes(404, f"unknown endpoint {path}")
-
-    def _metrics(self, request: Request) -> bytes:
-        """Live metrics: Prometheus text by default, ``?format=json``
-        additionally carries the sampled time-series rings."""
-        fmt = request.query.get("format", "prometheus")
-        snapshot = self.registry.snapshot()
-        if fmt == "json":
-            return response_bytes(200, {"stats": snapshot,
-                                        "series": self.board.as_dict()})
-        if fmt != "prometheus":
-            return error_bytes(400, f"unknown metrics format {fmt!r}")
-        return text_bytes(200, to_prometheus(snapshot), CONTENT_TYPE)
+        self.request_drain()
+        return response_bytes(202, {"draining": True})
 
     def _spans(self, request: Request) -> bytes:
         name = request.query.get("name")

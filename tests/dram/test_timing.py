@@ -104,11 +104,17 @@ class TestFigure4Latency:
 
 
 class TestScaledRefresh:
-    def test_scaling_shrinks_trefw_only(self, base_timing):
-        scaled = base_timing.scaled_refresh(1 / 64)
-        assert scaled.tREFW == base_timing.tREFW // 64
-        assert scaled.tREFI == base_timing.tREFI
-        assert scaled.tRC == base_timing.tRC
+    @pytest.mark.parametrize("scale", [1, 0.5, 1 / 64, 1 / 256, 1e-4])
+    def test_scaling_shrinks_trefw_only(self, base_timing, prac_timing,
+                                        scale):
+        # tREFI keeps its paper value: a scaled window holds fewer REFs
+        for timing in (base_timing, prac_timing):
+            scaled = timing.scaled_refresh(scale)
+            assert scaled.tREFW == max(int(timing.tREFW * scale),
+                                       timing.tREFI)
+            assert scaled.tREFI == timing.tREFI
+            assert dataclasses.replace(
+                scaled, name=timing.name, tREFW=timing.tREFW) == timing
 
     def test_scale_one_is_identity_values(self, base_timing):
         scaled = base_timing.scaled_refresh(1)
@@ -116,9 +122,11 @@ class TestScaledRefresh:
 
     def test_scale_never_below_trefi(self, base_timing):
         scaled = base_timing.scaled_refresh(1e-9)
-        assert scaled.tREFW >= scaled.tREFI
+        assert scaled.tREFW == scaled.tREFI
+        assert scaled.refs_per_refw == 1
 
-    @pytest.mark.parametrize("bad", [0, -0.5, 1.5])
+    @pytest.mark.parametrize("bad", [0, -0.5, 1.5, float("nan"),
+                                     float("inf")])
     def test_bad_scale_rejected(self, base_timing, bad):
         with pytest.raises(ValueError):
             base_timing.scaled_refresh(bad)

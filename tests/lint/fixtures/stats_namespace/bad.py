@@ -2,10 +2,9 @@
 """Metric names outside every declared namespace."""
 
 
-def wire(registry, board, cache):
+def wire(registry, cache):
     registry.counter("bogus.requests")
     registry.gauge("queue.depth")
     registry.histogram("latency_ms", (1, 10, 100))
     registry.register("daemon", lambda: {"up": 1})
     cache.register_stats(registry, prefix="results.cache")
-    board.register("jobs.per_s", lambda: 0.0)

@@ -2,12 +2,11 @@
 """Names under declared namespaces, including f-string shapes."""
 
 
-def wire(registry, board, cache, subchannel, prefix):
+def wire(registry, cache, subchannel, prefix):
     registry.counter("serve.jobs_submitted")
     registry.gauge(f"mc.{subchannel}.row_hits")
     registry.histogram("serve.job_latency_ms", (1, 10, 100))
     registry.register("serve", lambda: {"up": 1})
     cache.register_stats(registry, prefix="exec.cache")
-    board.register("serve.pool.points_per_s", lambda: 0.0)
     # dynamically-prefixed mount point: checked where the prefix is chosen
     registry.counter(f"{prefix}.latency_ps.count")

@@ -120,6 +120,18 @@ class TestResponseBytes:
         assert "Connection: close" in lines
         assert json.loads(body) == {"ok": True}
 
+    @pytest.mark.parametrize("status, reason", [
+        (200, "OK"), (202, "Accepted"), (400, "Bad Request"),
+        (404, "Not Found"), (405, "Method Not Allowed"), (409, "Conflict"),
+        (410, "Gone"), (413, "Payload Too Large"),
+        (500, "Internal Server Error"), (503, "Service Unavailable"),
+        (599, "Unknown")])
+    def test_status_line_and_json_content_type(self, status, reason):
+        lines, body = self.split(response_bytes(status, {"status": status}))
+        assert lines[0] == f"HTTP/1.1 {status} {reason}"
+        assert "Content-Type: application/json" in lines
+        assert json.loads(body) == {"status": status}
+
     def test_error_payload(self):
         lines, body = self.split(error_bytes(404, "unknown job"))
         assert lines[0].startswith("HTTP/1.1 404")

@@ -15,6 +15,7 @@ import pytest
 from repro.exec.cache import point_key
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import Journal
+from repro.serve.protocol import Request
 from repro.serve.server import ServeServer
 from repro.sim.runner import DesignPoint
 
@@ -193,6 +194,100 @@ class TestValidation:
             assert status == 400
             status, _ = await call(client.request, "GET", "/submit")
             assert status == 405
+            # an unknown path is 404 under any method, never 405
+            for path in ("/frobnicate", "/metrics"):
+                status, doc = await call(client.request, "GET", path)
+                assert status == 404
+                assert "unknown endpoint" in doc["error"]
+
+        run_scenario(tmp_path, scenario)
+
+    @pytest.mark.parametrize("knobs", [
+        {"max_jobs": 0}, {"drain_s": -1.0}, {"drain_s": float("nan")},
+        {"drain_s": float("inf")}])
+    def test_bad_knobs_rejected_before_state_dir(self, tmp_path, knobs):
+        with pytest.raises(ValueError):
+            make_server(tmp_path, lambda q: ({}, 0.0), **knobs)
+        assert not (tmp_path / "state").exists()
+
+    def test_zero_drain_accepted(self, tmp_path):
+        server = make_server(tmp_path, lambda q: ({}, 0.0), drain_s=0)
+        assert server.drain_s == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-jobs", "0"], "max_jobs must be >= 1"),
+        (["--drain-s", "-1"], "drain_s must be finite"),
+        (["--drain-s", "nan"], "drain_s must be finite"),
+        (["--address", "justahost"], "bad server address")])
+    def test_cli_rejects_bad_knobs_with_usage_error(self, tmp_path, argv,
+                                                    message, capsys):
+        from repro.serve.__main__ import main
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--state-dir", str(state), *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not state.exists()
+
+
+class TestRouting:
+    """The route table, called directly: status by method and path."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        return make_server(tmp_path, lambda q: ({}, 0.0))
+
+    @staticmethod
+    def status(server, method, path):
+        payload = server._route(Request(method, path, {}, b""))
+        return int(payload.split(b" ", 2)[1])
+
+    @pytest.mark.parametrize("method", ["GET", "POST", "PUT", "DELETE"])
+    @pytest.mark.parametrize("path", ["/frobnicate", "/metrics", "/",
+                                      "/stats/extra"])
+    def test_unknown_path_is_404_under_any_method(self, server, method,
+                                                  path):
+        assert self.status(server, method, path) == 404
+
+    @pytest.mark.parametrize("method", ["GET", "PUT", "DELETE"])
+    @pytest.mark.parametrize("path", ["/submit", "/cancel", "/shutdown"])
+    def test_post_endpoint_refuses_other_methods(self, server, method,
+                                                 path):
+        assert self.status(server, method, path) == 405
+        # refused before acting: no job, no drain
+        assert server._jobs == {}
+        assert server._drain_task is None
+
+    @pytest.mark.parametrize("path", ["/healthz", "/stats", "/spans",
+                                      "/status"])
+    def test_read_endpoints_answer_get(self, server, path):
+        assert self.status(server, "GET", path) == 200
+
+
+class TestStatsKeys:
+    def test_key_set_after_one_job(self, tmp_path):
+        """The snapshot's names are stable API (``repro.obs.schema``)."""
+        summary = ("count", "mean", "p50", "p90", "p99")
+        expected = {
+            "exec.cache.entries",  # StubCache's one provider key
+            *(f"exec.resolve.{name}" for name in (
+                "cache_hits", "cache_misses", "dedup_hits", "failed",
+                "memo_hits", "requested", "retries", "simulated",
+                "wall_s", "worker_restarts")),
+            *(f"exec.resolve.point_wall_ms.{name}" for name in summary),
+            *(f"serve.{name}" for name in (
+                "draining", "jobs_cancelled", "jobs_completed",
+                "jobs_failed", "jobs_known", "jobs_rejected",
+                "jobs_resumed", "jobs_running", "jobs_submitted",
+                "pool.inflight_points", "pool.running_points",
+                "pool.workers", "queue_depth")),
+            *(f"serve.job_latency_ms.{name}" for name in summary),
+        }
+
+        async def scenario(server, client):
+            await call(client.wait, await call(client.submit, [point()]),
+                       10.0)
+            assert set(await call(client.stats)) == expected
 
         run_scenario(tmp_path, scenario)
 
@@ -381,56 +476,6 @@ class TestDrainAndRestart:
 
         asyncio.run(second_run())
         assert Journal.load(tmp_path / "state" / "journal.jsonl") == []
-
-
-class TestMetricsEndpoint:
-    def test_prometheus_exposition(self, tmp_path):
-        from repro.obs.exposition import parse_prometheus
-
-        async def scenario(server, client):
-            job_id = await call(client.submit, [point()])
-            await call(client.wait, job_id, 10.0)
-            content_type, text = await call(client.metrics_text)
-            assert "version=0.0.4" in content_type
-            parsed = parse_prometheus(text)
-            assert parsed["repro_serve_jobs_completed"] == 1
-            assert "repro_exec_cache_entries" in parsed
-            assert "repro_serve_queue_depth" in parsed
-
-        run_scenario(tmp_path, scenario)
-
-    def test_json_format_carries_series(self, tmp_path):
-        async def scenario(server, client):
-            job_id = await call(client.submit, [point()])
-            await call(client.wait, job_id, 10.0)
-            await asyncio.sleep(0.15)  # let the sampler tick
-            doc = await call(client.metrics)
-            assert set(doc) == {"stats", "series"}
-            assert doc["stats"]["serve.jobs_completed"] == 1
-            series = doc["series"]
-            assert series["interval_s"] == 0.05
-            names = set(series["series"])
-            assert {"serve.queue_depth", "serve.jobs_per_s",
-                    "serve.pool.cache_hit_rate"} <= names
-            depth = series["series"]["serve.queue_depth"]
-            assert depth["samples"] >= 1
-            assert depth["values"][-1] == 0.0
-
-        run_scenario(tmp_path, scenario, metrics_interval_s=0.05)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        async def scenario(server, client):
-            status, _, raw = await call(client.request_raw, "GET",
-                                        "/metrics?format=xml")
-            assert status == 400
-            assert b"unknown metrics format" in raw
-
-        run_scenario(tmp_path, scenario)
-
-    def test_bad_metrics_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            make_server(tmp_path, lambda q: ({}, 0.0),
-                        metrics_interval_s=0)
 
 
 class TestStatsPayload:
