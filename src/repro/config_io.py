@@ -13,6 +13,12 @@ Sections:
 * ``[dram]``  — geometry, in the artifact's naming style,
 * ``[timing]`` — the resolved base timing set in nanoseconds,
 * ``[system]`` — core-side parameters.
+
+Only ``[design]`` is read back: the other three sections are derived
+from it by :func:`~repro.sim.runner.build_config` and written for the
+reader, so :func:`design_point_from_ini` hands the parser just the
+``[design]`` section (plus ``[DEFAULT]``, whose values every section
+inherits) and never parses the derived ones.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import re
 
 from .config import SystemConfig
 from .sim.runner import DesignPoint, build_config
@@ -78,10 +85,32 @@ def design_point_to_ini(point: DesignPoint) -> str:
     return out.getvalue()
 
 
+#: a section header as ConfigParser reads one: ``[name]`` at the start
+#: of a line (an indented one may continue the option above it)
+_HEADER = re.compile(r"^\[(.+)\]", re.M)
+
+#: the sections :func:`design_point_from_ini` parses
+_READ_SECTIONS = ("design", configparser.DEFAULTSECT)
+
+
+def _design_sections(text: str) -> str:
+    """The ``[design]`` and ``[DEFAULT]`` sections of INI ``text``.
+
+    Each section runs from its header line to the next header line.
+    Every ``[design]`` header is kept, so a second one still raises
+    ``DuplicateSectionError`` when parsed.
+    """
+    headers = list(_HEADER.finditer(text))
+    ends = [header.start() for header in headers[1:]] + [len(text)]
+    return "".join(text[header.start():end]
+                   for header, end in zip(headers, ends)
+                   if header.group(1) in _READ_SECTIONS)
+
+
 def design_point_from_ini(text: str) -> DesignPoint:
     """Parse a ``[design]`` section back into a :class:`DesignPoint`."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    parser.read_string(_design_sections(text))
     if "design" not in parser:
         raise ValueError("missing [design] section")
     section = parser["design"]

@@ -79,11 +79,12 @@ def default_cache_dir() -> pathlib.Path | None:
 
 
 def point_key(point: Any, salt: str | None = None) -> str:
-    """Stable content hash of a design point (hex sha256)."""
+    """Stable content hash of a design point (hex sha256) over its
+    :meth:`~repro.sim.runner.DesignPoint.as_dict` fields."""
     payload = {
         "schema": SCHEMA_VERSION,
         "salt": effective_salt() if salt is None else salt,
-        "point": dataclasses.asdict(point),
+        "point": point.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

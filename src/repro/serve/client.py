@@ -20,7 +20,6 @@ SIGTERM + resume without the client noticing anything but latency.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import http.client
 import json
@@ -103,8 +102,8 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
 
 
 def _point_fields(point: Any) -> dict[str, Any]:
-    if dataclasses.is_dataclass(point) and not isinstance(point, type):
-        return dataclasses.asdict(point)
+    if isinstance(point, DesignPoint):
+        return point.as_dict()
     if isinstance(point, dict):
         return point
     raise TypeError(f"expected DesignPoint or dict, got "

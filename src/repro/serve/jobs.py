@@ -92,7 +92,7 @@ class Job:
             "priority": self.priority,
             "timeout_s": self.timeout_s,
             "submitted_s": self.submitted_s,
-            "points": [dataclasses.asdict(p) for p in self.points],
+            "points": [p.as_dict() for p in self.points],
         }
 
 

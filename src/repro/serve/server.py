@@ -10,8 +10,9 @@ One :class:`ServeServer` owns:
   the result cache and crash retries work *across* jobs);
 * the **JSON API** (see :mod:`repro.serve.protocol` and
   ``docs/serving.md``): ``POST /submit``, ``GET /status``,
-  ``GET /result``, ``POST /cancel``, ``GET /stats``, ``GET /healthz``,
-  ``POST /shutdown``;
+  ``GET /result``, ``POST /cancel``, ``GET /stats``, ``GET /spans``,
+  ``GET /healthz``, ``POST /shutdown``; any other method on these paths
+  is refused with 405 before it acts;
 * **lifecycle**: SIGTERM/SIGINT (or ``POST /shutdown``) starts a
   graceful drain — submissions are refused with 503, running jobs get
   ``drain_s`` seconds to finish, anything still pending stays in the
@@ -54,6 +55,13 @@ from .protocol import (ProtocolError, Request, error_bytes, parse_address,
                        read_request, response_bytes)
 
 log = get_logger(__name__)
+
+#: The one method each endpoint answers; any other gets 405.
+_METHODS = {
+    "/healthz": "GET", "/stats": "GET", "/spans": "GET", "/status": "GET",
+    "/result": "GET", "/submit": "POST", "/cancel": "POST",
+    "/shutdown": "POST",
+}
 
 #: Bucket edges (milliseconds) of the submit-to-done job histogram.
 JOB_LATENCY_MS_BOUNDS = (10, 50, 100, 500, 1_000, 5_000, 30_000, 300_000)
@@ -108,6 +116,8 @@ class ServeServer:
                  encoder: Callable[[Any], dict] = result_row):
         # validated before the state directory exists, so a rejected
         # server leaves nothing behind
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         if max_jobs < 1:
             raise ValueError("max_jobs must be >= 1")
         if not math.isfinite(drain_s) or drain_s < 0:
@@ -431,6 +441,11 @@ class ServeServer:
 
     def _route(self, request: Request) -> bytes:
         method, path = request.method, request.path
+        allowed = _METHODS.get(path)
+        if allowed is None:
+            return error_bytes(404, f"unknown endpoint {path}")
+        if method != allowed:
+            return error_bytes(405, f"{method} {path} not supported")
         if path == "/healthz":
             return response_bytes(200, {
                 "ok": True, "draining": self._draining,
@@ -444,10 +459,6 @@ class ServeServer:
             return self._status(request)
         if path == "/result":
             return self._result(request)
-        if path not in ("/submit", "/cancel", "/shutdown"):
-            return error_bytes(404, f"unknown endpoint {path}")
-        if method != "POST":
-            return error_bytes(405, f"{method} {path} not supported")
         if path == "/submit":
             return self._submit(request.json())
         if path == "/cancel":

@@ -103,6 +103,15 @@ class DesignPoint:
                     f"(got {getattr(self, name)!r}); its knobs: "
                     f"{', '.join(n for n, _ in spec.knobs) or 'none'}")
 
+    def as_dict(self) -> dict[str, Any]:
+        """Every field by name, in field order.
+
+        What ``dataclasses.asdict`` returns, without its recursive deep
+        copy: every field is a scalar. Cache keys, journal lines and
+        submit bodies are built from it.
+        """
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
+
     def baseline(self) -> "DesignPoint":
         """The matching baseline point (same everything, no mitigation)."""
         return DesignPoint(
@@ -118,6 +127,7 @@ class DesignPoint:
 
 _KNOB_DEFAULTS = {f.name: f.default for f in fields(DesignPoint)
                   if f.name in KNOB_FIELDS}
+_FIELD_NAMES = tuple(f.name for f in fields(DesignPoint))
 
 
 def make_policy_factory(point: DesignPoint,

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import config_io
 from repro.exec import cache as cache_module
 from repro.exec import resolver as resolver_module
 from repro.exec.cache import ResultCache
@@ -201,3 +202,81 @@ class TestOneKeyPerPoint:
             assert all(salted.path_for(p).exists() for p in points)
 
         serve(tmp_path, scenario, real_result, cache=salted)
+
+
+@pytest.fixture
+def load_calls():
+    """Wraps a cache's ``load`` (the one entry decode) to count calls."""
+    def wrap(cache):
+        calls = []
+        real = cache.load
+
+        def counting(key):
+            calls.append(key)
+            return real(key)
+
+        cache.load = counting
+        return calls
+
+    return wrap
+
+
+class TestWorkCounts:
+    """The submit -> fetch path's work, as counts rather than wall time."""
+
+    def test_warm_job_decodes_each_entry_once_per_read(
+            self, tmp_path, real_result, load_calls):
+        cache = ResultCache(tmp_path / "cache")
+        warm = [point(seed) for seed in range(4)]
+        for p in warm:
+            cache.put(p, real_result)
+        keys = [cache.key(p) for p in warm]
+        loads = load_calls(cache)
+
+        async def scenario(server, client):
+            job_id = await finish(client, warm)
+            assert loads == keys  # resolving: one decode per point
+            for full in (False, True, False):
+                del loads[:]
+                await call(client.result, job_id, full)
+                assert loads == keys  # one decode per point per call
+            stats = await call(client.stats)
+            assert stats["exec.resolve.simulated"] == 0
+
+        serve(tmp_path, scenario, real_result, cache=cache)
+
+    def test_campaign_round_parses_each_ini_once_per_call(
+            self, tmp_path, real_result, load_calls, monkeypatch):
+        plan_dir = tmp_path / "camp"
+        inis = campaign.plan(plan_dir, ["add", "mcf"], ["prac", "mopac-c"],
+                             [500, 250], 2_000)
+        _, _, flat = campaign.planned_points(plan_dir)
+        unique = list(dict.fromkeys(flat))
+        cache = ResultCache(tmp_path / "cache")
+        for p in unique:
+            cache.put(p, real_result)
+        loads = load_calls(cache)
+
+        texts = sorted(path.read_text() for path in inis)
+        parsed = []
+        real_parse = config_io.design_point_from_ini
+
+        def counting_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(config_io, "design_point_from_ini",
+                            counting_parse)
+
+        async def scenario(server, client):
+            job_id = await call(campaign.submit, plan_dir, server.address)
+            assert sorted(parsed) == texts  # each INI once
+            await call(client.wait, job_id, 10.0)
+            assert len(loads) == len(unique)
+            del parsed[:], loads[:]
+            await call(campaign.fetch, plan_dir, wait_s=10.0)
+            assert sorted(parsed) == texts
+            assert len(loads) == len(unique)
+
+        serve(tmp_path, scenario, real_result, cache=cache)
+        assert (plan_dir / "results.csv").exists()

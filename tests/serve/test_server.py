@@ -194,6 +194,8 @@ class TestValidation:
             assert status == 400
             status, _ = await call(client.request, "GET", "/submit")
             assert status == 405
+            status, _ = await call(client.request, "POST", "/stats")
+            assert status == 405
             # an unknown path is 404 under any method, never 405
             for path in ("/frobnicate", "/metrics"):
                 status, doc = await call(client.request, "GET", path)
@@ -204,7 +206,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("knobs", [
         {"max_jobs": 0}, {"drain_s": -1.0}, {"drain_s": float("nan")},
-        {"drain_s": float("inf")}])
+        {"drain_s": float("inf")}, {"workers": 0}, {"workers": -2}])
     def test_bad_knobs_rejected_before_state_dir(self, tmp_path, knobs):
         with pytest.raises(ValueError):
             make_server(tmp_path, lambda q: ({}, 0.0), **knobs)
@@ -216,6 +218,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("argv, message", [
         (["--max-jobs", "0"], "max_jobs must be >= 1"),
+        (["--workers", "0"], "workers must be >= 1"),
         (["--drain-s", "-1"], "drain_s must be finite"),
         (["--drain-s", "nan"], "drain_s must be finite"),
         (["--address", "justahost"], "bad server address")])
@@ -262,6 +265,17 @@ class TestRouting:
                                       "/status"])
     def test_read_endpoints_answer_get(self, server, path):
         assert self.status(server, "GET", path) == 200
+
+    @pytest.mark.parametrize("method", ["POST", "PUT", "DELETE"])
+    @pytest.mark.parametrize("path, query", [
+        ("/healthz", {}), ("/stats", {}), ("/spans", {}), ("/status", {}),
+        ("/status", {"id": "job-1"}), ("/result", {}),
+        ("/result", {"id": "job-1"})])
+    def test_read_endpoint_refuses_other_methods(self, server, method,
+                                                 path, query):
+        payload = server._route(Request(method, path, query, b""))
+        assert int(payload.split(b" ", 2)[1]) == 405
+        assert f"{method} {path} not supported".encode() in payload
 
 
 class TestStatsKeys:

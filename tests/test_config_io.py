@@ -1,5 +1,7 @@
 """INI serialisation of design points and the campaign tool."""
 
+import configparser
+import io
 import pathlib
 
 import pytest
@@ -8,8 +10,54 @@ from repro.config_io import (config_summary, design_point_from_ini,
                              design_point_to_ini, load_design_point,
                              save_design_point)
 from repro.config import SystemConfig
-from repro.sim.runner import DesignPoint
+from repro.sim.runner import DESIGNS, DesignPoint
 from repro.tools import campaign
+
+#: design -> non-default values of the DesignPoint knobs it takes
+KNOBBED = {
+    "mopac-c": [dict(p=1 / 32), dict(rowpress=True)],
+    "mopac-d": [dict(p=0.25, srq_size=32, drain_on_ref=3),
+                dict(chips=4, sampler="para", abo_level=2, rowpress=True),
+                dict(drain_on_ref=0, abo_level=4)],
+    "mopac-d-nup": [dict(p=1 / 16, srq_size=8, drain_on_ref=1, chips=2,
+                         sampler="para", abo_level=4, rowpress=True)],
+}
+
+
+def full_parse(text):
+    """The point a parse of every section gives, as INIs were read
+    before only ``[design]`` reached the parser: ConfigParser reads the
+    whole text, and its resolved ``[design]`` section, written out
+    alone, goes through :func:`design_point_from_ini`."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    if "design" not in parser:
+        raise ValueError("missing [design] section")
+    alone = configparser.ConfigParser()
+    alone["design"] = dict(parser["design"])
+    out = io.StringIO()
+    alone.write(out)
+    return design_point_from_ini(out.getvalue())
+
+
+def sections(text):
+    """``{header: section text}`` of an INI written by this module."""
+    out = {}
+    for chunk in text.split("\n["):
+        name, _, body = chunk.lstrip("[").partition("]")
+        out[name] = f"[{name}]{body}".rstrip("\n") + "\n"
+    return out
+
+
+def parse_both(text):
+    """``(new parse, full parse)``, or the exception type each raised."""
+    results = []
+    for parse in (design_point_from_ini, full_parse):
+        try:
+            results.append(parse(text))
+        except Exception as error:  # noqa: BLE001 - compared by type
+            results.append(type(error))
+    return results
 
 
 class TestIniRoundtrip:
@@ -53,6 +101,104 @@ class TestIniRoundtrip:
             DesignPoint(workload="mcf", design="prac", instructions=1))
         text = text.replace("instructions = 1\n", "instructions = 0\n")
         with pytest.raises(ValueError, match="instructions must be positive"):
+            design_point_from_ini(text)
+
+
+class TestDesignSectionOnly:
+    """Only ``[design]`` (and ``[DEFAULT]``) reaches the parser; the
+    point equals the one a parse of every section gives, and bad
+    ``[design]`` input fails as it did."""
+
+    POINT = DesignPoint(workload="mcf", design="mopac-d", trh=250)
+
+    def test_every_planned_ini_matches_full_parse(self, tmp_path):
+        paths = campaign.plan(tmp_path, ["mcf", "add", "mix1"], DESIGNS,
+                              [1000, 500, 250], 2_000)
+        assert len(paths) == 3 * len(DESIGNS) * 3
+        for path in paths:
+            text = path.read_text()
+            point = design_point_from_ini(text)
+            assert point == full_parse(text)
+            assert design_point_to_ini(point) == text
+
+    @pytest.mark.parametrize("design, knobs", [
+        (design, knobs) for design, variants in KNOBBED.items()
+        for knobs in variants])
+    def test_knob_values_match_full_parse(self, design, knobs):
+        point = DesignPoint(workload="lbm", design=design, trh=500,
+                            **knobs)
+        text = design_point_to_ini(point)
+        assert design_point_from_ini(text) == full_parse(text) == point
+
+    def test_design_not_first_section(self):
+        parts = sections(design_point_to_ini(self.POINT))
+        text = "".join(parts[name] for name in
+                       ("dram", "timing", "design", "system"))
+        assert text.index("[design]") > 0
+        assert design_point_from_ini(text) == full_parse(text) \
+            == self.POINT
+
+    def test_header_is_a_line_not_a_substring(self):
+        # ahead of the real header: a value, a comment and an indented
+        # continuation line that all contain "[design]"
+        parts = sections(design_point_to_ini(self.POINT))
+        parts["dram"] += ("note = copied from [design]\n"
+                          "# [design] is the only section read back\n"
+                          "comment = derived\n"
+                          "  [design] carries the point\n")
+        text = "".join(parts[name] for name in
+                       ("dram", "design", "timing", "system"))
+        assert text.count("[design]") == 4
+        assert design_point_from_ini(text) == full_parse(text) \
+            == self.POINT
+
+    def test_default_section_is_inherited(self):
+        text = design_point_to_ini(self.POINT).replace(
+            "seed = 24301\n", "") + "[DEFAULT]\nseed = 7\n"
+        assert design_point_from_ini(text) == full_parse(text)
+        assert design_point_from_ini(text).seed == 7
+
+    def test_derived_sections_are_not_read(self):
+        # nothing reads [timing] back, so a broken one no longer
+        # fails the parse of the point it was derived from
+        text = design_point_to_ini(self.POINT).replace(
+            "[timing]\n", "[timing]\ntrcd = 1\ntrcd = 2\n")
+        with pytest.raises(configparser.DuplicateOptionError):
+            full_parse(text)
+        assert design_point_from_ini(text) == self.POINT
+
+    def test_missing_design_section(self):
+        parts = sections(design_point_to_ini(self.POINT))
+        del parts["design"]
+        text = "".join(parts.values())
+        assert parse_both(text) == [ValueError, ValueError]
+        with pytest.raises(ValueError, match=r"missing \[design\]"):
+            design_point_from_ini(text)
+
+    def test_duplicate_option_in_design(self):
+        text = design_point_to_ini(self.POINT).replace(
+            "trh = 250\n", "trh = 250\ntrh = 500\n")
+        assert parse_both(text) == [configparser.DuplicateOptionError] * 2
+
+    @pytest.mark.parametrize("after", ["design", "dram", "system"])
+    def test_second_design_header(self, after):
+        parts = sections(design_point_to_ini(self.POINT))
+        second = parts["design"].replace("trh = 250", "trh = 500")
+        text = "".join(part + (second if name == after else "")
+                       for name, part in parts.items())
+        assert text.count("[design]") == 2
+        assert parse_both(text) == [configparser.DuplicateSectionError] * 2
+
+    def test_non_integer_trh(self):
+        text = design_point_to_ini(self.POINT).replace(
+            "trh = 250\n", "trh = 2.5e2\n")
+        assert parse_both(text) == [ValueError, ValueError]
+
+    def test_unknown_design(self):
+        text = design_point_to_ini(self.POINT).replace(
+            "design = mopac-d\n", "design = mopac-z\n")
+        assert parse_both(text) == [ValueError, ValueError]
+        with pytest.raises(ValueError, match="unknown design 'mopac-z'"):
             design_point_from_ini(text)
 
 
