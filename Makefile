@@ -1,20 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck bench-engine bench-tests coverage-check cov-mitigations ci clean-cache
+.PHONY: test typecheck bench-engine bench-tests coverage-check cov-mitigations ci clean-cache
 
 # Tier-1 suite: the one correctness gate. It asserts every contract
 # (oracle, mutations, differential, fuzz, corpora, goldens, inline ==
 # pool, warm cache, tracer/span zero perturbation, serve dedup and
-# restart) — see docs/verification.md.
+# restart) — see docs/verification.md — and holds the static invariant
+# linter's gate, tests/lint/test_repo_clean.py (docs/static-analysis.md).
 test:
 	$(PYTHON) -m pytest -x -q
-
-# Static invariant linter: determinism / rng / env-knob / async /
-# telemetry contracts (see docs/static-analysis.md). Zero findings
-# outside lint-baseline.json is the gate.
-lint:
-	$(PYTHON) -m repro.lint
 
 # Optional static type/flake pass; skips cleanly when neither mypy nor
 # pyflakes is installed (optional tooling, not a dep — same pattern as
@@ -80,7 +75,7 @@ cov-mitigations:
 	fi
 
 # What CI runs.
-ci: lint typecheck test bench-engine bench-tests cov-mitigations
+ci: typecheck test bench-engine bench-tests cov-mitigations
 
 clean-cache:
 	rm -rf benchmarks/results/.cache .repro-cache

@@ -1,9 +1,9 @@
 """Static enforcement of the repo's reproducibility contracts.
 
 ``repro.lint`` is a stdlib-only, AST-visitor-based linter that proves —
-at ``make lint`` time, over *all* code paths — the invariants the
-dynamic layers (conformance oracle, differential harness, fuzzer) can
-only spot-check after the fact:
+statically, over *all* code paths — the invariants the dynamic layers
+(conformance oracle, differential harness, fuzzer) can only spot-check
+after the fact:
 
 * **determinism** — no wall-clock or OS-entropy reads inside the
   simulation core (``docs/verification.md``'s bit-identity claims);
@@ -22,19 +22,19 @@ only spot-check after the fact:
 * **suppression-hygiene** — every inline waiver is well-formed, names
   a real rule, and carries a reason.
 
-Findings are waived inline (``# repro: allow(<rule-id>) — reason``) or
-grandfathered in the committed ``lint-baseline.json``; the CLI is
-``python -m repro.lint`` (wired into ``make ci`` as ``make lint``).
-See ``docs/static-analysis.md`` for the rule catalog and workflow.
+Findings are waived only inline (``# repro: allow(<rule-id>) —
+reason``); every other finding fails the run. The gate is tier-1's
+``tests/lint/test_repo_clean.py``; ``python -m repro.lint`` is the
+developer entry point. See ``docs/static-analysis.md`` for the rule
+catalog and workflow.
 """
 
-from .baseline import Baseline
-from .core import (Finding, FileContext, RepoContext, Rule, AstRule,
-                   RuleVisitor, all_rules, get_rule, register)
+from .core import (Finding, FileContext, Rule, AstRule, RuleVisitor,
+                   all_rules, get_rule, register)
 from .engine import LintRun, lint_paths, lint_source
 
 __all__ = [
-    "Baseline", "Finding", "FileContext", "RepoContext", "Rule",
-    "AstRule", "RuleVisitor", "all_rules", "get_rule", "register",
-    "LintRun", "lint_paths", "lint_source",
+    "Finding", "FileContext", "Rule", "AstRule", "RuleVisitor",
+    "all_rules", "get_rule", "register", "LintRun", "lint_paths",
+    "lint_source",
 ]

@@ -1,10 +1,12 @@
-"""``python -m repro.lint``: the CI gate and developer entry point.
+"""``python -m repro.lint``: the developer entry point.
 
-Exit status 0 means every invariant holds (no unsuppressed,
-unbaselined findings and every input parsed); anything else is 1.
-``make lint`` runs the default form — repo root auto-detected from
-this file's location, target ``src/repro``, baseline
-``lint-baseline.json``.
+Exit status 0 means every invariant holds (no unsuppressed findings
+and every input parsed); findings or unparseable inputs give 1, and a
+usage error — an unknown or empty ``--rules``, a missing path, or
+paths holding no Python file — gives 2. The default form lints
+``src/repro`` under the repo root auto-detected from this file's
+location; tier-1's ``tests/lint/test_repo_clean.py`` makes the same
+check.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import argparse
 import pathlib
 import sys
 
-from .baseline import DEFAULT_NAME, Baseline
-from .core import all_rules, get_rule
-from .engine import lint_paths
-from .report import render_catalog, render_json, render_text
+from .core import Rule, all_rules, get_rule
+from .engine import LintRun, lint_paths
 
 
 def default_root() -> pathlib.Path:
@@ -35,6 +35,44 @@ def default_root() -> pathlib.Path:
     return pathlib.Path.cwd()
 
 
+def render_text(run: LintRun) -> str:
+    """GCC-style ``path:line:col error[rule] message`` listing."""
+    out: list[str] = []
+    for finding in run.errors + run.findings:
+        out.append(f"{finding.path}:{finding.line}:{finding.col}: "
+                   f"error[{finding.rule}] {finding.message}")
+        if finding.fix_hint:
+            out.append(f"    hint: {finding.fix_hint}")
+    details = [f"{len(run.suppressed)} suppressed"]
+    if run.errors:
+        details.append(f"{len(run.errors)} unparseable file(s)")
+    state = "clean" if run.clean else f"{len(run.findings)} finding(s)"
+    out.append(f"repro.lint: {state} across {run.files} file(s) "
+               f"({', '.join(details)})")
+    return "\n".join(out) + "\n"
+
+
+def scope_text(rule: Rule) -> str:
+    """The modules ``rule`` audits, as the catalog and docs state it."""
+    if type(rule).check_repo is not Rule.check_repo:
+        return "repo-level"
+    scope = ", ".join(rule.scope) if rule.scope else "all repro modules"
+    if rule.exclude:
+        scope += f" (except {', '.join(rule.exclude)})"
+    return scope
+
+
+def render_catalog() -> str:
+    """The registered rule catalog (``--list-rules``)."""
+    out: list[str] = []
+    for rule in all_rules():
+        out.append(rule.id)
+        out.append(f"    {rule.description}")
+        out.append(f"    scope: {scope_text(rule)}")
+        out.append(f"    fix: {rule.fix_hint}")
+    return "\n".join(out) + "\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
@@ -45,22 +83,10 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: <root>/src/repro)")
     parser.add_argument("--root", type=pathlib.Path, default=None,
                         help="repository root (default: auto-detected)")
-    parser.add_argument("--baseline", type=pathlib.Path, default=None,
-                        help=f"baseline file (default: <root>/{DEFAULT_NAME})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline (report all findings)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "and exit 0")
     parser.add_argument("--rules", default=None, metavar="ID[,ID...]",
                         help="run only these rule ids")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format")
-    parser.add_argument("--no-repo-rules", action="store_true",
-                        help="skip cross-file rules "
-                             "(registry-completeness)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -75,36 +101,20 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no such path: {path}")
 
     rules = None
-    if args.rules:
+    if args.rules is not None:
         try:
             rules = [get_rule(rule_id.strip())
                      for rule_id in args.rules.split(",") if rule_id.strip()]
         except KeyError as error:
             parser.error(str(error))
+        if not rules:
+            parser.error(f"--rules {args.rules!r} names no rule")
 
-    baseline_path = args.baseline or root / DEFAULT_NAME
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, OSError) as error:
-            parser.error(f"bad baseline: {error}")
-
-    run = lint_paths(paths, root=root, rules=rules,
-                     baseline=Baseline() if args.update_baseline
-                     else baseline,
-                     repo_rules=not args.no_repo_rules)
-
-    if args.update_baseline:
-        Baseline.from_findings(run.findings).write(baseline_path)
-        sys.stdout.write(f"wrote {len(run.findings)} entr"
-                         f"{'y' if len(run.findings) == 1 else 'ies'} "
-                         f"to {baseline_path}\n")
-        return 0
-
-    writer = render_json if args.format == "json" else render_text
-    sys.stdout.write(writer(run))
+    run = lint_paths(paths, root=root, rules=rules)
+    if not run.files:
+        parser.error(f"no Python file to lint under "
+                     f"{', '.join(str(p) for p in paths)}")
+    sys.stdout.write(render_text(run))
     return 0 if run.clean else 1
 
 

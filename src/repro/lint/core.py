@@ -1,7 +1,7 @@
 """Rule model and registry for the invariant linter.
 
-A :class:`Rule` bundles an id, a severity, a visitor (or a repo-level
-check), and a fix-hint. Rules register themselves into a module-level
+A :class:`Rule` bundles an id, a visitor (or a repo-level check), and
+a fix-hint. Rules register themselves into a module-level
 registry at import time (:mod:`repro.lint.rules` imports every rule
 module), mirroring how :mod:`repro.mitigations.registry` discovers
 designs: the engine, the CLI, the fixture-corpus tests, and the docs
@@ -25,11 +25,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import pathlib
-
-#: Valid finding severities, most severe first.
-SEVERITIES = ("error", "warning")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,62 +37,26 @@ class Finding:
     line: int          # 1-based
     col: int           # 0-based
     message: str
-    severity: str = "error"
     fix_hint: str = ""
-    snippet: str = ""  # the source line, for fingerprints and reports
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable id for baselining: survives pure line-number drift.
-
-        Hashes (rule, path, stripped source line) — moving a violation
-        within its file keeps it baselined; editing the offending line
-        re-surfaces it.
-        """
-        blob = f"{self.rule}:{self.path}:{self.snippet.strip()}"
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
-
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule, "path": self.path, "line": self.line,
-            "col": self.col, "severity": self.severity,
-            "message": self.message, "fix_hint": self.fix_hint,
-            "fingerprint": self.fingerprint,
-        }
 
 
 @dataclasses.dataclass
 class FileContext:
     """One parsed source file, as handed to file rules."""
 
-    path: pathlib.Path       # absolute
     rel: str                 # repo-root-relative, posix
     module: str | None       # dotted name, None when not a repro module
-    source: str
     lines: list[str]
     tree: ast.Module
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-
-@dataclasses.dataclass(frozen=True)
-class RepoContext:
-    """Repository root, as handed to repo-level rules."""
-
-    root: pathlib.Path
-
 
 class Rule:
-    """Base rule: id, severity, description, fix-hint, module scope."""
+    """Base rule: id, description, fix-hint, module scope."""
 
     id: str = ""
-    severity: str = "error"
     description: str = ""
     fix_hint: str = ""
     #: module prefixes the rule audits (None: every repro module)
@@ -116,18 +76,16 @@ class Rule:
     def check_file(self, ctx: FileContext) -> list[Finding]:
         return []
 
-    def check_repo(self, repo: RepoContext) -> list[Finding]:
+    def check_repo(self, root: pathlib.Path) -> list[Finding]:
         return []
 
     # -- helpers for subclasses -------------------------------------------
     def finding(self, ctx: FileContext, node: ast.AST,
                 message: str) -> Finding:
-        line = getattr(node, "lineno", 1)
-        return Finding(rule=self.id, path=ctx.rel, line=line,
+        return Finding(rule=self.id, path=ctx.rel,
+                       line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0),
-                       message=message, severity=self.severity,
-                       fix_hint=self.fix_hint,
-                       snippet=ctx.line_text(line))
+                       message=message, fix_hint=self.fix_hint)
 
 
 def _covers(prefix: str, module: str) -> bool:
@@ -164,8 +122,6 @@ def register(rule: Rule) -> Rule:
     """Add ``rule`` to the registry (registration order is report order)."""
     if not rule.id:
         raise ValueError(f"{type(rule).__name__} has no id")
-    if rule.severity not in SEVERITIES:
-        raise ValueError(f"{rule.id}: bad severity {rule.severity!r}")
     if rule.id in _REGISTRY:
         raise ValueError(f"lint rule {rule.id!r} already registered")
     _REGISTRY[rule.id] = rule

@@ -1,4 +1,4 @@
-"""Lint orchestration: walk files, run rules, apply waivers + baseline.
+"""Lint orchestration: walk files, run rules, apply waivers.
 
 One :func:`lint_paths` call is one lint run:
 
@@ -10,8 +10,7 @@ One :func:`lint_paths` call is one lint run:
    repo rule once against the repo root;
 3. drop findings covered by an inline ``# repro: allow(...)`` waiver
    (suppressions apply to repo-rule findings too, via the file they
-   anchor in);
-4. partition the survivors through the committed baseline.
+   anchor in).
 
 The result is a :class:`LintRun`; ``run.findings`` is what fails CI.
 """
@@ -24,8 +23,7 @@ import pathlib
 import re
 
 from . import suppress
-from .baseline import Baseline
-from .core import (FileContext, Finding, RepoContext, Rule, all_rules)
+from .core import FileContext, Finding, Rule, all_rules
 
 #: Fixture files claim an audited module with this comment (first lines).
 MODULE_OVERRIDE = re.compile(r"#\s*repro-lint-module:\s*([\w.]+)")
@@ -35,16 +33,24 @@ MODULE_OVERRIDE = re.compile(r"#\s*repro-lint-module:\s*([\w.]+)")
 class LintRun:
     """Outcome of one lint invocation."""
 
-    findings: list[Finding]        # actionable: unsuppressed, unbaselined
-    suppressed: list[Finding]
-    baselined: list[Finding]
-    stale_baseline: int
     files: int
-    errors: list[Finding]          # unreadable / unparseable inputs
+    #: actionable: not covered by an inline waiver
+    findings: list[Finding] = dataclasses.field(default_factory=list)
+    suppressed: list[Finding] = dataclasses.field(default_factory=list)
+    #: unreadable / unparseable inputs
+    errors: list[Finding] = dataclasses.field(default_factory=list)
 
     @property
     def clean(self) -> bool:
         return not self.findings and not self.errors
+
+    def triage(self, finding: Finding,
+               waivers: list[suppress.Suppression]) -> None:
+        """File ``finding`` as suppressed or actionable."""
+        if suppress.covering(waivers, finding.rule, finding.line):
+            self.suppressed.append(finding)
+        else:
+            self.findings.append(finding)
 
 
 def module_for(path: pathlib.Path, root: pathlib.Path,
@@ -87,21 +93,32 @@ def _collect_files(paths: list[pathlib.Path]) -> list[pathlib.Path]:
     return files
 
 
-def _load(path: pathlib.Path, root: pathlib.Path
-          ) -> tuple[FileContext | None, Finding | None]:
+def _load(path: pathlib.Path, root: pathlib.Path,
+          run: LintRun) -> FileContext | None:
+    """Parse one file; an unreadable one becomes an error of ``run``."""
     rel = _rel(path, root)
     try:
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
     except (OSError, SyntaxError, UnicodeDecodeError) as error:
         line = getattr(error, "lineno", 1) or 1
-        return None, Finding(
+        run.errors.append(Finding(
             rule="parse", path=rel, line=line, col=0,
-            message=f"cannot lint: {type(error).__name__}: {error}")
-    ctx = FileContext(path=path, rel=rel,
-                      module=module_for(path, root, source),
-                      source=source, lines=source.splitlines(), tree=tree)
-    return ctx, None
+            message=f"cannot lint: {type(error).__name__}: {error}"))
+        return None
+    return FileContext(rel=rel, module=module_for(path, root, source),
+                       lines=source.splitlines(), tree=tree)
+
+
+def _check_file(ctx: FileContext, rules: list[Rule],
+                run: LintRun) -> list[suppress.Suppression]:
+    """Run the in-scope file rules over ``ctx`` and apply its waivers."""
+    waivers, _ = suppress.scan(ctx.lines)
+    for rule in rules:
+        if rule.applies_to(ctx.module):
+            for finding in rule.check_file(ctx):
+                run.triage(finding, waivers)
+    return waivers
 
 
 def _rel(path: pathlib.Path, root: pathlib.Path) -> str:
@@ -112,50 +129,23 @@ def _rel(path: pathlib.Path, root: pathlib.Path) -> str:
 
 
 def lint_paths(paths: list[pathlib.Path], root: pathlib.Path,
-               rules: list[Rule] | None = None,
-               baseline: Baseline | None = None,
-               repo_rules: bool = True) -> LintRun:
+               rules: list[Rule] | None = None) -> LintRun:
     """Lint ``paths`` (files or directories) against ``rules``."""
     active = list(rules) if rules is not None else list(all_rules())
-    baseline = baseline or Baseline()
-    raw: list[Finding] = []
-    suppressed: list[Finding] = []
-    errors: list[Finding] = []
-    suppressions_by_rel: dict[str, list[suppress.Suppression]] = {}
-
+    root = pathlib.Path(root)
     files = _collect_files([pathlib.Path(p) for p in paths])
+    run = LintRun(files=len(files))
+    waivers_by_rel: dict[str, list[suppress.Suppression]] = {}
     for path in files:
-        ctx, failure = _load(path, root)
-        if failure is not None:
-            errors.append(failure)
-            continue
-        waivers, _ = suppress.scan(ctx.lines)
-        suppressions_by_rel[ctx.rel] = waivers
-        for rule in active:
-            if not rule.applies_to(ctx.module):
-                continue
-            for finding in rule.check_file(ctx):
-                if suppress.covering(waivers, finding.rule, finding.line):
-                    suppressed.append(finding)
-                else:
-                    raw.append(finding)
-
-    if repo_rules:
-        repo = RepoContext(root=pathlib.Path(root))
-        for rule in active:
-            for finding in rule.check_repo(repo):
-                waivers = _waivers_for(finding.path, root,
-                                       suppressions_by_rel)
-                if suppress.covering(waivers, finding.rule, finding.line):
-                    suppressed.append(finding)
-                else:
-                    raw.append(finding)
-
-    raw.sort(key=Finding.sort_key)
-    fresh, grandfathered, stale = baseline.partition(raw)
-    return LintRun(findings=fresh, suppressed=suppressed,
-                   baselined=grandfathered, stale_baseline=stale,
-                   files=len(files), errors=errors)
+        ctx = _load(path, root, run)
+        if ctx is not None:
+            waivers_by_rel[ctx.rel] = _check_file(ctx, active, run)
+    for rule in active:
+        for finding in rule.check_repo(root):
+            run.triage(finding, _waivers_for(finding.path, root,
+                                             waivers_by_rel))
+    run.findings.sort(key=Finding.sort_key)
+    return run
 
 
 def _waivers_for(rel: str, root: pathlib.Path,
@@ -163,9 +153,8 @@ def _waivers_for(rel: str, root: pathlib.Path,
                  ) -> list[suppress.Suppression]:
     """Suppressions of the file a repo-rule finding anchors in."""
     if rel not in cache:
-        path = pathlib.Path(root) / rel
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = (root / rel).read_text(encoding="utf-8").splitlines()
         except OSError:
             lines = []
         cache[rel], _ = suppress.scan(lines)
@@ -173,28 +162,16 @@ def _waivers_for(rel: str, root: pathlib.Path,
 
 
 def lint_source(source: str, module: str,
-                rules: list[Rule] | None = None,
-                rel: str = "<memory>") -> LintRun:
+                rules: list[Rule] | None = None) -> LintRun:
     """Lint one in-memory module (tests and tooling).
 
     Runs file rules only; repo rules need a tree on disk — point
     :func:`lint_paths` (or the rule's ``check_repo``) at a root.
     """
     active = list(rules) if rules is not None else list(all_rules())
-    tree = ast.parse(source)
-    ctx = FileContext(path=pathlib.Path(rel), rel=rel, module=module,
-                      source=source, lines=source.splitlines(), tree=tree)
-    waivers, _ = suppress.scan(ctx.lines)
-    fresh: list[Finding] = []
-    suppressed: list[Finding] = []
-    for rule in active:
-        if not rule.applies_to(ctx.module):
-            continue
-        for finding in rule.check_file(ctx):
-            if suppress.covering(waivers, finding.rule, finding.line):
-                suppressed.append(finding)
-            else:
-                fresh.append(finding)
-    fresh.sort(key=Finding.sort_key)
-    return LintRun(findings=fresh, suppressed=suppressed, baselined=[],
-                   stale_baseline=0, files=1, errors=[])
+    ctx = FileContext(rel="<memory>", module=module,
+                      lines=source.splitlines(), tree=ast.parse(source))
+    run = LintRun(files=1)
+    _check_file(ctx, active, run)
+    run.findings.sort(key=Finding.sort_key)
+    return run

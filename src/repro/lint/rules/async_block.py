@@ -85,7 +85,6 @@ class AsyncBlockingVisitor(RuleVisitor):
 
 class AsyncBlocking(AstRule):
     id = "async-blocking"
-    severity = "error"
     description = ("no time.sleep / sync file IO / subprocess calls "
                    "inside async def bodies — one blocking call stalls "
                    "every job the daemon is serving")

@@ -24,7 +24,7 @@ import ast
 import pathlib
 import re
 
-from ..core import Finding, RepoContext, Rule, register
+from ..core import Finding, Rule, register
 
 REGISTRY = pathlib.PurePosixPath("src/repro/mitigations/registry.py")
 CONTRACT = pathlib.PurePosixPath("tests/mitigations/test_contract.py")
@@ -75,7 +75,6 @@ def _contract_coverage(path: pathlib.Path) -> tuple[bool, set[str]]:
 
 class RegistryCompleteness(Rule):
     id = "registry-completeness"
-    severity = "error"
     description = ("every repro.mitigations.registry entry has contract-"
                    "suite coverage, a seed corpus under "
                    "tests/check/seeds/<name>/, and a docs/mitigations.md "
@@ -84,33 +83,29 @@ class RegistryCompleteness(Rule):
                 "repro.check.driver --grow, see docs/verification.md) "
                 "and a docs row; removed design: delete its corpus")
 
-    def check_repo(self, repo: RepoContext) -> list[Finding]:
-        registry_path = repo.root / REGISTRY
+    def check_repo(self, root: pathlib.Path) -> list[Finding]:
+        registry_path = root / REGISTRY
         if not registry_path.is_file():
             return []  # not a repo with a mitigation registry
         try:
             tree = ast.parse(registry_path.read_text(encoding="utf-8"))
         except (OSError, SyntaxError) as error:
             return [Finding(rule=self.id, path=str(REGISTRY), line=1,
-                            col=0, severity=self.severity,
-                            fix_hint=self.fix_hint,
+                            col=0, fix_hint=self.fix_hint,
                             message=f"cannot parse registry: {error}")]
         designs = registered_designs(tree)
-        dynamic, literals = _contract_coverage(repo.root / CONTRACT)
-        docs_text = _read(repo.root / DOCS)
-        lines = _read(registry_path).splitlines()
+        dynamic, literals = _contract_coverage(root / CONTRACT)
+        docs_text = _read(root / DOCS)
 
         findings: list[Finding] = []
 
         def fail(line: int, message: str) -> None:
-            snippet = lines[line - 1] if 0 < line <= len(lines) else ""
             findings.append(Finding(
                 rule=self.id, path=str(REGISTRY), line=line, col=0,
-                severity=self.severity, fix_hint=self.fix_hint,
-                message=message, snippet=snippet))
+                fix_hint=self.fix_hint, message=message))
 
         for name, line in designs:
-            if not (repo.root / SEEDS / name).is_dir():
+            if not (root / SEEDS / name).is_dir():
                 fail(line, f"mitigation {name!r} has no seed corpus "
                            f"under {SEEDS}/{name}/")
             if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])",
@@ -121,14 +116,13 @@ class RegistryCompleteness(Rule):
                            f"{CONTRACT}")
 
         known = {name for name, _ in designs}
-        seeds_root = repo.root / SEEDS
+        seeds_root = root / SEEDS
         if seeds_root.is_dir():
             for entry in sorted(seeds_root.iterdir()):
                 if entry.is_dir() and entry.name not in known:
                     findings.append(Finding(
                         rule=self.id, path=str(SEEDS / entry.name),
-                        line=1, col=0, severity=self.severity,
-                        fix_hint=self.fix_hint,
+                        line=1, col=0, fix_hint=self.fix_hint,
                         message=f"stale seed corpus: {entry.name!r} is "
                                 f"not in the mitigation registry"))
         return findings

@@ -1,7 +1,7 @@
 """``determinism``: no wall-clock or OS-entropy reads in audited code.
 
-The bit-identity guarantees (the committed golden fingerprints,
-serial == parallel sweeps, replayable fuzz seeds) hold only if nothing
+The bit-identity guarantees (the committed goldens, serial == parallel
+sweeps, replayable fuzz seeds) hold only if nothing
 on a simulated path observes the host: no clock reads, no OS entropy,
 no ``hash()``-order dependence (``PYTHONHASHSEED`` varies per process,
 so builtin ``hash`` values — and any iteration order derived from them
@@ -77,7 +77,6 @@ class DeterminismVisitor(RuleVisitor):
 
 class Determinism(AstRule):
     id = "determinism"
-    severity = "error"
     description = ("no wall-clock, OS-entropy, or hash()-order reads in "
                    "deterministic code — the bit-identity contracts "
                    "(docs/verification.md) depend on it")

@@ -8,8 +8,8 @@ All access — reads *and* writes — goes through the strict parsers in
 :mod:`repro.exec.env` (``env_int`` / ``env_flag`` / ``env_choice`` /
 ``env_str`` / ``set_knob``), which fail loudly on malformed values.
 
-This rule ships with **zero baseline entries**: every direct read
-outside the parser module was rerouted when the rule landed.
+Every direct read outside the parser module was rerouted when the
+rule landed.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class EnvVisitor(RuleVisitor):
 
 class EnvDiscipline(AstRule):
     id = "env-discipline"
-    severity = "error"
     description = ("os.environ is read and written only by the strict "
                    "knob parsers in repro.exec.env — everywhere else a "
                    "typo'd knob must fail loudly, not silently "

@@ -16,7 +16,6 @@ from ..core import FileContext, Finding, Rule, register
 
 class SuppressionHygiene(Rule):
     id = "suppression-hygiene"
-    severity = "error"
     description = ("every '# repro:' comment parses as "
                    "'allow(<rule-id>) — reason', names only registered "
                    "rules, and carries a non-empty reason")
@@ -32,8 +31,7 @@ class SuppressionHygiene(Rule):
         def fail(line: int, message: str) -> None:
             findings.append(Finding(
                 rule=self.id, path=ctx.rel, line=line, col=0,
-                severity=self.severity, fix_hint=self.fix_hint,
-                message=message, snippet=ctx.line_text(line)))
+                fix_hint=self.fix_hint, message=message))
 
         waivers, broken = suppress.scan(ctx.lines)
         for problem in broken:

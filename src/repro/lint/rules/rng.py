@@ -70,7 +70,6 @@ def _normalize(name: str) -> str:
 
 class RngDiscipline(AstRule):
     id = "rng-discipline"
-    severity = "error"
     description = ("randomness must flow through seeded handles "
                    "(repro.rng streams, random.Random(seed), "
                    "numpy.random.default_rng(seed)) — never the shared "

@@ -72,7 +72,6 @@ class StatsVisitor(RuleVisitor):
 
 class StatsNamespace(AstRule):
     id = "stats-namespace"
-    severity = "error"
     description = ("every registered metric / provider prefix name "
                    "must match a namespace declared in "
                    "repro.obs.schema (docs/observability.md is "

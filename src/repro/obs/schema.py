@@ -6,7 +6,8 @@ schema honest:
 
 * the ``stats-namespace`` lint rule (:mod:`repro.lint.rules.stats`)
   statically checks every registration site's name literal against
-  :func:`matches` — a metric outside the schema fails ``make lint``;
+  :func:`matches` — a metric outside the schema fails the tier-1
+  lint gate (``tests/lint/test_repo_clean.py``);
 * the namespace table in ``docs/observability.md`` is generated from
   :func:`render_table` between the :data:`BEGIN_MARK`/:data:`END_MARK`
   markers (``python -m repro.obs.schema --write`` refreshes it,

@@ -1,7 +1,8 @@
-"""``python -m repro.lint`` end to end: exit codes, formats, baseline."""
+"""``python -m repro.lint`` end to end: exit codes and reports."""
 
-import json
 import pathlib
+
+import pytest
 
 from repro.lint.cli import main
 from repro.lint.core import rule_ids
@@ -16,42 +17,38 @@ def run_cli(*argv):
 
 
 def test_clean_run_exits_zero(capsys):
-    assert run_cli(str(GOOD), "--root", str(FIXTURES),
-                   "--no-repo-rules") == 0
+    assert run_cli(str(GOOD), "--root", str(FIXTURES)) == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_findings_exit_one_with_locations(capsys):
-    assert run_cli(str(BAD), "--root", str(FIXTURES),
-                   "--no-repo-rules", "--no-baseline") == 1
+    assert run_cli(str(BAD), "--root", str(FIXTURES)) == 1
     out = capsys.readouterr().out
     assert "determinism/bad.py" in out
     assert "error[determinism]" in out
     assert "hint:" in out
 
 
-def test_json_format(capsys):
-    assert run_cli(str(BAD), "--root", str(FIXTURES),
-                   "--no-repo-rules", "--format", "json") == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["clean"] is False
-    rules = {f["rule"] for f in document["findings"]}
-    assert rules == {"determinism"}
-    assert all(f["fingerprint"] for f in document["findings"])
-
-
 def test_rule_filter(capsys):
     # only env-discipline requested: the determinism fixture is clean
     assert run_cli(str(BAD), "--root", str(FIXTURES),
-                   "--no-repo-rules", "--rules", "env-discipline") == 0
+                   "--rules", "env-discipline") == 0
     capsys.readouterr()
 
 
 def test_unknown_rule_rejected(capsys):
-    import pytest
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         run_cli(str(BAD), "--rules", "no-such-rule")
+    assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+def test_empty_rule_list_rejected(capsys):
+    # "," selects no rule at all: running none must not pass as clean
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(str(BAD), "--root", str(FIXTURES), "--rules", ",")
+    assert exit_info.value.code == 2
+    assert "names no rule" in capsys.readouterr().err
 
 
 def test_list_rules_prints_catalog(capsys):
@@ -61,35 +58,21 @@ def test_list_rules_prints_catalog(capsys):
         assert rule_id in out
 
 
-def test_update_baseline_then_gate(tmp_path, capsys):
-    baseline = tmp_path / "lint-baseline.json"
-    # grandfather the current findings...
-    assert run_cli(str(BAD), "--root", str(FIXTURES), "--no-repo-rules",
-                   "--baseline", str(baseline),
-                   "--update-baseline") == 0
-    entries = json.loads(baseline.read_text())["entries"]
-    assert entries and all(e["rule"] == "determinism" for e in entries)
-    capsys.readouterr()
-    # ...so the same run now gates clean, reporting them as baselined
-    assert run_cli(str(BAD), "--root", str(FIXTURES), "--no-repo-rules",
-                   "--baseline", str(baseline)) == 0
-    assert "baselined" in capsys.readouterr().out
-    # ...but --no-baseline still shows the debt
-    assert run_cli(str(BAD), "--root", str(FIXTURES), "--no-repo-rules",
-                   "--baseline", str(baseline), "--no-baseline") == 1
-    capsys.readouterr()
-
-
 def test_unparseable_input_fails_the_run(tmp_path, capsys):
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n")
-    assert run_cli(str(broken), "--root", str(tmp_path),
-                   "--no-repo-rules") == 1
+    assert run_cli(str(broken), "--root", str(tmp_path)) == 1
     assert "cannot lint" in capsys.readouterr().out
 
 
 def test_missing_path_rejected(capsys):
-    import pytest
     with pytest.raises(SystemExit):
         run_cli("no/such/dir")
     capsys.readouterr()
+
+
+def test_no_python_file_is_not_clean(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(str(tmp_path), "--root", str(tmp_path))
+    assert exit_info.value.code != 0
+    assert str(tmp_path) in capsys.readouterr().err
