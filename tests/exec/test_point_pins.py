@@ -5,8 +5,10 @@ A design point reaches bytes in two places: its result-cache key
 submit record (``Job.submit_record``). Both must stay byte-stable
 across refactors of how the field dict is built; a moved key orphans
 every cached result and a moved journal line changes what a restarted
-daemon replays. The pins below were taken before the field dict was
-built shallowly and must never move without a ``CACHE_SALT`` bump.
+daemon replays. The journal pins were taken before the field dict was
+built shallowly; the key pins were retaken when ``SCHEMA_VERSION``
+became 4 (the key hashes it). Neither may move without a
+``CACHE_SALT`` or ``SCHEMA_VERSION`` bump.
 """
 
 import dataclasses
@@ -59,61 +61,61 @@ CASES = cases()
 #: name -> (point_key, sha256 of the one-point job's journal line)
 PINS = {
     "prac": (
-        "cd5107733fcb1267c45c6106cbe5bd2eb64231e65b5adb9d79737820e663cc5c",
+        "94c36f7fe4f1a65d7101e0711cb29fcbf4d53967bff478723685b943e0b982ef",
         "6a85b303a9ab568aaa64b167092b057607dc34677595a7bb35171607038be915"),
     "moat": (
-        "2102e40f3afa914dd036063b099a9d3c3c6726c382247cde90c2275291ee354a",
+        "ad81c4cea486a03704fc524f96545284ab198875a09f18c03347e440da4ae13e",
         "67833f0d28174b0e1da6afd25eaae042c8b061d150d88e3fff44c2a8ea290922"),
     "qprac": (
-        "a2f677c164bb57bf9f02a259310ab1e2b84c8d2e08278a1cf8d92817e3bc355e",
+        "6ce984a8be39c6cd51f33cb9f1fd15270ffaaaf82a93981eb145bcd35f531503",
         "dc2b5c11a2547da9f318869d1609c2bf6ea72323e12cc9a2b6473d048512e29f"),
     "qprac-proactive": (
-        "6f27930441e6c3e067580300dcd2e72c0723733604d1a257c8d88e06a1be1d7f",
+        "dc429643e9110ebfc63dd11e930a0c93b5d09a2fc53dd8b445fb2502203f81b8",
         "9b24dde677d18335ddfe5e536457a8b2bd96421177a1dc6a3bdf23892af01a50"),
     "cnc-prac": (
-        "aacd3e6a3777398b01596086ed298fe8eac1226dc5d1e259c68061dec281547c",
+        "136988e7db9defba1a05857f24c384c2187be8294412ad4ff821cf8be862e59c",
         "a16d6e47af3fe62f5f0cad9452af163b05f37090b3999fe5571e6c9f5c01eb95"),
     "practical": (
-        "22071418c6eedc9d0c62f0ae94325427127dba84cdb31de1ebde8741928c0b53",
+        "585cd1ef2b7bbc8cd537d4e9153034f6cd9a5b0b867d50df1eba84ce1380c956",
         "f0a9b07ec1b53f52d0bcf7774a00671bee9fde330f22493814e7b7bc9d2ab1d3"),
     "mopac-c": (
-        "2b69b39a0eb2e391bd815d2152b0ec85c1ad7511974a68468933e56509cb7515",
+        "2e2d6651185361fc9fd09c3d58ad0144f635acbcafaf667f1df747260001ae61",
         "2550a441cab8f81633f478525cfd36e9b19b5c5d65f5a69658e7bbbabe8d88af"),
     "mopac-d": (
-        "18c90440c4174f83daaffe0732a90020ebc7f6b190f87cc26b32033bf3c48d03",
+        "8a2213005fb3c2d1d550ff8612d1e11c23630844a8dbba7aed1012360ab28da1",
         "0ad7aeb0e6b19a76d38ea72ca90b1a00baf0ce361e9a4bf1ef23a2bde4dd8454"),
     "mint": (
-        "afd84bc4f55394c8f5ffefbd6677b1da93c6513c023410a1985173b784fc6cbf",
+        "837e6ed26e14e53ab56c01d5d5b50915ec382ad3091a2cf6506e3b592590df3e",
         "0f8515e68230f411ce8c66c513f52c728ada8fea94f71f0d74e64ff48797ef39"),
     "pride": (
-        "057b878820ac595b14cbba70f44739b0795ec52924b4be708b645fa8f9f97760",
+        "af942e41048242995122cf39234131f14ad792bfdaaf0cb0243744a2aa559b8f",
         "6d5b50a661eb30547b653eb605eed9dd43a25446e0add51cd501af5c79d12363"),
     "trr": (
-        "8cc6addc727eab0af77d0b2d6b2df63f07061e0331359cfa3ac6fc70c2db1923",
+        "c3056d67bc1bc888d6c276c29e9115c1875e3fff88b669f6ffb31dfa3597fb1c",
         "3291abee47b79b46097402519903cfd0794dd859f07c2903b8623bd36e0e58f4"),
     "baseline": (
-        "e1a9581d5845e633e02edc3c566a5ef8e5ba65a7e8027191160463de2d29972f",
+        "01c2cb222afff807c62008cbb34ea86f386c1676099755b9546a045b0f275c7b",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
     "mopac-d-nup": (
-        "a5cf6926eabf4acb3eae746a1caa40952758a5878b007e3c92105b049f8d77fc",
+        "6e869ce6a5732b9bb515a53d657b2776c1badd91f15d1ea4c5ed6d29b5456333",
         "90d090ac52f2e21ffa4313bda015adc22eed07dedf69fe64c063404182640a75"),
     "mopac-c+knobs": (
-        "1c27259c7b9435d0ac7f30640c423537db3b4e96861a62a9c7966e902583729b",
+        "9243f5d14b9593c111d7a2632b35e10555a0697e09e0f657d58ba7600d17cd58",
         "3ee460071d337265938ae0342fd7afa0c00f4375fc0e0b3bfeae5f2d5b213a3c"),
     "mopac-d+knobs": (
-        "c0c410d75e40b39c9041827c45d0dd447c8906c50332a082a124534890907ff8",
+        "f1df090edaac38c08b8b430f7e05dad28107bd56fbe40b0592c0783e0463ac7b",
         "6430be3ca32272cd44bd57ea81c3e10cca1f82fce54d153669328d6cb9fc7995"),
     "mopac-d-nup+knobs": (
-        "988eb7fb2cdad15fa137bd1771813df9d131d07f03e8152f9d4e2d84aec350ae",
+        "9d66971c751ca2868b7d687cd74ba54962464bb16dbd9eceb782add91b1cf18a",
         "3161a21d1aced45ce159d50e954b1cef24b1c4142cdf48a660064691050f0072"),
     "fancy": (
-        "a5271cbe3cf9294a4510dce7dda184e0d492360437c3e45a901f3c4b75c14617",
+        "7abcf79f4d35c0553ce02fc18c366df85867c9650f7fa2a9c1f4071ba5f05d79",
         "1ae79dc4669ee6af34aa7cf962e688e46e4348f8bd73d2b6a2b6ec83b1d20a7f"),
     "fancy.baseline": (
-        "29ea1d951864628618b4e780d363d62b519ebad9b69f8170101bc805c534cce2",
+        "93f3692b60a566afc49243309ec28a21013e8620f4695adae8765d7fb4b749b3",
         "39120304f6a0c93f799b8d4ca4d803876b3675df0bc9c868578677583bb468a5"),
     "mopac-d+knobs.baseline": (
-        "e1a9581d5845e633e02edc3c566a5ef8e5ba65a7e8027191160463de2d29972f",
+        "01c2cb222afff807c62008cbb34ea86f386c1676099755b9546a045b0f275c7b",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
 }
 
