@@ -10,12 +10,16 @@ source as reviewable documentation:
         # repro: allow(determinism) — client poll deadline, never in results
 
 Multiple rules separate with commas: ``allow(determinism,env-discipline)``.
+Only real comments count: the source is read with :mod:`tokenize`, so
+the marker inside a string literal waives nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import re
+import tokenize
 
 #: Any comment claiming to speak the suppression protocol.
 MARKER = re.compile(r"#\s*repro:\s*(?P<body>.*)$")
@@ -46,11 +50,25 @@ class Malformed:
     problem: str
 
 
+def _comments(lines: list[str]) -> list[tuple[int, str]]:
+    """``(line, text)`` of every comment token in ``lines``; a source
+    that stops tokenizing keeps the comments read before the error."""
+    readline = io.StringIO("".join(f"{line}\n" for line in lines)).readline
+    comments: list[tuple[int, str]] = []
+    try:
+        for token in tokenize.generate_tokens(readline):
+            if token.type == tokenize.COMMENT:
+                comments.append((token.start[0], token.string))
+    except (tokenize.TokenError, SyntaxError):
+        pass
+    return comments
+
+
 def scan(lines: list[str]) -> tuple[list[Suppression], list[Malformed]]:
-    """Extract suppressions (and protocol misuse) from source lines."""
+    """Extract suppressions (and protocol misuse) from source comments."""
     found: list[Suppression] = []
     broken: list[Malformed] = []
-    for lineno, text in enumerate(lines, start=1):
+    for lineno, text in _comments(lines):
         marker = MARKER.search(text)
         if marker is None:
             continue

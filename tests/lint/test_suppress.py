@@ -42,3 +42,19 @@ def test_reasonless_waiver_is_a_hygiene_finding():
     run = lint_source("x = 1  # repro: allow(determinism)\n",
                       module="repro.sim.fixture")
     assert [f.rule for f in run.findings] == ["suppression-hygiene"]
+
+
+def test_waiver_inside_a_string_literal_waives_nothing():
+    source = ('import time\n'
+              'MSG = "# repro: allow(determinism) — not a comment"\n'
+              'T = time.time()\n')
+    run = lint_source(source, module="repro.sim.fixture")
+    assert [(f.rule, f.line) for f in run.findings] == [("determinism", 3)]
+    assert not run.suppressed
+    assert scan(source.splitlines()) == ([], [])
+
+
+def test_malformed_marker_inside_a_string_is_not_reported():
+    waivers, broken = scan(['DOC = "# repro: allowed(x) — wrong verb"',
+                            "x = 1  # repro: allow(determinism) — why"])
+    assert [w.line for w in waivers] == [2] and not broken
