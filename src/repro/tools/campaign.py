@@ -30,11 +30,12 @@ remotely — concurrent campaigns share one worker pool and deduplicate
 overlapping points (see ``docs/serving.md``):
 
 * ``submit`` — send every unique planned point (designs that share a
-  baseline send it once) as one job; the job id is remembered in
-  ``<dir>/job.json``,
+  baseline send it once) as one job; the job id and a digest of the
+  submitted points are remembered in ``<dir>/job.json``,
 * ``status`` — poll the job,
 * ``fetch``  — wait for completion and write the same ``results.csv``
-  the local ``run`` would have produced (bit-identical numbers).
+  the local ``run`` would have produced (bit-identical numbers); a
+  campaign re-planned since ``submit`` is refused (exit 1).
 
 Example::
 
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import pathlib
 from dataclasses import replace
@@ -170,15 +172,29 @@ def _job_file(directory: pathlib.Path) -> pathlib.Path:
     return directory / "job.json"
 
 
-def _load_job(directory: pathlib.Path,
-              server: str | None) -> tuple[str, str]:
-    """The campaign's submitted ``(job_id, server_address)``."""
+class PlanChanged(RuntimeError):
+    """The campaign's planned points are not the ones its job ran."""
+
+
+def _points_sha256(points: list[DesignPoint]) -> str:
+    """Digest of the submitted points' fields, in submission order."""
+    blob = json.dumps([point.as_dict() for point in points],
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _load_job(directory: pathlib.Path, server: str | None
+              ) -> tuple[str, str, str | None]:
+    """The campaign's submitted ``(job_id, server_address,
+    points_sha256)``; the digest is ``None`` in records written before
+    ``submit`` kept it."""
     path = _job_file(directory)
     if not path.exists():
         raise FileNotFoundError(
             f"{path} missing; run `campaign submit` first")
     record = json.loads(path.read_text())
-    return record["id"], server or record["server"]
+    return (record["id"], server or record["server"],
+            record.get("points_sha256"))
 
 
 def submit(directory: pathlib.Path, server: str,
@@ -190,7 +206,8 @@ def submit(directory: pathlib.Path, server: str,
     unique = list(dict.fromkeys(flat))
     job_id = ServeClient(server).submit(unique, priority=priority)
     _job_file(directory).write_text(json.dumps(
-        {"id": job_id, "server": server}) + "\n")
+        {"id": job_id, "server": server,
+         "points_sha256": _points_sha256(unique)}) + "\n")
     log.info("submitted %d points (%d planned) as %s to %s",
              len(unique), len(flat), job_id, server)
     return job_id
@@ -198,16 +215,25 @@ def submit(directory: pathlib.Path, server: str,
 
 def status(directory: pathlib.Path, server: str | None = None) -> dict:
     from ..serve.client import ServeClient
-    job_id, address = _load_job(directory, server)
+    job_id, address, _ = _load_job(directory, server)
     return ServeClient(address).status(job_id)
 
 
 def fetch(directory: pathlib.Path, server: str | None = None,
           wait_s: float = 600.0) -> pathlib.Path:
-    """Wait for the submitted job and write ``results.csv``."""
+    """Wait for the submitted job and write ``results.csv``.
+
+    Raises :class:`PlanChanged` before contacting the daemon when the
+    campaign now plans other points than were submitted.
+    """
     from ..serve.client import ServeClient
-    job_id, address = _load_job(directory, server)
+    job_id, address, digest = _load_job(directory, server)
     ini_paths, points, flat = planned_points(directory)
+    unique = list(dict.fromkeys(flat))
+    if digest is not None and digest != _points_sha256(unique):
+        raise PlanChanged(
+            f"{job_id} ran other points than {directory} plans now; "
+            f"the campaign was re-planned after submit: submit it again")
     client = ServeClient(address)
     document = client.wait(job_id, timeout_s=wait_s,
                            tolerate_disconnects=True)
@@ -215,7 +241,6 @@ def fetch(directory: pathlib.Path, server: str | None = None,
         raise RuntimeError(f"{job_id} ended {document['state']}: "
                            f"{document['error']}")
     rows = client.result(job_id)
-    unique = list(dict.fromkeys(flat))
     if len(rows) != len(unique):
         raise RuntimeError(
             f"{job_id} returned {len(rows)} results for "
@@ -452,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             csv_path = fetch(directory, server=args.server,
                              wait_s=args.wait_s)
+        except PlanChanged as error:
+            log.error("%s", error)
+            return 1
         except (FileNotFoundError, RuntimeError, TimeoutError) as error:
             log.error("%s", error)
             return 2

@@ -1,5 +1,6 @@
 """``campaign submit``/``fetch`` against a real daemon subprocess."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -259,6 +260,26 @@ class TestFetch:
         with pytest.raises(RuntimeError, match="re-planned"):
             campaign.fetch(tmp_path)
 
+    def test_re_plan_that_keeps_the_point_count_refused(self, tmp_path,
+                                                        fake):
+        campaign.plan(tmp_path, ["add"], ["prac"], [500], 2_000)
+        job_id = campaign.submit(tmp_path, "unix:/d.sock")
+        # same INI name, same point count: only instructions differ
+        campaign.plan(tmp_path, ["add"], ["prac"], [500], 4_000)
+        with pytest.raises(campaign.PlanChanged,
+                           match=f"{job_id} ran other points"):
+            campaign.fetch(tmp_path)
+        assert campaign.main(["fetch", "--dir", str(tmp_path)]) == 1
+        assert fake.calls == [("unix:/d.sock", "submit")]
+        assert fake.rows == []
+
+    def test_unchanged_plan_fetches(self, tmp_path, fake):
+        flat = planned(tmp_path, "one-design")
+        campaign.submit(tmp_path, "unix:/d.sock")
+        campaign.plan(tmp_path, ["add"], ["prac"], [500], 8_000)
+        campaign.fetch(tmp_path)
+        assert fake.rows == [[("r", point) for point in flat]]
+
     def test_unsubmitted_campaign_says_submit_first(self, tmp_path, fake):
         planned(tmp_path, "one-design")
         with pytest.raises(FileNotFoundError, match="campaign submit"):
@@ -284,8 +305,12 @@ class TestJobRecord:
     def test_round_trip_resumes_a_run(self, tmp_path, fake):
         flat = planned(tmp_path, "two-workloads")
         job_id = campaign.submit(tmp_path, "unix:/d.sock")
+        unique = list(dict.fromkeys(flat))
+        digest = hashlib.sha256(json.dumps(
+            [p.as_dict() for p in unique], sort_keys=True).encode())
         assert json.loads((tmp_path / "job.json").read_text()) == \
-            {"id": job_id, "server": "unix:/d.sock"}
+            {"id": job_id, "server": "unix:/d.sock",
+             "points_sha256": digest.hexdigest()}
         # a later process holds only the directory
         assert campaign.status(tmp_path)["id"] == job_id
         campaign.fetch(tmp_path)
