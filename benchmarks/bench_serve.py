@@ -2,12 +2,14 @@
 
 Plans the full Fig. 9 grid (every catalog workload x prac/mopac-c/
 mopac-d x T_RH 1000/500/250 at 2k instructions: 276 unique points),
-fills one result cache with ``campaign run`` (its ``results.csv`` is the
-reference), then measures ``campaign submit`` + ``campaign fetch``
-rounds against a ``repro.serve`` daemon on that cache. With ``--parent``
-the same rounds run against a second source tree (a checkout of the
-parent commit) in alternating order, so both trees meet the same host
-state; daemon and client of a side both come from that side's tree.
+fills a result cache with ``campaign run`` (this tree's ``results.csv``
+is the reference), then measures ``campaign submit`` + ``campaign
+fetch`` rounds against a ``repro.serve`` daemon on that cache. With
+``--parent`` the same rounds run against a second source tree (a
+checkout of the parent commit) in alternating order, so both trees meet
+the same host state; daemon, client and cache of a side all come from
+that side's tree (each side fills its own cache, since the two may key
+or lay out entries differently).
 
 Per side it records:
 
@@ -15,14 +17,16 @@ Per side it records:
   pass on a fresh daemon, with median and IQR; ``round_wall_s`` the
   same per round;
 * ``result_bytes``: the body size of one ``GET /result`` of the grid;
+* ``entry_bytes``: the mean size of the side's cache entries;
 * ``entry_reads_per_round``: cache entries the daemon read per round,
   its bytes read (``rchar`` in ``/proc/<pid>/io``) over the mean entry
   size; ``cache_lookups_per_round`` counts only the lookups that
   resolve points (``exec.cache`` hits + misses);
 * ``vmhwm_mb``: the daemon's peak RSS (``VmHWM``) after 4 and after 12
   rounds on one fresh daemon;
-* ``csv_sha256``: the digest of every round's ``results.csv``, and
-  whether each was byte-identical to the ``campaign run`` reference.
+* ``csv_sha256``: the digest of every round's ``results.csv`` (and of
+  the side's own ``campaign run``), and whether each was byte-identical
+  to the reference.
 
 Usage::
 
@@ -127,10 +131,23 @@ class Side:
     def __init__(self, name: str, tree: pathlib.Path,
                  work: pathlib.Path):
         self.name, self.tree, self.work = name, tree, work
+        self.cache_dir = work / f"cache-{name}"
         self.starts = 0
         self.daemon: subprocess.Popen | None = None
 
-    def start(self, cache_dir: pathlib.Path) -> None:
+    def fill(self, plan_dir: pathlib.Path) -> tuple[str, float]:
+        """``campaign run`` into this side's cache: the ``results.csv``
+        digest and the mean entry size."""
+        run_tree(self.tree, ["-m", "repro.tools.campaign", "run", "--dir",
+                             str(plan_dir), "--cache-dir",
+                             str(self.cache_dir), "--workers",
+                             str(WORKERS), "--quiet"])
+        entries = list(self.cache_dir.glob("*/*.json"))
+        return (hashlib.sha256(
+                    (plan_dir / "results.csv").read_bytes()).hexdigest(),
+                statistics.fmean(p.stat().st_size for p in entries))
+
+    def start(self) -> None:
         self.starts += 1
         tag = f"{self.name[0]}{self.starts}"
         self.address = f"unix:{self.work / (tag + '.sock')}"
@@ -139,7 +156,7 @@ class Side:
             [sys.executable, "-m", "repro.serve",
              "--state-dir", str(self.work / f"state-{tag}"),
              "--address", self.address, "--workers", str(WORKERS),
-             "--cache-dir", str(cache_dir), "--quiet"],
+             "--cache-dir", str(self.cache_dir), "--quiet"],
             env=env, stdin=subprocess.DEVNULL,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True)
@@ -166,16 +183,22 @@ class Side:
         self.daemon = None
 
 
-def measure(sides: list[Side], plan_dir: pathlib.Path,
-            cache_dir: pathlib.Path, reference: str, pairs: int,
-            rounds: int) -> dict:
-    records = {side.name: {"pass_wall_s": [], "round_wall_s": [],
-                           "csv_sha256": set(), "csv_identical": True}
-               for side in sides}
+def measure(sides: list[Side], plan_dir: pathlib.Path, pairs: int,
+            rounds: int) -> tuple[dict, str]:
+    records = {}
+    for side in sides:
+        digest, entry_bytes = side.fill(plan_dir)
+        records[side.name] = {
+            "pass_wall_s": [], "round_wall_s": [], "csv_sha256": {digest},
+            "entry_bytes": entry_bytes}
+    # this tree's campaign run (the change side is listed last)
+    (reference,) = records[sides[-1].name]["csv_sha256"]
+    for record in records.values():
+        record["csv_identical"] = record["csv_sha256"] == {reference}
     for pair in range(pairs):
         order = sides if pair % 2 == 0 else sides[::-1]
         for side in order:
-            side.start(cache_dir)
+            side.start()
             try:
                 run = side.rounds(plan_dir, rounds)
             finally:
@@ -194,7 +217,7 @@ def measure(sides: list[Side], plan_dir: pathlib.Path,
 
     for side in sides:
         record = records[side.name]
-        side.start(cache_dir)
+        side.start()
         try:
             record["vmhwm_mb"] = {}
             done = 0
@@ -208,10 +231,10 @@ def measure(sides: list[Side], plan_dir: pathlib.Path,
         finally:
             side.stop()
         print(f"{side.name}: VmHWM {record['vmhwm_mb']} MB", flush=True)
-    return records
+    return records, reference
 
 
-def summarise(records: dict, entry_bytes: float) -> dict:
+def summarise(records: dict) -> dict:
     out = {}
     for name, record in records.items():
         out[name] = {
@@ -219,8 +242,9 @@ def summarise(records: dict, entry_bytes: float) -> dict:
             "pass_wall": quartiles(record["pass_wall_s"]),
             "round_wall": quartiles(record["round_wall_s"]),
             "result_bytes": record["result_bytes"],
+            "entry_bytes": round(record["entry_bytes"]),
             "entry_reads_per_round": round(
-                record["read_bytes"] / entry_bytes, 1),
+                record["read_bytes"] / record["entry_bytes"], 1),
             "cache_lookups_per_round": record["lookups"],
             "vmhwm_mb": record["vmhwm_mb"],
             "csv_sha256": sorted(record["csv_sha256"]),
@@ -255,27 +279,20 @@ def main(argv=None) -> int:
     # short paths: a unix socket path must fit in 108 bytes
     with tempfile.TemporaryDirectory(prefix="bsrv") as tmp:
         work = pathlib.Path(tmp)
-        plan_dir, cache_dir = work / "plan", work / "cache"
+        plan_dir = work / "plan"
         campaign.main(["plan", "--dir", str(plan_dir), "--workloads",
                        *ALL_WORKLOADS, "--designs", *DESIGNS,
                        "--trhs", *TRHS, "--instructions", INSTRUCTIONS,
                        "--quiet"])
         _, _, flat = campaign.planned_points(plan_dir)
         points = len(set(flat))
-        run_tree(ROOT, ["-m", "repro.tools.campaign", "run", "--dir",
-                        str(plan_dir), "--cache-dir", str(cache_dir),
-                        "--workers", str(WORKERS), "--quiet"])
-        reference = hashlib.sha256(
-            (plan_dir / "results.csv").read_bytes()).hexdigest()
-        entries = list(cache_dir.glob("*/*.json"))
-        entry_bytes = statistics.fmean(p.stat().st_size for p in entries)
 
         sides = [Side("change", ROOT, work)]
         if args.parent is not None:
             sides.insert(0, Side("parent", args.parent.resolve(), work))
         try:
-            records = measure(sides, plan_dir, cache_dir, reference,
-                              args.pairs, args.rounds)
+            records, reference = measure(sides, plan_dir, args.pairs,
+                                         args.rounds)
         finally:
             for side in sides:
                 side.stop()
@@ -291,9 +308,8 @@ def main(argv=None) -> int:
                  "python": platform.python_version(),
                  "machine": platform.machine()},
         "points": points,
-        "entry_bytes": round(entry_bytes),
         "reference_csv_sha256": reference,
-        "sides": summarise(records, entry_bytes),
+        "sides": summarise(records),
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")

@@ -9,6 +9,15 @@ directories small::
         <kk>/                      # first two hex digits of the key
             <key>.json             # serialized SystemResult document
 
+Each entry is one JSON document over two lines. The first line opens
+the object with a header, ``{"schema": 4, "sha256": <hex>, "row":
+<result_row>,``; the second holds the other members of
+:func:`~repro.exec.serialize.result_to_dict` (``config`` … ``phases``)
+and closes it. ``sha256`` is the digest of every byte after the first
+newline. :meth:`ResultCache.load_row` returns the ``results.csv`` row
+from the header without decoding the ~22 KB body; :meth:`ResultCache.load`
+decodes the whole file, which ``json.loads`` still reads as one document.
+
 The key is ``sha256`` over a canonical JSON rendering of
 
 * the full :class:`~repro.sim.runner.DesignPoint` field dict,
@@ -32,9 +41,14 @@ edits without clearing the cache).
 Robustness
 ----------
 Writes are atomic (temp file + ``os.replace``), so a killed run never
-leaves a half-written entry behind. Reads treat *any* undecodable,
-truncated, or schema-mismatched file as a miss (counted in
-``counters.corrupt``), never as an error.
+leaves a half-written entry behind. Every read checks the header first:
+the first line must end in ``,``, carry this schema, and name the
+digest of the body, so a truncated entry or a damaged byte that still
+parses as JSON is caught without decoding the body. The counting reads
+(:meth:`ResultCache.get`, :meth:`ResultCache.get_row`) treat *any*
+missing, undecodable, truncated, schema-mismatched or digest-mismatched
+file as a miss (counted in ``counters.corrupt`` unless missing), never
+as an error; the next :meth:`ResultCache.put` overwrites it.
 """
 
 from __future__ import annotations
@@ -45,11 +59,12 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Any
+from typing import Any, Callable
 
 from ..obs.log import get_logger
 from .env import env_str
-from .serialize import SCHEMA_VERSION, result_from_dict, result_to_dict
+from .serialize import (SCHEMA_VERSION, SchemaMismatch, result_from_dict,
+                        result_row, result_to_dict)
 
 log = get_logger(__name__)
 
@@ -135,27 +150,59 @@ class ResultCache:
     def _entry(self, key: str) -> pathlib.Path:
         return self.directory / key[:2] / f"{key}.json"
 
+    def _read(self, key: str) -> tuple[dict[str, Any], bytes]:
+        """The row in the checked header of the entry under ``key``, and
+        the entry's bytes.
+
+        Raises ``FileNotFoundError`` when there is no entry, and one of
+        :data:`UNREADABLE` when the first line does not end in ``,``,
+        is not a header of this schema with a row, or names a digest
+        the rest of the file does not have.
+        """
+        with open(self._entry(key), "rb") as handle:
+            data = handle.read()
+        head, newline, body = data.partition(b"\n")
+        if not newline or not head.endswith(b","):
+            raise ValueError("no entry header line")
+        header = json.loads(head[:-1] + b"}")
+        if header.get("schema") != SCHEMA_VERSION:
+            raise SchemaMismatch(header.get("schema"), SCHEMA_VERSION)
+        if header.get("sha256") != hashlib.sha256(body).hexdigest():
+            raise ValueError("entry body does not match its digest")
+        return header["row"], data
+
     def load(self, key: str):
-        """Decode the entry stored under ``key``; counts nothing.
+        """Decode the whole entry stored under ``key``; counts nothing.
 
         Raises ``FileNotFoundError`` when there is no entry, and one of
         :data:`UNREADABLE` when it cannot be read or is not a result of
         this schema. For re-reading results that were already resolved
-        (the serve daemon's ``/result``), which must not count as
-        lookups.
+        (the serve daemon's ``/result?full=1``), which must not count
+        as lookups.
         """
-        with open(self._entry(key), encoding="utf-8") as handle:
-            data = json.load(handle)
-        return result_from_dict(data)
+        _, data = self._read(key)
+        return result_from_dict(json.loads(data))
+
+    def load_row(self, key: str) -> dict[str, Any]:
+        """The ``results.csv`` row of the entry under ``key``, from its
+        header alone; raises like :meth:`load` and counts nothing."""
+        return self._read(key)[0]
 
     def get(self, point: Any, key: str | None = None):
         """Cached result for ``point``, or ``None`` (miss).
 
         ``key`` is ``point``'s :meth:`key`, when the caller has it.
         """
-        key = key or self.key(point)
+        return self._counted(self.load, key or self.key(point))
+
+    def get_row(self, point: Any, key: str | None = None):
+        """Cached ``results.csv`` row for ``point``, or ``None`` (miss):
+        :meth:`get` without decoding the result."""
+        return self._counted(self.load_row, key or self.key(point))
+
+    def _counted(self, read: Callable[[str], Any], key: str):
         try:
-            result = self.load(key)
+            found = read(key)
         except FileNotFoundError:
             self.counters.misses += 1
             return None
@@ -168,18 +215,25 @@ class ResultCache:
             self.counters.misses += 1
             return None
         self.counters.hits += 1
-        return result
+        return found
 
     def put(self, point: Any, result: Any,
             key: str | None = None) -> pathlib.Path:
         """Atomically persist ``result`` under ``point``'s key."""
         path = self.path_for(point, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(result_to_dict(result))
+        document = result_to_dict(result)
+        del document["schema"]
+        body = json.dumps(document)[1:].encode()
+        header = json.dumps({
+            "schema": SCHEMA_VERSION,
+            "sha256": hashlib.sha256(body).hexdigest(),
+            "row": result_row(result),
+        })
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(blob)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(header[:-1].encode() + b",\n" + body)
             os.replace(tmp_name, path)
         except BaseException:
             try:

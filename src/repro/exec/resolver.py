@@ -11,7 +11,8 @@ daemon — goes through :class:`Resolver`, which applies, in order:
 2. **memo** — the per-process memo :data:`repro.sim.runner.memo`
    (``memo_hits``; off for the daemon, which keeps no results in memory);
 3. **cache** — the on-disk :class:`~repro.exec.cache.ResultCache`
-   (``cache_hits``/``cache_misses``);
+   (``cache_hits``/``cache_misses``); the async front-end checks a hit
+   through the entry's row header and never decodes the result;
 4. **pool** — a fresh simulation (``simulated``), inline or in a process
    pool. A crashed worker (``BrokenExecutor``) rebuilds the pool and the
    point is retried with exponential backoff, at most
@@ -222,22 +223,38 @@ class Resolver:
 
         ``key`` is ``point``'s :meth:`key`, when the caller has it.
         """
-        if self.use_memo:
-            result = runner.memo.get(point)
-            if result is not None:
-                self.metrics.memo_hits += 1
-                return result, "memo"
+        result = self._memo_read(point)
+        if result is not None:
+            return result, "memo"
         if self.cache is not None:
-            with span("exec.cache_lookup", workload=point.workload,
-                      design=point.design):
-                result = self.cache.get(point, key)
+            result = self._cache_read(self.cache.get, point, key)
             if result is not None:
-                self.metrics.cache_hits += 1
                 if self.use_memo:
                     runner.memo[point] = result
                 return result, "cache"
-            self.metrics.cache_misses += 1
         return None, ""
+
+    def _memo_read(self, point: Any) -> Any:
+        """The memo's result for ``point`` (counted), or ``None``."""
+        if not self.use_memo:
+            return None
+        result = runner.memo.get(point)
+        if result is not None:
+            self.metrics.memo_hits += 1
+        return result
+
+    def _cache_read(self, read: Callable[[Any, str | None], Any],
+                    point: Any, key: str | None) -> Any:
+        """One counted cache lookup through ``read`` (``get`` or
+        ``get_row``): what it found, or ``None``."""
+        with span("exec.cache_lookup", workload=point.workload,
+                  design=point.design):
+            found = read(point, key)
+        if found is None:
+            self.metrics.cache_misses += 1
+        else:
+            self.metrics.cache_hits += 1
+        return found
 
     def _store(self, point: Any, result: Any, wall_s: float,
                key: str | None = None) -> None:
@@ -322,7 +339,11 @@ class Resolver:
         """Resolve one point (in flight -> memo -> cache -> pool).
 
         ``key`` is ``point``'s :meth:`key`, when the caller has it; it is
-        computed here otherwise.
+        computed here otherwise. Returns the point's result, except on a
+        cache hit: the hit is checked through
+        :meth:`~repro.exec.cache.ResultCache.get_row`, which never
+        decodes the result, and that row is returned. The daemon, the
+        one caller, drops the value and reads the cache entry back.
         """
         import asyncio
 
@@ -336,9 +357,11 @@ class Resolver:
                 with span("exec.dedup_wait", key=key):
                     result, _ = await asyncio.shield(task)
                 return result
-            result, _ = self.lookup(point, key)
-            if result is not None:
-                return result
+            found = self._memo_read(point)
+            if found is None and self.cache is not None:
+                found = self._cache_read(self.cache.get_row, point, key)
+            if found is not None:
+                return found
             task = asyncio.ensure_future(self.execute(point, key))
             self._inflight[key] = task
             task.add_done_callback(

@@ -20,7 +20,9 @@ One :class:`ServeServer` owns:
   directory.
 
 A job holds its points' cache keys, never their results: ``/result``
-re-reads each entry from the result cache, the one copy, on every call.
+re-reads each entry from the result cache, the one copy, on every call:
+the ``results.csv`` row from the entry's header line by default, the
+whole decoded result with ``?full=1``.
 
 State directory layout::
 
@@ -43,7 +45,7 @@ from typing import Any, Callable
 
 from ..exec.cache import UNREADABLE, ResultCache, default_cache_dir
 from ..exec.resolver import PointFailed, Resolver
-from ..exec.serialize import result_row, result_to_dict
+from ..exec.serialize import result_to_dict
 from ..obs.log import get_logger
 from ..obs.registry import StatsRegistry
 from ..obs.spans import (Span, SpanTracer, install as install_spans, span,
@@ -112,8 +114,7 @@ class ServeServer:
                  cache_dir: str | pathlib.Path | None = None,
                  cache: Any = "auto",
                  simulate_fn: Callable[[Any], tuple[Any, float]] | None = None,
-                 executor_factory: Callable[[int], Any] | None = None,
-                 encoder: Callable[[Any], dict] = result_row):
+                 executor_factory: Callable[[int], Any] | None = None):
         # validated before the state directory exists, so a rejected
         # server leaves nothing behind
         if workers is not None and workers < 1:
@@ -128,7 +129,6 @@ class ServeServer:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.max_jobs = max_jobs
         self.drain_s = drain_s
-        self.encoder = encoder
         self.journal_path = self.state_dir / "journal.jsonl"
 
         if cache == "auto":
@@ -535,12 +535,12 @@ class ServeServer:
             doc = job.public()
             doc["error"] = job.error or f"job is {job.state}, not done"
             return response_bytes(409, doc)
-        encode = result_to_dict if request.query.get("full") == "1" \
-            else self.encoder
+        full = request.query.get("full") == "1"
         results = []
         for point, key in zip(job.points, job.keys):
             try:
-                result = self.cache.load(key)
+                results.append(result_to_dict(self.cache.load(key)) if full
+                               else self.cache.load_row(key))
             except UNREADABLE as error:
                 # all rows or none: a partial results.csv is worse than
                 # none, and resubmitting the job re-resolves the point
@@ -549,7 +549,6 @@ class ServeServer:
                          f"{point.design}.t{point.trh} (key {key[:12]}) "
                          f"is gone or unreadable ({type(error).__name__}); "
                          f"resubmit the job")
-            results.append(encode(result))
         return response_bytes(200, {"id": job.id, "state": job.state,
                                     "results": results})
 

@@ -18,7 +18,7 @@ from repro.exec import resolver as resolver_mod
 from repro.exec.cache import ResultCache, point_key
 from repro.exec.engine import SweepEngine
 from repro.exec.resolver import PointFailed, Resolver
-from repro.exec.serialize import result_to_dict
+from repro.exec.serialize import result_row, result_to_dict
 from repro.obs.registry import StatsRegistry
 from repro.sim.runner import DesignPoint
 
@@ -31,7 +31,8 @@ def point(seed=0):
 
 
 class StubCache:
-    """In-memory stand-in for ResultCache (get/put/register_stats)."""
+    """In-memory stand-in for ResultCache (get/get_row/put/
+    register_stats); a stored document is its own row."""
 
     def __init__(self, preloaded=None):
         self.store = dict(preloaded or {})
@@ -42,6 +43,8 @@ class StubCache:
 
     def get(self, p, key=None):
         return self.store.get(key or self.key(p))
+
+    get_row = get
 
     def put(self, p, result, key=None):
         self.store[key or self.key(p)] = result
@@ -303,7 +306,9 @@ class TestWorkerCrashes:
 
 
 class TestFrontEndContract:
-    """Sync and async front-ends agree on results and on counters."""
+    """Sync and async front-ends agree on results and on counters. On a
+    cache hit the async front-end returns the entry's row (it never
+    decodes the result), the sync one the decoded result."""
 
     def test_same_results_and_counts_cold_and_warm(self, tmp_path):
         points = []
@@ -322,14 +327,17 @@ class TestFrontEndContract:
             cold_results = cold.run(points)
             warm = front(kind, tmp_path / kind)
             warm_results = warm.run(points)
+            cold_docs = [comparable(r) for r in cold_results]
+            if kind == "sync":
+                assert [comparable(r) for r in warm_results] == cold_docs
+                warm_results = [result_row(r) for r in warm_results]
             seen[kind] = (
-                [comparable(r) for r in cold_results],
-                [comparable(r) for r in warm_results],
+                cold_docs, warm_results,
                 counts(cold.resolver), counts(warm.resolver))
 
         assert seen["sync"] == seen["async"]
-        cold_docs, warm_docs, cold_counts, warm_counts = seen["sync"]
-        assert warm_docs == cold_docs
+        _, warm_rows, cold_counts, warm_counts = seen["sync"]
+        assert warm_rows == [result_row(r) for r in cold_results]
         assert cold_counts["exec.resolve.simulated"] == len(points)
         assert warm_counts["exec.resolve.simulated"] == 0
         assert warm_counts["exec.resolve.cache_hits"] == len(points)

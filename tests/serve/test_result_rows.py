@@ -22,6 +22,7 @@ from repro.serve.client import ServeError
 from repro.sim.runner import DesignPoint, run_point
 from repro.tools import campaign
 
+from ..exec.test_cache import DAMAGE
 from .test_server import FAST, call, point, run_scenario
 
 
@@ -37,7 +38,7 @@ def serve(tmp_path, scenario, real_result, cache=None):
         cache = ResultCache(tmp_path / "cache")
     return run_scenario(tmp_path, scenario,
                         simulate_fn=lambda q: (real_result, 0.001),
-                        cache=cache, encoder=result_row)
+                        cache=cache)
 
 
 async def finish(client, points):
@@ -132,6 +133,42 @@ class TestVanishedEntry:
 
         serve(tmp_path, scenario, real_result, cache=cache)
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_answers_410_for_rows_and_full(
+            self, tmp_path, real_result, damage):
+        async def scenario(server, client):
+            points = [point(0), DesignPoint(workload="mcf", design="prac",
+                                            trh=250, **FAST)]
+            job_id = await finish(client, points)
+            DAMAGE[damage](server.cache.path_for(points[1]), real_result)
+            for query in ("", "&full=1"):
+                status, document = await call(
+                    client.request, "GET", f"/result?id={job_id}{query}")
+                assert status == 410
+                assert "results" not in document
+                assert "mcf.prac.t250" in document["error"]
+                assert name(points[0]) not in document["error"]
+
+        serve(tmp_path, scenario, real_result)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_a_counted_miss_and_rewritten(
+            self, tmp_path, real_result, damage):
+        cache = ResultCache(tmp_path / "cache")
+        DAMAGE[damage](cache.put(point(0), real_result), real_result)
+
+        async def scenario(server, client):
+            job_id = await finish(client, [point(0)])
+            stats = await call(client.stats)
+            assert stats["exec.cache.corrupt"] == 1
+            assert stats["exec.resolve.simulated"] == 1
+            assert await call(client.result, job_id) == \
+                [result_row(real_result)]
+            assert [result_to_dict(r) for r in await call(
+                client.result, job_id, True)] == [result_to_dict(real_result)]
+
+        serve(tmp_path, scenario, real_result, cache=cache)
+
     def test_fetch_raises_and_writes_no_csv(self, tmp_path, real_result):
         plan_dir = tmp_path / "camp"
         campaign.plan(plan_dir, ["add"], ["prac"], [500], 2_000)
@@ -205,18 +242,28 @@ class TestOneKeyPerPoint:
 
 
 @pytest.fixture
-def load_calls():
-    """Wraps a cache's ``load`` (the one entry decode) to count calls."""
+def work(monkeypatch):
+    """Counts a cache's checked entry reads (``_read``, under every
+    ``load``/``load_row``) and every ``result_from_dict`` decode."""
+    decodes = []
+    real_decode = cache_module.result_from_dict
+
+    def counting_decode(data):
+        decodes.append(data)
+        return real_decode(data)
+
+    monkeypatch.setattr(cache_module, "result_from_dict", counting_decode)
+
     def wrap(cache):
-        calls = []
-        real = cache.load
+        reads = []
+        real_read = cache._read
 
-        def counting(key):
-            calls.append(key)
-            return real(key)
+        def counting_read(key):
+            reads.append(key)
+            return real_read(key)
 
-        cache.load = counting
-        return calls
+        cache._read = counting_read
+        return reads, decodes
 
     return wrap
 
@@ -224,29 +271,32 @@ def load_calls():
 class TestWorkCounts:
     """The submit -> fetch path's work, as counts rather than wall time."""
 
-    def test_warm_job_decodes_each_entry_once_per_read(
-            self, tmp_path, real_result, load_calls):
+    def test_warm_job_decodes_entries_only_for_full_results(
+            self, tmp_path, real_result, work):
         cache = ResultCache(tmp_path / "cache")
         warm = [point(seed) for seed in range(4)]
         for p in warm:
             cache.put(p, real_result)
         keys = [cache.key(p) for p in warm]
-        loads = load_calls(cache)
+        reads, decodes = work(cache)
 
         async def scenario(server, client):
             job_id = await finish(client, warm)
-            assert loads == keys  # resolving: one decode per point
+            # resolving: one checked header read per point, no decode
+            assert (reads, decodes) == (keys, [])
             for full in (False, True, False):
-                del loads[:]
+                del reads[:], decodes[:]
                 await call(client.result, job_id, full)
-                assert loads == keys  # one decode per point per call
+                assert reads == keys
+                # rows come from the header; full=1 decodes each entry
+                assert len(decodes) == (len(keys) if full else 0)
             stats = await call(client.stats)
             assert stats["exec.resolve.simulated"] == 0
 
         serve(tmp_path, scenario, real_result, cache=cache)
 
     def test_campaign_round_parses_each_ini_once_per_call(
-            self, tmp_path, real_result, load_calls, monkeypatch):
+            self, tmp_path, real_result, work, monkeypatch):
         plan_dir = tmp_path / "camp"
         inis = campaign.plan(plan_dir, ["add", "mcf"], ["prac", "mopac-c"],
                              [500, 250], 2_000)
@@ -255,7 +305,7 @@ class TestWorkCounts:
         cache = ResultCache(tmp_path / "cache")
         for p in unique:
             cache.put(p, real_result)
-        loads = load_calls(cache)
+        reads, decodes = work(cache)
 
         texts = sorted(path.read_text() for path in inis)
         parsed = []
@@ -272,11 +322,11 @@ class TestWorkCounts:
             job_id = await call(campaign.submit, plan_dir, server.address)
             assert sorted(parsed) == texts  # each INI once
             await call(client.wait, job_id, 10.0)
-            assert len(loads) == len(unique)
-            del parsed[:], loads[:]
+            assert (len(reads), decodes) == (len(unique), [])
+            del parsed[:], reads[:]
             await call(campaign.fetch, plan_dir, wait_s=10.0)
             assert sorted(parsed) == texts
-            assert len(loads) == len(unique)
+            assert (len(reads), decodes) == (len(unique), [])
 
         serve(tmp_path, scenario, real_result, cache=cache)
         assert (plan_dir / "results.csv").exists()

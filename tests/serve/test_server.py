@@ -40,11 +40,18 @@ class StubCache:
     def get(self, p, key=None):
         return self.store.get(key or self.key(p))
 
+    def get_row(self, p, key=None):
+        result = self.get(p, key)
+        return None if result is None else fake_row(result)
+
     def load(self, key):
         try:
             return self.store[key]
         except KeyError:
             raise FileNotFoundError(key) from None
+
+    def load_row(self, key):
+        return fake_row(self.load(key))
 
     def put(self, p, result, key=None):
         self.store[key or self.key(p)] = result
@@ -54,13 +61,12 @@ class StubCache:
 
 
 def fake_row(result):
-    """The row function for the fake ``{"seed": ...}`` results."""
+    """The row of a fake ``{"seed": ...}`` result."""
     return {"seed": result["seed"]}
 
 
 def make_server(tmp_path, simulate_fn, **kwargs):
     kwargs.setdefault("cache", StubCache())
-    kwargs.setdefault("encoder", fake_row)
     kwargs.setdefault("workers", 2)
     return ServeServer(
         state_dir=tmp_path / "state",
