@@ -7,7 +7,7 @@ across refactors of how the field dict is built; a moved key orphans
 every cached result and a moved journal line changes what a restarted
 daemon replays. The journal pins were taken before the field dict was
 built shallowly; the key pins were retaken when ``SCHEMA_VERSION``
-became 4 (the key hashes it). Neither may move without a
+became 5 (the key hashes it). Neither may move without a
 ``CACHE_SALT`` or ``SCHEMA_VERSION`` bump.
 """
 
@@ -61,61 +61,61 @@ CASES = cases()
 #: name -> (point_key, sha256 of the one-point job's journal line)
 PINS = {
     "prac": (
-        "94c36f7fe4f1a65d7101e0711cb29fcbf4d53967bff478723685b943e0b982ef",
+        "337865574466e96bf07d38fd2da18a35e110cf7c624f50a015c38437a7c68c04",
         "6a85b303a9ab568aaa64b167092b057607dc34677595a7bb35171607038be915"),
     "moat": (
-        "ad81c4cea486a03704fc524f96545284ab198875a09f18c03347e440da4ae13e",
+        "f0dd3b549a189994c8e5bc6072600897fedeb0f30905be739bc1336af9afd72b",
         "67833f0d28174b0e1da6afd25eaae042c8b061d150d88e3fff44c2a8ea290922"),
     "qprac": (
-        "6ce984a8be39c6cd51f33cb9f1fd15270ffaaaf82a93981eb145bcd35f531503",
+        "084df9d6a650d392bd3a66b8d9d2e4ce9ef370e932f04ea1298cff63a1c56e8a",
         "dc2b5c11a2547da9f318869d1609c2bf6ea72323e12cc9a2b6473d048512e29f"),
     "qprac-proactive": (
-        "dc429643e9110ebfc63dd11e930a0c93b5d09a2fc53dd8b445fb2502203f81b8",
+        "2770d14f320d63d87ec33623ee47baaeb06c354544f791b2d8a3392a50849911",
         "9b24dde677d18335ddfe5e536457a8b2bd96421177a1dc6a3bdf23892af01a50"),
     "cnc-prac": (
-        "136988e7db9defba1a05857f24c384c2187be8294412ad4ff821cf8be862e59c",
+        "2325801b834182c2dcbc8b69b4c57713234f72295b9bfc8e2467af6a49f2174f",
         "a16d6e47af3fe62f5f0cad9452af163b05f37090b3999fe5571e6c9f5c01eb95"),
     "practical": (
-        "585cd1ef2b7bbc8cd537d4e9153034f6cd9a5b0b867d50df1eba84ce1380c956",
+        "11fed56f85bc9b677997b3cd5eecdd40666bba70f143d1385089d92a846027ba",
         "f0a9b07ec1b53f52d0bcf7774a00671bee9fde330f22493814e7b7bc9d2ab1d3"),
     "mopac-c": (
-        "2e2d6651185361fc9fd09c3d58ad0144f635acbcafaf667f1df747260001ae61",
+        "8ef5bcab2bbf42b342c95073f28ff7fc49291ed724034ecfca1937434f172e66",
         "2550a441cab8f81633f478525cfd36e9b19b5c5d65f5a69658e7bbbabe8d88af"),
     "mopac-d": (
-        "8a2213005fb3c2d1d550ff8612d1e11c23630844a8dbba7aed1012360ab28da1",
+        "fc86416e93438444d0eb5c66ed34b87174e568c9d4128af181275a08b714145f",
         "0ad7aeb0e6b19a76d38ea72ca90b1a00baf0ce361e9a4bf1ef23a2bde4dd8454"),
     "mint": (
-        "837e6ed26e14e53ab56c01d5d5b50915ec382ad3091a2cf6506e3b592590df3e",
+        "0147cb6af9214a46a3706570408ddd21dc51cbab44f31a9b5bb8ee5110573899",
         "0f8515e68230f411ce8c66c513f52c728ada8fea94f71f0d74e64ff48797ef39"),
     "pride": (
-        "af942e41048242995122cf39234131f14ad792bfdaaf0cb0243744a2aa559b8f",
+        "5b4cc9d8b28fcab55cea841255438c173c2570e71ccc8690a2bdaccef12b140d",
         "6d5b50a661eb30547b653eb605eed9dd43a25446e0add51cd501af5c79d12363"),
     "trr": (
-        "c3056d67bc1bc888d6c276c29e9115c1875e3fff88b669f6ffb31dfa3597fb1c",
+        "2dd1761d9af0f66bab97513b0ce07edcb7819428740069acddd53a807c6c49d7",
         "3291abee47b79b46097402519903cfd0794dd859f07c2903b8623bd36e0e58f4"),
     "baseline": (
-        "01c2cb222afff807c62008cbb34ea86f386c1676099755b9546a045b0f275c7b",
+        "fabf13418cce20ecbd30b2c58f44fdfccf055b081cc8e847f4b2b489edbec2a9",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
     "mopac-d-nup": (
-        "6e869ce6a5732b9bb515a53d657b2776c1badd91f15d1ea4c5ed6d29b5456333",
+        "114ec3500ca66ed7176a0e9944a5ca8b7f497b5b1dc360be48bbc4b2471c672c",
         "90d090ac52f2e21ffa4313bda015adc22eed07dedf69fe64c063404182640a75"),
     "mopac-c+knobs": (
-        "9243f5d14b9593c111d7a2632b35e10555a0697e09e0f657d58ba7600d17cd58",
+        "c5a68ea53feafe12e4c51f13f31db2ee1824bd0daa3e0193cdfa3ac6875d4fbc",
         "3ee460071d337265938ae0342fd7afa0c00f4375fc0e0b3bfeae5f2d5b213a3c"),
     "mopac-d+knobs": (
-        "f1df090edaac38c08b8b430f7e05dad28107bd56fbe40b0592c0783e0463ac7b",
+        "436d1da11effc9ad56f523f7e650dab77124f5474878f304199a862c6bdd49ca",
         "6430be3ca32272cd44bd57ea81c3e10cca1f82fce54d153669328d6cb9fc7995"),
     "mopac-d-nup+knobs": (
-        "9d66971c751ca2868b7d687cd74ba54962464bb16dbd9eceb782add91b1cf18a",
+        "189b6f3eff18624121ea42250cbd9ed1790ea620b235e44e91aa95b41eeb852a",
         "3161a21d1aced45ce159d50e954b1cef24b1c4142cdf48a660064691050f0072"),
     "fancy": (
-        "7abcf79f4d35c0553ce02fc18c366df85867c9650f7fa2a9c1f4071ba5f05d79",
+        "a77206c15ae86e04390d7c164dd93ea4e06e704c3cbb4b6e0deca58d08c2dd5d",
         "1ae79dc4669ee6af34aa7cf962e688e46e4348f8bd73d2b6a2b6ec83b1d20a7f"),
     "fancy.baseline": (
-        "93f3692b60a566afc49243309ec28a21013e8620f4695adae8765d7fb4b749b3",
+        "89ad847eac1daccf52224b392f9de78c60c7fdf6cb114d058d6179a2547ec559",
         "39120304f6a0c93f799b8d4ca4d803876b3675df0bc9c868578677583bb468a5"),
     "mopac-d+knobs.baseline": (
-        "01c2cb222afff807c62008cbb34ea86f386c1676099755b9546a045b0f275c7b",
+        "fabf13418cce20ecbd30b2c58f44fdfccf055b081cc8e847f4b2b489edbec2a9",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
 }
 
