@@ -10,13 +10,16 @@ directories small::
             <key>.json             # serialized SystemResult document
 
 Each entry is one JSON document over two lines. The first line opens
-the object with a header, ``{"schema": 4, "sha256": <hex>, "row":
+the object with a header, ``{"schema": 5, "sha256": <hex>, "row":
 <result_row>,``; the second holds the other members of
 :func:`~repro.exec.serialize.result_to_dict` (``config`` … ``phases``)
-and closes it. ``sha256`` is the digest of every byte after the first
-newline. :meth:`ResultCache.load_row` returns the ``results.csv`` row
-from the header without decoding the ~22 KB body; :meth:`ResultCache.load`
-decodes the whole file, which ``json.loads`` still reads as one document.
+and closes it. ``sha256`` is the digest of every byte after ``"row": ``:
+the row's JSON text as the header holds it, the header's closing ``,``
+and newline, and the body, so a damaged row is caught as surely as a
+damaged body. :meth:`ResultCache.load_row` returns the ``results.csv``
+row from the header without decoding the ~22 KB body;
+:meth:`ResultCache.load` decodes the whole file, which ``json.loads``
+still reads as one document.
 
 The key is ``sha256`` over a canonical JSON rendering of
 
@@ -42,13 +45,14 @@ Robustness
 ----------
 Writes are atomic (temp file + ``os.replace``), so a killed run never
 leaves a half-written entry behind. Every read checks the header first:
-the first line must end in ``,``, carry this schema, and name the
-digest of the body, so a truncated entry or a damaged byte that still
-parses as JSON is caught without decoding the body. The counting reads
-(:meth:`ResultCache.get`, :meth:`ResultCache.get_row`) treat *any*
-missing, undecodable, truncated, schema-mismatched or digest-mismatched
-file as a miss (counted in ``counters.corrupt`` unless missing), never
-as an error; the next :meth:`ResultCache.put` overwrites it.
+the first line must end in ``,``, carry this schema and a row, and name
+the digest of the row and the body, so a truncated entry or a damaged
+byte of the row or the body that still parses as JSON is caught without
+decoding the body. The counting reads (:meth:`ResultCache.get`,
+:meth:`ResultCache.get_row`) treat *any* missing, undecodable,
+truncated, schema-mismatched or digest-mismatched file as a miss
+(counted in ``counters.corrupt`` unless missing), never as an error;
+the next :meth:`ResultCache.put` overwrites it.
 """
 
 from __future__ import annotations
@@ -77,6 +81,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: What reading a missing, truncated, corrupt or stale-schema entry raises.
 UNREADABLE = (OSError, ValueError, KeyError, TypeError)
+
+#: What opens an entry's row in its header line; the entry's digest
+#: covers every byte after it.
+_ROW = b'"row": '
 
 
 def effective_salt(salt: str = CACHE_SALT) -> str:
@@ -157,18 +165,22 @@ class ResultCache:
         Raises ``FileNotFoundError`` when there is no entry, and one of
         :data:`UNREADABLE` when the first line does not end in ``,``,
         is not a header of this schema with a row, or names a digest
-        the rest of the file does not have.
+        the row and the body do not have.
         """
         with open(self._entry(key), "rb") as handle:
             data = handle.read()
-        head, newline, body = data.partition(b"\n")
+        head, newline, _ = data.partition(b"\n")
         if not newline or not head.endswith(b","):
             raise ValueError("no entry header line")
         header = json.loads(head[:-1] + b"}")
         if header.get("schema") != SCHEMA_VERSION:
             raise SchemaMismatch(header.get("schema"), SCHEMA_VERSION)
-        if header.get("sha256") != hashlib.sha256(body).hexdigest():
-            raise ValueError("entry body does not match its digest")
+        at = head.find(_ROW)
+        if at < 0:
+            raise ValueError("entry header has no row")
+        signed = memoryview(data)[at + len(_ROW):]
+        if header.get("sha256") != hashlib.sha256(signed).hexdigest():
+            raise ValueError("entry row or body does not match its digest")
         return header["row"], data
 
     def load(self, key: str):
@@ -224,16 +236,16 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         document = result_to_dict(result)
         del document["schema"]
-        body = json.dumps(document)[1:].encode()
+        signed = (json.dumps(result_row(result)) + ",\n"
+                  + json.dumps(document)[1:]).encode()
         header = json.dumps({
             "schema": SCHEMA_VERSION,
-            "sha256": hashlib.sha256(body).hexdigest(),
-            "row": result_row(result),
+            "sha256": hashlib.sha256(signed).hexdigest(),
         })
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(header[:-1].encode() + b",\n" + body)
+                handle.write(header[:-1].encode() + b", " + _ROW + signed)
             os.replace(tmp_name, path)
         except BaseException:
             try:

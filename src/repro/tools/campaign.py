@@ -260,10 +260,7 @@ def verify(directory: pathlib.Path, limit: int | None = None) -> int:
     Returns the number of failing points.
     """
     from ..check.driver import verify_point
-    ini_paths = sorted(directory.glob("*.ini"))
-    if not ini_paths:
-        raise FileNotFoundError(f"no .ini files in {directory}")
-    points = [load_design_point(str(path)) for path in ini_paths]
+    _, points, _ = planned_points(directory)
     if limit is not None:
         points = points[:limit]
     failures = 0

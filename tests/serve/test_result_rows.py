@@ -8,6 +8,7 @@ fake simulation that returns one small real result for every point.
 """
 
 import asyncio
+import configparser
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -329,4 +330,31 @@ class TestWorkCounts:
             assert (len(reads), decodes) == (len(unique), [])
 
         serve(tmp_path, scenario, real_result, cache=cache)
+        assert (plan_dir / "results.csv").exists()
+
+    def test_campaign_round_builds_no_config_parser(
+            self, tmp_path, real_result, monkeypatch):
+        # INIs are read by config_io's own reader: planning a campaign
+        # writes them through ConfigParser, reading them back builds none
+        plan_dir = tmp_path / "camp"
+        campaign.plan(plan_dir, ["add", "mcf"], ["prac", "mopac-c"],
+                      [500, 250], 2_000)
+        built = []
+        real_init = configparser.RawConfigParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(type(parser).__name__)
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(configparser.RawConfigParser, "__init__",
+                            counting_init)
+        _, points, _ = campaign.planned_points(plan_dir)
+        assert (len(points), built) == (8, [])
+
+        async def scenario(server, client):
+            await call(campaign.submit, plan_dir, server.address)
+            await call(campaign.fetch, plan_dir, wait_s=10.0)
+
+        serve(tmp_path, scenario, real_result)
+        assert built == []
         assert (plan_dir / "results.csv").exists()

@@ -5,10 +5,12 @@ import io
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.config_io import (config_summary, design_point_from_ini,
-                             design_point_to_ini, load_design_point,
-                             save_design_point)
+from repro.config_io import (_design_options, config_summary,
+                             design_point_from_ini, design_point_to_ini,
+                             load_design_point, save_design_point)
 from repro.config import SystemConfig
 from repro.sim.runner import DESIGNS, DesignPoint
 from repro.tools import campaign
@@ -28,13 +30,15 @@ def full_parse(text):
     """The point a parse of every section gives, as INIs were read
     before only ``[design]`` reached the parser: ConfigParser reads the
     whole text, and its resolved ``[design]`` section, written out
-    alone, goes through :func:`design_point_from_ini`."""
+    alone (each ``%`` escaped, so the values are interpolated once),
+    goes through :func:`design_point_from_ini`."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
     if "design" not in parser:
         raise ValueError("missing [design] section")
     alone = configparser.ConfigParser()
-    alone["design"] = dict(parser["design"])
+    alone["design"] = {key: value.replace("%", "%%")
+                       for key, value in parser["design"].items()}
     out = io.StringIO()
     alone.write(out)
     return design_point_from_ini(out.getvalue())
@@ -49,15 +53,31 @@ def sections(text):
     return out
 
 
-def parse_both(text):
+def parse_both(text, parses=(design_point_from_ini, full_parse)):
     """``(new parse, full parse)``, or the exception type each raised."""
     results = []
-    for parse in (design_point_from_ini, full_parse):
+    for parse in parses:
         try:
             results.append(parse(text))
         except Exception as error:  # noqa: BLE001 - compared by type
             results.append(type(error))
     return results
+
+
+def config_parser_options(text):
+    """The resolved ``[design]`` options ConfigParser reads from the
+    whole text."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    if "design" not in parser:
+        raise ValueError("missing [design] section")
+    return dict(parser["design"])
+
+
+def options_both(text):
+    """``(new reader's options, ConfigParser's)``, or the exception
+    type each raised."""
+    return parse_both(text, (_design_options, config_parser_options))
 
 
 class TestIniRoundtrip:
@@ -202,6 +222,152 @@ class TestDesignSectionOnly:
             design_point_from_ini(text)
 
 
+#: the options design_point_to_ini writes to [design]
+OPTIONS = ("workload", "design", "trh", "instructions", "seed",
+           "page_policy", "chips", "srq_size", "drain_on_ref", "p",
+           "rows_per_bank", "refresh_scale", "rowpress", "sampler",
+           "abo_level", "refresh_mode")
+
+
+class TestUnknownOptions:
+    """An option :func:`design_point_to_ini` does not write is refused,
+    where it used to be ignored and its field left at the default."""
+
+    POINT = DesignPoint(workload="mcf", design="prac", instructions=8_000)
+
+    def test_the_writer_writes_exactly_the_read_options(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(design_point_to_ini(self.POINT))
+        assert tuple(parser["design"]) == OPTIONS
+
+    def test_misspelled_option_is_named(self):
+        text = design_point_to_ini(self.POINT).replace(
+            "instructions = 8000", "instrutions = 8000")
+        with pytest.raises(ValueError, match="'instrutions'"):
+            design_point_from_ini(text)
+
+    def test_option_inherited_from_default_is_named(self):
+        text = design_point_to_ini(self.POINT) + \
+            "[DEFAULT]\nsubchannels = 2\n"
+        with pytest.raises(ValueError, match="'subchannels'"):
+            design_point_from_ini(text)
+
+    def test_known_option_from_default_is_read(self):
+        text = design_point_to_ini(self.POINT).replace(
+            "instructions = 8000\n", "") + "[DEFAULT]\nInstructions: 4000\n"
+        assert design_point_from_ini(text).instructions == 4000
+
+
+#: option values: good and bad ones for some field, and ``%`` ones
+#: that resolve, refer to nothing, are escaped or are malformed
+VALUES = st.sampled_from([
+    "mcf", "add", "prac", "mopac-c", "mopac-d", "mopac-z", "open", "250",
+    "500", "2.5e2", "1_000", "0", "-3", "0.25", "auto", "yes", "off",
+    "maybe", "", "a b", "%(trh)s", "%(TRH)s", "1%(seed)s", "%(design)s",
+    "%(nope)s", "%%", "5%%", "%%(trh)s", "%", "%x", "%(trh",
+    "%(instructions)s"])
+
+
+def option_lines(names, values=VALUES):
+    """``name = value`` lines for each name, in mixed case, padded,
+    with either delimiter."""
+    spelled = names.flatmap(lambda name: st.sampled_from(
+        [name, name.upper(), name.title(), f"{name}  ", f"  {name}"]))
+    delimiters = st.sampled_from(["=", ":", " = ", " : ", "  =  "])
+    return st.builds("{}{}{}".format, spelled, delimiters, values)
+
+
+#: lines other than options: blanks, comments, continuations, lines
+#: with no delimiter or an empty option name
+OTHER_LINES = st.sampled_from([
+    "", "   ", "# comment", "; comment", "   # indented comment",
+    "  continued", "\tcontinued", "    %(trh)s", "trh", "just words",
+    "= 5", ": 5"])
+
+#: a few lines of any kind, mostly not options, some misspelled ones
+LINES = st.lists(st.one_of(
+    OTHER_LINES, OTHER_LINES,
+    option_lines(st.sampled_from(OPTIONS + ("instrutions",)))),
+    max_size=3)
+
+
+@st.composite
+def ini_texts(draw):
+    """A written INI whose [design] section keeps, drops or rewrites
+    each option and gains other lines, with an optional [DEFAULT]
+    section, a rare second [design] header and lines ahead of the first
+    header, in any section order."""
+    parts = sections(design_point_to_ini(
+        DesignPoint(workload="mcf", design="mopac-d", trh=250)))
+    rarely = st.sampled_from([False] * 19 + [True])
+    design = ["[design]"]
+    for line in parts["design"].splitlines()[1:]:
+        name = line.partition(" = ")[0]
+        if name in OPTIONS[:2] and not draw(rarely):
+            design.append(line)
+            continue
+        how = draw(st.sampled_from(
+            ["keep", "keep", "respell", "drop", "rewrite"]))
+        if how == "keep":
+            design.append(line)
+        elif how == "respell":
+            value = line.partition(" = ")[2]
+            design.append(draw(option_lines(st.just(name),
+                                            st.just(value))))
+        elif how == "rewrite":
+            design.append(draw(option_lines(st.just(name))))
+    for line in draw(LINES):
+        design.insert(draw(st.integers(1, len(design))), line)
+    parts["design"] = "\n".join(design) + "\n"
+    if draw(st.booleans()):
+        parts["DEFAULT"] = "\n".join(["[DEFAULT]", *draw(LINES)]) + "\n"
+    if draw(rarely):
+        parts["design2"] = "\n".join(["[design]", *draw(LINES)]) + "\n"
+    order = draw(st.permutations(sorted(parts)))
+    preamble = draw(st.lists(st.sampled_from(
+        ["", "# note", "; note", "  # indented"] * 3 + ["stray = line"]),
+        max_size=2))
+    return "".join(line + "\n" for line in preamble) + \
+        "".join(parts[name] for name in order)
+
+
+class TestAgainstConfigParser:
+    """The reader gives the point, or raises the exception class, that
+    ConfigParser reading the whole text gives (:func:`full_parse`), and
+    resolves the options ConfigParser resolves."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ini_texts())
+    @example(design_point_to_ini(TestDesignSectionOnly.POINT).replace(
+        "seed = 24301", "seed = %(trh)s"))
+    @example(design_point_to_ini(TestDesignSectionOnly.POINT).replace(
+        "seed = 24301", "seed = %(seed)s"))
+    @example("stray = line\n" + design_point_to_ini(
+        TestDesignSectionOnly.POINT))
+    def test_same_point_or_same_error(self, text):
+        new, reference = parse_both(text)
+        assert new == reference
+        new, reference = options_both(text)
+        assert new == reference
+
+    @pytest.mark.parametrize("depth", [9, 10, 11])
+    def test_reference_chain_depth(self, depth):
+        # option x0 refers to x1, ..., x<depth - 1> to x<depth>; past
+        # MAX_INTERPOLATION_DEPTH references, BasicInterpolation refuses
+        chain = "".join(f"x{i} = %(x{i + 1})s\n" for i in range(depth))
+        text = f"[design]\n{chain}x{depth} = end\n"
+        new, reference = options_both(text)
+        assert new == reference
+        assert (new == configparser.InterpolationDepthError) == \
+            (depth > configparser.MAX_INTERPOLATION_DEPTH)
+
+    def test_blank_lines_inside_a_value(self):
+        text = "[design]\nworkload = a\n\n  b\n\ndesign = prac\n"
+        new, reference = options_both(text)
+        assert new == reference == {"workload": "a\n\nb",
+                                    "design": "prac"}
+
+
 class TestConfigSummary:
     def test_paper_summary(self):
         summary = config_summary(SystemConfig.paper())
@@ -243,3 +409,26 @@ class TestCampaign:
     def test_run_without_plan_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             campaign.run(pathlib.Path(tmp_path))
+
+    def test_verify_checks_the_planned_points(self, tmp_path,
+                                              monkeypatch):
+        from repro.check import driver
+        checked = []
+
+        class Verdict:
+            ok = True
+
+            def describe(self):
+                return "ok"
+
+        def fake_verify(point):
+            checked.append(point)
+            return Verdict()
+
+        monkeypatch.setattr(driver, "verify_point", fake_verify)
+        campaign.plan(tmp_path, ["mcf", "add"], ["prac"], [500], 2_000)
+        _, points, _ = campaign.planned_points(tmp_path)
+        assert campaign.verify(tmp_path, limit=1) == 0
+        assert checked == points[:1]
+        with pytest.raises(FileNotFoundError):
+            campaign.verify(tmp_path / "empty")
