@@ -72,34 +72,6 @@ def env_flag(name: str, default: bool = False) -> bool:
                                   "yes/no, on/off)")
 
 
-def env_float(name: str, default: float | None = None,
-              minimum: float | None = None,
-              exclusive: bool = False) -> float | None:
-    """Float knob ``name``; ``default`` when unset/empty.
-
-    Rejects non-floats, NaN/inf, and values below ``minimum`` (strictly
-    below when ``exclusive`` — e.g. a timeout that must be positive)
-    with an :class:`EnvKnobError` naming the variable.
-    """
-    import math
-
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        raise EnvKnobError(name, raw, "a number") from None
-    if not math.isfinite(value):
-        raise EnvKnobError(name, raw, "a finite number")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            raise EnvKnobError(name, raw, f"a number > {minimum:g}")
-        if not exclusive and value < minimum:
-            raise EnvKnobError(name, raw, f"a number >= {minimum:g}")
-    return value
-
-
 def env_str(name: str, default: str | None = None) -> str | None:
     """Free-form string knob ``name``; ``default`` when unset/empty.
 

@@ -37,6 +37,11 @@ overlapping points (see ``docs/serving.md``):
   the local ``run`` would have produced (bit-identical numbers); a
   campaign re-planned since ``submit`` is refused (exit 1).
 
+``run``, ``verify``, ``submit`` and ``fetch`` exit 2 with one log line
+when the plan is missing or an INI does not read back to a design
+point; the log line names the file, and the INI line at fault if
+there is one.
+
 Example::
 
     python -m repro.tools.campaign plan  --dir camp --workloads add mcf
@@ -57,7 +62,7 @@ import json
 import pathlib
 from dataclasses import replace
 
-from ..config_io import load_design_point, save_design_point
+from ..config_io import IniError, load_design_point, save_design_point
 from ..dram.energy import energy_overhead_of
 from ..exec.cache import CACHE_DIR_ENV
 from ..exec.engine import PointOutcome, SweepEngine
@@ -95,7 +100,9 @@ def planned_points(directory: pathlib.Path
                    ) -> tuple[list[pathlib.Path], list[DesignPoint],
                               list[DesignPoint]]:
     """The campaign's INIs, their points, and the flat point+baseline
-    list in execution order."""
+    list in execution order; raises
+    :class:`~repro.config_io.IniError` naming the first INI that does
+    not read back to a point."""
     ini_paths = sorted(directory.glob("*.ini"))
     if not ini_paths:
         raise FileNotFoundError(f"no .ini files in {directory}")
@@ -440,14 +447,18 @@ def main(argv: list[str] | None = None) -> int:
         log.info("planned %d evaluations in %s/", len(paths), directory)
         return 0
     if args.command == "run":
-        csv_path = run(directory, workers=args.workers,
-                       verbose=not args.quiet)
+        try:
+            csv_path = run(directory, workers=args.workers,
+                           verbose=not args.quiet)
+        except (FileNotFoundError, IniError) as error:
+            log.error("%s", error)
+            return 2
         log.info("wrote %s", csv_path)
         return 0
     if args.command == "verify":
         try:
             failures = verify(directory, limit=args.limit)
-        except FileNotFoundError as error:
+        except (FileNotFoundError, IniError) as error:
             log.error("%s", error)
             return 2
         return 1 if failures else 0
@@ -457,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             print(submit(directory, args.server,
                          priority=args.priority))
-        except FileNotFoundError as error:
+        except (FileNotFoundError, IniError) as error:
             log.error("%s", error)
             return 2
         return 0
@@ -477,7 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         except PlanChanged as error:
             log.error("%s", error)
             return 1
-        except (FileNotFoundError, RuntimeError, TimeoutError) as error:
+        except (FileNotFoundError, IniError, RuntimeError,
+                TimeoutError) as error:
             log.error("%s", error)
             return 2
         log.info("wrote %s", csv_path)

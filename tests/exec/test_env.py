@@ -13,8 +13,7 @@ from repro.analysis.experiments import (FAST_WORKLOADS,
                                         selected_workloads)
 from repro.exec.cache import CACHE_SALT, default_cache_dir, effective_salt
 from repro.exec.resolver import default_workers
-from repro.exec.env import (EnvKnobError, env_choice, env_flag,
-                            env_float, env_int)
+from repro.exec.env import EnvKnobError, env_choice, env_flag, env_int
 from repro.obs.log import resolve_level
 
 #: Every knob the package reads: name -> (reader, default when unset).
@@ -93,52 +92,6 @@ class TestEnvFlag:
         monkeypatch.setenv("X_FLAG", raw)
         with pytest.raises(EnvKnobError, match="X_FLAG"):
             env_flag("X_FLAG")
-
-
-class TestEnvFloat:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv("X_FLOAT", raising=False)
-        assert env_float("X_FLOAT") is None
-        assert env_float("X_FLOAT", default=1.5) == 1.5
-
-    def test_empty_returns_default(self, monkeypatch):
-        monkeypatch.setenv("X_FLOAT", "  ")
-        assert env_float("X_FLOAT", default=2.0) == 2.0
-
-    @pytest.mark.parametrize("raw,value",
-                             [(" 0.25 ", 0.25), ("3", 3.0), ("1e2", 100.0)])
-    def test_parses_numeric_spellings(self, monkeypatch, raw, value):
-        monkeypatch.setenv("X_FLOAT", raw)
-        assert env_float("X_FLOAT") == value
-
-    @pytest.mark.parametrize("bad", ["soon", "1.2.3", ""])
-    def test_non_number_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("X_FLOAT", bad or "x")
-        with pytest.raises(EnvKnobError, match="X_FLOAT"):
-            env_float("X_FLOAT")
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_rejected(self, monkeypatch, bad):
-        # float() happily parses these; a nan timeout would poison
-        # every comparison downstream
-        monkeypatch.setenv("X_FLOAT", bad)
-        with pytest.raises(EnvKnobError, match="finite"):
-            env_float("X_FLOAT")
-
-    def test_inclusive_minimum(self, monkeypatch):
-        monkeypatch.setenv("X_FLOAT", "0")
-        assert env_float("X_FLOAT", minimum=0.0) == 0.0
-        with pytest.raises(EnvKnobError, match=">= 0"):
-            monkeypatch.setenv("X_FLOAT", "-0.1")
-            env_float("X_FLOAT", minimum=0.0)
-
-    def test_exclusive_minimum(self, monkeypatch):
-        monkeypatch.setenv("X_FLOAT", "0")
-        with pytest.raises(EnvKnobError, match="> 0"):
-            env_float("X_FLOAT", minimum=0.0, exclusive=True)
-        monkeypatch.setenv("X_FLOAT", "0.001")
-        assert env_float("X_FLOAT", minimum=0.0,
-                         exclusive=True) == 0.001
 
 
 class TestEnvChoice:

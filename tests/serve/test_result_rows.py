@@ -334,11 +334,8 @@ class TestWorkCounts:
 
     def test_campaign_round_builds_no_config_parser(
             self, tmp_path, real_result, monkeypatch):
-        # INIs are read by config_io's own reader: planning a campaign
-        # writes them through ConfigParser, reading them back builds none
-        plan_dir = tmp_path / "camp"
-        campaign.plan(plan_dir, ["add", "mcf"], ["prac", "mopac-c"],
-                      [500, 250], 2_000)
+        # config_io writes and reads INIs itself: neither planning a
+        # campaign nor reading it back builds a ConfigParser
         built = []
         real_init = configparser.RawConfigParser.__init__
 
@@ -348,6 +345,9 @@ class TestWorkCounts:
 
         monkeypatch.setattr(configparser.RawConfigParser, "__init__",
                             counting_init)
+        plan_dir = tmp_path / "camp"
+        campaign.plan(plan_dir, ["add", "mcf"], ["prac", "mopac-c"],
+                      [500, 250], 2_000)
         _, points, _ = campaign.planned_points(plan_dir)
         assert (len(points), built) == (8, [])
 

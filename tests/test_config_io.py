@@ -2,16 +2,18 @@
 
 import configparser
 import io
+import json
+import logging
 import pathlib
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.config_io import (_design_options, config_summary,
+from repro.config_io import (_READERS, _sections, IniError,
                              design_point_from_ini, design_point_to_ini,
                              load_design_point, save_design_point)
-from repro.config import SystemConfig
 from repro.sim.runner import DESIGNS, DesignPoint
 from repro.tools import campaign
 
@@ -27,21 +29,30 @@ KNOBBED = {
 
 
 def full_parse(text):
-    """The point a parse of every section gives, as INIs were read
-    before only ``[design]`` reached the parser: ConfigParser reads the
-    whole text, and its resolved ``[design]`` section, written out
-    alone (each ``%`` escaped, so the values are interpolated once),
-    goes through :func:`design_point_from_ini`."""
+    """The point ``ConfigParser`` gives, the reference reader: it reads
+    the whole text in its default dialect, and each resolved
+    ``[design]`` option is converted as :data:`_READERS` converts it
+    (``rowpress`` by ``getboolean``)."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
     if "design" not in parser:
         raise ValueError("missing [design] section")
-    alone = configparser.ConfigParser()
-    alone["design"] = {key: value.replace("%", "%%")
-                       for key, value in parser["design"].items()}
+    design = parser["design"]
+    unknown = set(design) - set(_READERS)
+    if unknown:
+        raise ValueError(f"unknown [design] option(s) {sorted(unknown)}")
+    return DesignPoint(**{
+        key: design.getboolean(key) if key == "rowpress"
+        else _READERS[key](value) for key, value in design.items()})
+
+
+def config_parser_text(point):
+    """What ``ConfigParser.write`` writes for the point's sections."""
+    parser = configparser.ConfigParser()
+    parser.read_dict(_sections(point))
     out = io.StringIO()
-    alone.write(out)
-    return design_point_from_ini(out.getvalue())
+    parser.write(out)
+    return out.getvalue()
 
 
 def sections(text):
@@ -64,20 +75,13 @@ def parse_both(text, parses=(design_point_from_ini, full_parse)):
     return results
 
 
-def config_parser_options(text):
-    """The resolved ``[design]`` options ConfigParser reads from the
-    whole text."""
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    if "design" not in parser:
-        raise ValueError("missing [design] section")
-    return dict(parser["design"])
-
-
-def options_both(text):
-    """``(new reader's options, ConfigParser's)``, or the exception
-    type each raised."""
-    return parse_both(text, (_design_options, config_parser_options))
+def refused_at(text, line):
+    """``pytest.raises`` for the reader refusing the last ``line`` of
+    ``text``, named by its number."""
+    lines = text.split("\n")
+    number = len(lines) - lines[::-1].index(line)
+    return pytest.raises(ValueError,
+                         match=re.escape(f"line {number} {line!r}: "))
 
 
 class TestIniRoundtrip:
@@ -112,6 +116,15 @@ class TestIniRoundtrip:
         save_design_point(point, str(path))
         assert load_design_point(str(path)) == point
 
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "point.ini"
+        save_design_point(DesignPoint(workload="add", design="prac"),
+                          str(path))
+        path.write_text(path.read_text().replace("seed = ", "seed: "))
+        with pytest.raises(IniError,
+                           match=re.escape(f"{path}: line 6 'seed: ")):
+            load_design_point(str(path))
+
     def test_missing_section_rejected(self):
         with pytest.raises(ValueError):
             design_point_from_ini("[dram]\nsubchannels = 2\n")
@@ -123,11 +136,23 @@ class TestIniRoundtrip:
         with pytest.raises(ValueError, match="instructions must be positive"):
             design_point_from_ini(text)
 
+    @pytest.mark.parametrize("design, knobs", [
+        *((design, {}) for design in DESIGNS),
+        *((design, knobs) for design, variants in KNOBBED.items()
+          for knobs in variants)])
+    def test_writer_writes_what_config_parser_writes(self, design, knobs):
+        for trh in (1000, 500, 250):
+            point = DesignPoint(workload="lbm", design=design, trh=trh,
+                                **knobs)
+            text = design_point_to_ini(point)
+            assert text == config_parser_text(point)
+            assert design_point_from_ini(text) == point
+
 
 class TestDesignSectionOnly:
-    """Only ``[design]`` (and ``[DEFAULT]``) reaches the parser; the
-    point equals the one a parse of every section gives, and bad
-    ``[design]`` input fails as it did."""
+    """Only ``[design]`` is read; the point equals the one
+    ``ConfigParser``'s parse of every section gives, and bad
+    ``[design]`` input is refused."""
 
     POINT = DesignPoint(workload="mcf", design="mopac-d", trh=250)
 
@@ -139,7 +164,8 @@ class TestDesignSectionOnly:
             text = path.read_text()
             point = design_point_from_ini(text)
             assert point == full_parse(text)
-            assert design_point_to_ini(point) == text
+            assert design_point_to_ini(point) == text \
+                == config_parser_text(point)
 
     @pytest.mark.parametrize("design, knobs", [
         (design, knobs) for design, variants in KNOBBED.items()
@@ -159,28 +185,34 @@ class TestDesignSectionOnly:
             == self.POINT
 
     def test_header_is_a_line_not_a_substring(self):
-        # ahead of the real header: a value, a comment and an indented
-        # continuation line that all contain "[design]"
+        # ahead of the real header: a value and a comment that contain
+        # "[design]" (the derived section's lines are not read), then
+        # an indented continuation line, which the reader refuses
         parts = sections(design_point_to_ini(self.POINT))
         parts["dram"] += ("note = copied from [design]\n"
                           "# [design] is the only section read back\n"
-                          "comment = derived\n"
-                          "  [design] carries the point\n")
-        text = "".join(parts[name] for name in
-                       ("dram", "design", "timing", "system"))
-        assert text.count("[design]") == 4
+                          "comment = derived\n")
+        order = ("dram", "design", "timing", "system")
+        text = "".join(parts[name] for name in order)
+        assert text.count("[design]") == 3
         assert design_point_from_ini(text) == full_parse(text) \
             == self.POINT
+        parts["dram"] += "  [design] carries the point\n"
+        text = "".join(parts[name] for name in order)
+        assert full_parse(text) == self.POINT
+        with refused_at(text, "  [design] carries the point"):
+            design_point_from_ini(text)
 
-    def test_default_section_is_inherited(self):
+    def test_default_section_is_refused(self):
         text = design_point_to_ini(self.POINT).replace(
             "seed = 24301\n", "") + "[DEFAULT]\nseed = 7\n"
-        assert design_point_from_ini(text) == full_parse(text)
-        assert design_point_from_ini(text).seed == 7
+        assert full_parse(text).seed == 7
+        with refused_at(text, "[DEFAULT]"):
+            design_point_from_ini(text)
 
     def test_derived_sections_are_not_read(self):
-        # nothing reads [timing] back, so a broken one no longer
-        # fails the parse of the point it was derived from
+        # nothing reads [timing] back, so a broken one does not fail
+        # the parse of the point it was derived from
         text = design_point_to_ini(self.POINT).replace(
             "[timing]\n", "[timing]\ntrcd = 1\ntrcd = 2\n")
         with pytest.raises(configparser.DuplicateOptionError):
@@ -198,7 +230,10 @@ class TestDesignSectionOnly:
     def test_duplicate_option_in_design(self):
         text = design_point_to_ini(self.POINT).replace(
             "trh = 250\n", "trh = 250\ntrh = 500\n")
-        assert parse_both(text) == [configparser.DuplicateOptionError] * 2
+        with pytest.raises(configparser.DuplicateOptionError):
+            full_parse(text)
+        with refused_at(text, "trh = 500"):
+            design_point_from_ini(text)
 
     @pytest.mark.parametrize("after", ["design", "dram", "system"])
     def test_second_design_header(self, after):
@@ -207,7 +242,10 @@ class TestDesignSectionOnly:
         text = "".join(part + (second if name == after else "")
                        for name, part in parts.items())
         assert text.count("[design]") == 2
-        assert parse_both(text) == [configparser.DuplicateSectionError] * 2
+        with pytest.raises(configparser.DuplicateSectionError):
+            full_parse(text)
+        with refused_at(text, "[design]"):
+            design_point_from_ini(text)
 
     def test_non_integer_trh(self):
         text = design_point_to_ini(self.POINT).replace(
@@ -219,6 +257,73 @@ class TestDesignSectionOnly:
             "design = mopac-d\n", "design = mopac-z\n")
         assert parse_both(text) == [ValueError, ValueError]
         with pytest.raises(ValueError, match="unknown design 'mopac-z'"):
+            design_point_from_ini(text)
+
+    def test_missing_workload(self):
+        text = design_point_to_ini(self.POINT).replace(
+            "workload = mcf\n", "")
+        with pytest.raises(ValueError,
+                           match="missing \\[design\\] option 'workload'"):
+            design_point_from_ini(text)
+
+
+WRITTEN = design_point_to_ini(TestDesignSectionOnly.POINT)
+
+
+def edited(old, new):
+    """:data:`WRITTEN` with its first ``old`` replaced by ``new``."""
+    return WRITTEN.replace(old, new, 1)
+
+#: text outside the written dialect -> the line the reader refuses
+REFUSED = {
+    "text ahead of the first header": ("stray = line\n" + WRITTEN,
+                                       "stray = line"),
+    "comment ahead of the first header": ("# note\n" + WRITTEN, "# note"),
+    "[DEFAULT]": (WRITTEN + "[DEFAULT]\nseed = 7\n", "[DEFAULT]"),
+    "another section": (WRITTEN + "[extra]\nx = 1\n", "[extra]"),
+    "upper-case header": (edited("[design]", "[Design]"), "[Design]"),
+    "header with trailing text": (edited("[dram]", "[dram] ; derived"),
+                                  "[dram] ; derived"),
+    "second derived section": (WRITTEN + "[dram]\n", "[dram]"),
+    "second [design]": (WRITTEN + "[design]\nworkload = mcf\n",
+                        "[design]"),
+    "comment in [design]": (edited("seed", "# the seed\nseed"),
+                            "# the seed"),
+    "':' delimiter": (edited("seed = ", "seed: "), "seed: 24301"),
+    "unspaced '='": (edited("seed = ", "seed="), "seed=24301"),
+    "indented option": (edited("seed", "  seed"), "  seed = 24301"),
+    "continuation line": (edited("seed = 24301", "seed = 24301\n\t7"),
+                          "\t7"),
+    "indented header": ("[dram]\n  [design]\nworkload = mcf\n"
+                        "design = prac\n", "  [design]"),
+    "indented line in a derived section": (
+        edited("[timing]", "[timing]\n  continued"), "  continued"),
+    "upper-case name": (edited("seed", "SEED"), "SEED = 24301"),
+    "padded name": (edited("seed", "seed "), "seed  = 24301"),
+    "padded value": (edited("24301", " 24301"), "seed =  24301"),
+    "trailing blank": (edited("24301", "24301 "), "seed = 24301 "),
+    "duplicate option": (edited("trh = 250", "trh = 250\ntrh = 500"),
+                         "trh = 500"),
+    "unknown option": (edited("instructions", "instrutions"),
+                       "instrutions = 150000"),
+    "getboolean spelling": (edited("rowpress = False", "rowpress = no"),
+                            "rowpress = no"),
+    "interpolation": (edited("seed = 24301", "seed = %(trh)s"),
+                      "seed = %(trh)s"),
+    "escaped '%'": (edited("workload = mcf", "workload = mcf%%"),
+                    "workload = mcf%%"),
+    "non-integer": (edited("trh = 250", "trh = 2.5e2"), "trh = 2.5e2"),
+}
+
+
+class TestRefused:
+    """Every construct outside the dialect ``design_point_to_ini``
+    writes raises ``ValueError`` naming its line."""
+
+    @pytest.mark.parametrize("text, line", REFUSED.values(),
+                             ids=REFUSED.keys())
+    def test_names_the_line(self, text, line):
+        with refused_at(text, line):
             design_point_from_ini(text)
 
 
@@ -238,24 +343,13 @@ class TestUnknownOptions:
     def test_the_writer_writes_exactly_the_read_options(self):
         parser = configparser.ConfigParser()
         parser.read_string(design_point_to_ini(self.POINT))
-        assert tuple(parser["design"]) == OPTIONS
+        assert tuple(parser["design"]) == OPTIONS == tuple(_READERS)
 
     def test_misspelled_option_is_named(self):
         text = design_point_to_ini(self.POINT).replace(
             "instructions = 8000", "instrutions = 8000")
         with pytest.raises(ValueError, match="'instrutions'"):
             design_point_from_ini(text)
-
-    def test_option_inherited_from_default_is_named(self):
-        text = design_point_to_ini(self.POINT) + \
-            "[DEFAULT]\nsubchannels = 2\n"
-        with pytest.raises(ValueError, match="'subchannels'"):
-            design_point_from_ini(text)
-
-    def test_known_option_from_default_is_read(self):
-        text = design_point_to_ini(self.POINT).replace(
-            "instructions = 8000\n", "") + "[DEFAULT]\nInstructions: 4000\n"
-        assert design_point_from_ini(text).instructions == 4000
 
 
 #: option values: good and bad ones for some field, and ``%`` ones
@@ -332,48 +426,55 @@ def ini_texts(draw):
 
 
 class TestAgainstConfigParser:
-    """The reader gives the point, or raises the exception class, that
-    ConfigParser reading the whole text gives (:func:`full_parse`), and
-    resolves the options ConfigParser resolves."""
+    """A one-way referee: whenever the reader gives a point,
+    ``ConfigParser`` reading the whole text (:func:`full_parse`) gives
+    the same point; otherwise the reader raised ``ValueError``. The
+    reader no longer follows ConfigParser's dialect, so where
+    ConfigParser reads more (comments, ``:``, continuations,
+    ``[DEFAULT]``, interpolation) the reader refuses."""
 
     @settings(max_examples=400, deadline=None)
     @given(ini_texts())
+    @example(design_point_to_ini(TestDesignSectionOnly.POINT))
     @example(design_point_to_ini(TestDesignSectionOnly.POINT).replace(
         "seed = 24301", "seed = %(trh)s"))
     @example(design_point_to_ini(TestDesignSectionOnly.POINT).replace(
         "seed = 24301", "seed = %(seed)s"))
     @example("stray = line\n" + design_point_to_ini(
         TestDesignSectionOnly.POINT))
-    def test_same_point_or_same_error(self, text):
-        new, reference = parse_both(text)
-        assert new == reference
-        new, reference = options_both(text)
-        assert new == reference
+    def test_same_point_or_refused(self, text):
+        try:
+            point = design_point_from_ini(text)
+        except ValueError:
+            return
+        assert full_parse(text) == point
 
     @pytest.mark.parametrize("depth", [9, 10, 11])
     def test_reference_chain_depth(self, depth):
-        # option x0 refers to x1, ..., x<depth - 1> to x<depth>; past
-        # MAX_INTERPOLATION_DEPTH references, BasicInterpolation refuses
-        chain = "".join(f"x{i} = %(x{i + 1})s\n" for i in range(depth))
-        text = f"[design]\n{chain}x{depth} = end\n"
-        new, reference = options_both(text)
-        assert new == reference
-        assert (new == configparser.InterpolationDepthError) == \
-            (depth > configparser.MAX_INTERPOLATION_DEPTH)
+        # ConfigParser resolves a chain of references up to
+        # MAX_INTERPOLATION_DEPTH deep and refuses a deeper one; the
+        # reader reads no reference, so it refuses the chain at its
+        # first line whatever its depth
+        chain = "".join(f"x{i} = %(x{i + 1})s\n" for i in range(1, depth))
+        text = f"[design]\nworkload = %(x1)s\n{chain}x{depth} = mcf\n"
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        if depth > configparser.MAX_INTERPOLATION_DEPTH:
+            with pytest.raises(configparser.InterpolationDepthError):
+                parser["design"]["workload"]
+        else:
+            assert parser["design"]["workload"] == "mcf"
+        with refused_at(text, "workload = %(x1)s"):
+            design_point_from_ini(text)
 
     def test_blank_lines_inside_a_value(self):
         text = "[design]\nworkload = a\n\n  b\n\ndesign = prac\n"
-        new, reference = options_both(text)
-        assert new == reference == {"workload": "a\n\nb",
-                                    "design": "prac"}
-
-
-class TestConfigSummary:
-    def test_paper_summary(self):
-        summary = config_summary(SystemConfig.paper())
-        assert summary["capacity"] == "32.0 GiB"
-        assert summary["banks"] == "64"
-        assert summary["cores"] == "8"
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        assert dict(parser["design"]) == {"workload": "a\n\nb",
+                                          "design": "prac"}
+        with refused_at(text, "  b"):
+            design_point_from_ini(text)
 
 
 class TestCampaign:
@@ -409,6 +510,7 @@ class TestCampaign:
     def test_run_without_plan_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             campaign.run(pathlib.Path(tmp_path))
+        assert campaign.main(["run", "--dir", str(tmp_path)]) == 2
 
     def test_verify_checks_the_planned_points(self, tmp_path,
                                               monkeypatch):
@@ -432,3 +534,44 @@ class TestCampaign:
         assert checked == points[:1]
         with pytest.raises(FileNotFoundError):
             campaign.verify(tmp_path / "empty")
+
+
+@pytest.fixture
+def stderr_log(capsys):
+    """``capsys``, with the ``repro`` log handler that ``campaign.main``
+    attaches writing to the stderr it captures."""
+    root = logging.getLogger("repro")
+
+    def drop_handlers():
+        for handler in list(root.handlers):
+            if getattr(handler, "_repro_handler", False):
+                root.removeHandler(handler)
+
+    drop_handlers()
+    yield capsys
+    drop_handlers()
+    root.setLevel(logging.NOTSET)
+    root.propagate = True
+
+
+class TestBadIni:
+    """Each command that reads the plan logs one line naming the INI
+    that does not read back, and its line, and exits 2."""
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["verify"], ["submit", "--server", "unix:/absent.sock"],
+        ["fetch"]])
+    def test_exits_2_naming_the_file(self, tmp_path, stderr_log, command):
+        campaign.plan(tmp_path, ["add", "mcf"], ["prac"], [500], 2_000)
+        bad = tmp_path / "mcf.prac.t500.ini"
+        bad.write_text(bad.read_text().replace(
+            "instructions = 2000", "instrutions = 2000"))
+        (tmp_path / "job.json").write_text(json.dumps(
+            {"id": "job-1", "server": "unix:/absent.sock"}))
+        assert campaign.main([command[0], "--dir", str(tmp_path),
+                              *command[1:]]) == 2
+        err = stderr_log.readouterr().err
+        assert err.count("\n") == 1
+        assert (f"{bad}: line 5 'instrutions = 2000': unknown [design] "
+                f"option 'instrutions'") in err
+        assert not (tmp_path / "results.csv").exists()
