@@ -5,7 +5,7 @@ export PYTHONPATH := src
 
 # Tier-1 suite: the one correctness gate. It asserts every contract
 # (oracle, mutations, differential, fuzz, corpora, goldens, inline ==
-# pool, warm cache, tracer/span zero perturbation, serve dedup and
+# pool, warm cache, tracer zero perturbation, serve dedup and
 # restart) — see docs/verification.md — and holds the static invariant
 # linter's gate, tests/lint/test_repo_clean.py (docs/static-analysis.md).
 test:

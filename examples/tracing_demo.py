@@ -7,7 +7,7 @@ real ABO ALERT/RFM traffic. The opt-in :class:`repro.obs.EventTracer`
 records every ACT / PRE / REF / ALERT / RFM / DRAIN / MITIGATE event;
 the demo then
 
-* prints the per-kind event tally and the run's phase breakdown,
+* prints the per-kind event tally,
 * cross-checks the traced RFM/ALERT counts against the memory
   controllers' stats counters,
 * exports both a JSONL dump and a Chrome trace-event JSON you can open
@@ -46,8 +46,6 @@ def main(argv=None) -> int:
 
     counts = tracer.counts()
     print(f"run: {result.summary()}")
-    print("phases:", " ".join(f"{name}={seconds:.3f}s"
-                              for name, seconds in result.phases.items()))
     print("events:", " ".join(f"{kind}={counts.get(kind, 0)}"
                               for kind in ("ACT", "PRE", "REF", "ALERT",
                                            "RFM", "DRAIN", "MITIGATE")))

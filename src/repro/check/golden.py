@@ -107,7 +107,8 @@ def _digest(payload) -> str:
 
 
 def stats_digest(result) -> str:
-    """Digest of everything a run reports (not its wall-time phases)."""
+    """Digest of what a run reports: its stats snapshot, core and
+    controller records and simulated time (no wall time is in a result)."""
     return _digest({
         "stats": result.stats,
         "core": [dataclasses.asdict(s) for s in result.core_stats],

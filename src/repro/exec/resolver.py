@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..obs.log import get_logger
 from ..obs.registry import Histogram
-from ..obs.spans import span
 from ..sim import runner
 from .cache import ResultCache, default_cache_dir, point_key
 from .env import env_int
@@ -247,9 +246,7 @@ class Resolver:
                     point: Any, key: str | None) -> Any:
         """One counted cache lookup through ``read`` (``get`` or
         ``get_row``): what it found, or ``None``."""
-        with span("exec.cache_lookup", workload=point.workload,
-                  design=point.design):
-            found = read(point, key)
+        found = read(point, key)
         if found is None:
             self.metrics.cache_misses += 1
         else:
@@ -263,9 +260,7 @@ class Resolver:
         if self.use_memo:
             runner.memo[point] = result
         if self.cache is not None:
-            with span("exec.cache_write", workload=point.workload,
-                      design=point.design):
-                self.cache.put(point, result, key)
+            self.cache.put(point, result, key)
 
     def _failed(self, point: Any, error: Exception) -> PointFailed:
         self.metrics.failed += 1
@@ -273,12 +268,10 @@ class Resolver:
 
     def simulate_inline(self, point: Any) -> tuple[Any, float]:
         """Simulate ``point`` in this process, then store it."""
-        with span("exec.simulate", workload=point.workload,
-                  design=point.design):
-            try:
-                result, wall = self._simulate(point)
-            except Exception as error:
-                raise self._failed(point, error) from error
+        try:
+            result, wall = self._simulate(point)
+        except Exception as error:
+            raise self._failed(point, error) from error
         self._store(point, result, wall)
         return result, wall
 
@@ -304,10 +297,8 @@ class Resolver:
                 while True:
                     executor = self._pool()
                     try:
-                        with span("exec.simulate", workload=point.workload,
-                                  design=point.design):
-                            result, wall = await loop.run_in_executor(
-                                executor, self._simulate, point)
+                        result, wall = await loop.run_in_executor(
+                            executor, self._simulate, point)
                         break
                     except BrokenExecutor as error:
                         self.metrics.worker_restarts += 1
@@ -348,28 +339,25 @@ class Resolver:
         import asyncio
 
         key = key or self.key(point)
-        with span("exec.resolve", key=key, workload=point.workload,
-                  design=point.design):
-            self.metrics.requested += 1
-            task = self._inflight.get(key)
-            if task is not None:
-                self.metrics.dedup_hits += 1
-                with span("exec.dedup_wait", key=key):
-                    result, _ = await asyncio.shield(task)
-                return result
-            found = self._memo_read(point)
-            if found is None and self.cache is not None:
-                found = self._cache_read(self.cache.get_row, point, key)
-            if found is not None:
-                return found
-            task = asyncio.ensure_future(self.execute(point, key))
-            self._inflight[key] = task
-            task.add_done_callback(
-                lambda done, k=key: self._retire(k, done))
-            # shield: cancelling THIS caller (job timeout/cancel) must not
-            # kill an execution other callers may be sharing
+        self.metrics.requested += 1
+        task = self._inflight.get(key)
+        if task is not None:
+            self.metrics.dedup_hits += 1
             result, _ = await asyncio.shield(task)
             return result
+        found = self._memo_read(point)
+        if found is None and self.cache is not None:
+            found = self._cache_read(self.cache.get_row, point, key)
+        if found is not None:
+            return found
+        task = asyncio.ensure_future(self.execute(point, key))
+        self._inflight[key] = task
+        task.add_done_callback(
+            lambda done, k=key: self._retire(k, done))
+        # shield: cancelling THIS caller (job timeout/cancel) must not
+        # kill an execution other callers may be sharing
+        result, _ = await asyncio.shield(task)
+        return result
 
     def _retire(self, key: str, task: asyncio.Future) -> None:
         self._inflight.pop(key, None)

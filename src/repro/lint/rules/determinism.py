@@ -7,13 +7,12 @@ no ``hash()``-order dependence (``PYTHONHASHSEED`` varies per process,
 so builtin ``hash`` values — and any iteration order derived from them
 — differ across the workers a parallel sweep forks).
 
-Scope is every repro module except :mod:`repro.obs` — the telemetry
-layer is *defined* to be wall-clock (spans, phase timings) and proven
-zero-perturbation by ``tests/obs/test_integration.py`` instead — and
-:mod:`repro.lint` itself. Host-facing code with legitimate clock use
-(serve deadlines, engine wall-time metrics) carries reasoned
-``# repro: allow(determinism)`` waivers asserting the value never
-reaches a result payload or cache key;
+Scope is every repro module except :mod:`repro.lint` itself; the
+telemetry layer :mod:`repro.obs` reads no clock and is audited like
+the simulator. Host-facing code with legitimate clock use (serve
+deadlines and lifecycle stamps, the resolver's wall-time metrics)
+carries reasoned ``# repro: allow(determinism)`` waivers asserting the
+value never reaches a result payload or cache key;
 ``tests/serve/test_clock_independence.py`` backs those words with a
 regression test.
 """
@@ -85,7 +84,7 @@ class Determinism(AstRule):
                 "(telemetry, poll deadlines) take a reasoned "
                 "'# repro: allow(determinism)' that the value never "
                 "reaches results or cache keys")
-    exclude = ("repro.obs", "repro.lint")
+    exclude = ("repro.lint",)
 
     visitor = DeterminismVisitor
 

@@ -1,4 +1,4 @@
-"""Unified observability layer: stats registry, tracers, logging.
+"""Unified observability layer: stats registry, event tracer, logging.
 
 ``repro.obs`` is the one place the rest of the stack reports into:
 
@@ -21,10 +21,6 @@ perturbs simulation behaviour or RNG streams.
 from .log import configure as configure_logging
 from .log import get_logger
 from .registry import Counter, Gauge, Histogram, StatsRegistry
-from .spans import Span, SpanTracer, current_span, current_tracer
-from .spans import install as install_spans
-from .spans import span
-from .spans import uninstall as uninstall_spans
 from .tracer import EventTracer, TraceEvent, merge_events
 
 __all__ = [
@@ -32,16 +28,9 @@ __all__ = [
     "EventTracer",
     "Gauge",
     "Histogram",
-    "Span",
-    "SpanTracer",
     "StatsRegistry",
     "TraceEvent",
     "configure_logging",
-    "current_span",
-    "current_tracer",
     "get_logger",
-    "install_spans",
     "merge_events",
-    "span",
-    "uninstall_spans",
 ]

@@ -168,11 +168,6 @@ class ServeClient:
     def stats(self) -> dict[str, Any]:
         return self._call("GET", "/stats")
 
-    def spans(self, name: str | None = None) -> dict[str, Any]:
-        """Buffered lifecycle spans, optionally filtered by name."""
-        path = "/spans" if name is None else f"/spans?name={name}"
-        return self._call("GET", path)
-
     def submit(self, points: list[Any], priority: int = 0,
                timeout_s: float | None = None) -> str:
         """Submit a job; returns its id once the server journaled it."""

@@ -10,9 +10,9 @@ One :class:`ServeServer` owns:
   the result cache and crash retries work *across* jobs);
 * the **JSON API** (see :mod:`repro.serve.protocol` and
   ``docs/serving.md``): ``POST /submit``, ``GET /status``,
-  ``GET /result``, ``POST /cancel``, ``GET /stats``, ``GET /spans``,
-  ``GET /healthz``, ``POST /shutdown``; any other method on these paths
-  is refused with 405 before it acts;
+  ``GET /result``, ``POST /cancel``, ``GET /stats``, ``GET /healthz``,
+  ``POST /shutdown``; any other method on these paths is refused with
+  405 before it acts;
 * **lifecycle**: SIGTERM/SIGINT (or ``POST /shutdown``) starts a
   graceful drain — submissions are refused with 503, running jobs get
   ``drain_s`` seconds to finish, anything still pending stays in the
@@ -48,8 +48,6 @@ from ..exec.resolver import PointFailed, Resolver
 from ..exec.serialize import result_to_dict
 from ..obs.log import get_logger
 from ..obs.registry import StatsRegistry
-from ..obs.spans import (Span, SpanTracer, install as install_spans, span,
-                         uninstall as uninstall_spans)
 from ..sim.runner import DesignPoint
 from .jobs import (CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job, Journal,
                    make_job, next_job_id)
@@ -60,7 +58,7 @@ log = get_logger(__name__)
 
 #: The one method each endpoint answers; any other gets 405.
 _METHODS = {
-    "/healthz": "GET", "/stats": "GET", "/spans": "GET", "/status": "GET",
+    "/healthz": "GET", "/stats": "GET", "/status": "GET",
     "/result": "GET", "/submit": "POST", "/cancel": "POST",
     "/shutdown": "POST",
 }
@@ -84,17 +82,11 @@ def _wall_s() -> float:
     return time.time()
 
 
-def _span_ns() -> int:
-    """Monotonic edge for lifecycle span records (queue/submit/job)."""
-    # repro: allow(determinism) — span telemetry, never in results
-    return time.perf_counter_ns()
-
-
 def _key_summary(job: Job, limit: int = 3) -> str:
     """First few cache keys of a job's points, for log lines.
 
-    Keys are truncated to 12 hex characters — enough to grep the full
-    key out of ``/spans`` or the cache directory, short enough to keep
+    Keys are truncated to 12 hex characters — enough to find the
+    point's entry in the cache directory, short enough to keep
     multi-point lifecycle lines readable.
     """
     keys = [key[:12] for key in job.keys[:limit]]
@@ -164,12 +156,6 @@ class ServeServer:
             "draining": int(self._draining),
         })
 
-        #: wall-clock span tracer covering the whole job lifecycle;
-        #: installed into the event loop's context by :meth:`run`
-        self.spans = SpanTracer()
-        self._job_spans: dict[str, Span] = {}
-        self._queued_ns: dict[str, int] = {}
-
         self._jobs: dict[str, Job] = {}
         self._heap: list[tuple[int, int, str]] = []
         self._seq = itertools.count()
@@ -184,19 +170,6 @@ class ServeServer:
         self.journal: Journal | None = None
 
     # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def _begin_job_span(self, job: Job) -> Span:
-        """Root span of a job's lifecycle tree (lazy for resumed jobs)."""
-        root = self._job_spans.get(job.id)
-        if root is None:
-            root = self.spans.begin("serve.job", job_id=job.id,
-                                    points=len(job.points),
-                                    priority=job.priority)
-            self._job_spans[job.id] = root
-        return root
-
-    # ------------------------------------------------------------------
     # Queue
     # ------------------------------------------------------------------
     def queue_depth(self) -> int:
@@ -205,7 +178,6 @@ class ServeServer:
     def _enqueue(self, job: Job) -> None:
         job.keys = [self.cache.key(point) for point in job.points]
         self._jobs[job.id] = job
-        self._queued_ns.setdefault(job.id, _span_ns())
         heapq.heappush(self._heap, (-job.priority, next(self._seq), job.id))
         self._queue_event.set()
 
@@ -222,10 +194,6 @@ class ServeServer:
     # ------------------------------------------------------------------
     async def run(self, on_ready: Callable[[], None] | None = None) -> int:
         """Serve until drained. Returns 0 on a clean shutdown."""
-        # install before any task is spawned: dispatcher and job tasks
-        # copy this context, so spans opened anywhere in the execution
-        # path (pool, cache) attach to the server's tracer
-        spans_token = install_spans(self.spans)
         pending = Journal.load(self.journal_path)
         self._counter = next_job_id([job.id for job in pending])
         Journal.compact(self.journal_path, pending)
@@ -256,7 +224,6 @@ class ServeServer:
         finally:
             dispatcher.cancel()
             self._remove_signal_handlers()
-            uninstall_spans(spans_token)
         log.info("shut down cleanly (%d job(s) left journaled)",
                  self.queue_depth())
         return 0
@@ -335,12 +302,6 @@ class ServeServer:
             # for a while, and the loop above must not see this job as
             # still queued (it would busy-spin on an empty heap)
             job.state = RUNNING
-            root = self._begin_job_span(job)
-            queued_ns = self._queued_ns.pop(job.id, None)
-            if queued_ns is not None:
-                self.spans.record("serve.queue", queued_ns,
-                                  _span_ns(),
-                                  parent_id=root.span_id, job_id=job.id)
             task = asyncio.ensure_future(self._run_job(job))
             self._tasks[job.id] = task
             task.add_done_callback(
@@ -356,17 +317,13 @@ class ServeServer:
         log.info("job_id=%s: running %d point(s) (priority %d) keys=%s",
                  job.id, len(job.points), job.priority, _key_summary(job))
         try:
-            # entered before gather creates the point tasks, so every
-            # exec.resolve span below lands inside this job's tree
-            with span("serve.execute", parent=self._begin_job_span(job),
-                      job_id=job.id):
-                gathered = asyncio.gather(
-                    *(self._resolve(point, key)
-                      for point, key in zip(job.points, job.keys)))
-                if job.timeout_s is not None:
-                    await asyncio.wait_for(gathered, job.timeout_s)
-                else:
-                    await gathered
+            gathered = asyncio.gather(
+                *(self._resolve(point, key)
+                  for point, key in zip(job.points, job.keys)))
+            if job.timeout_s is not None:
+                await asyncio.wait_for(gathered, job.timeout_s)
+            else:
+                await gathered
         except asyncio.CancelledError:
             if self._draining:
                 # drain: leave the submission journaled (no terminal
@@ -405,11 +362,6 @@ class ServeServer:
         counter = {DONE: self._c_completed, FAILED: self._c_failed,
                    CANCELLED: self._c_cancelled}[state]
         counter.inc()
-        root = self._job_spans.pop(job.id, None)
-        if root is not None:
-            root.attrs["state"] = state
-            self.spans.end(root)
-        self._queued_ns.pop(job.id, None)
         log.info("job_id=%s: %s%s keys=%s", job.id, state,
                  f" ({error})" if error else "", _key_summary(job))
 
@@ -453,8 +405,6 @@ class ServeServer:
             })
         if path == "/stats":
             return response_bytes(200, self.registry.snapshot())
-        if path == "/spans":
-            return self._spans(request)
         if path == "/status":
             return self._status(request)
         if path == "/result":
@@ -465,14 +415,6 @@ class ServeServer:
             return self._cancel(request.json())
         self.request_drain()
         return response_bytes(202, {"draining": True})
-
-    def _spans(self, request: Request) -> bytes:
-        name = request.query.get("name")
-        records = self.spans.spans(name)
-        return response_bytes(200, {
-            "dropped": self.spans.dropped,
-            "spans": [record.as_dict() for record in records],
-        })
 
     def _submit(self, body: Any) -> bytes:
         if self._draining:
@@ -499,15 +441,10 @@ class ServeServer:
         job = make_job(self._counter, points, priority=priority,
                        timeout_s=timeout_s)
         self._counter += 1
-        root = self._begin_job_span(job)
-        submit_ns = _span_ns()
         # durable before the client learns the id: a crash after this
         # line re-runs the job, never loses it
         self.journal.record_submit(job)
         self._enqueue(job)
-        self.spans.record("serve.submit", submit_ns,
-                          _span_ns(),
-                          parent_id=root.span_id, job_id=job.id)
         self._c_submitted.inc()
         log.info("job_id=%s: accepted %d point(s) (priority %d) keys=%s",
                  job.id, len(points), priority, _key_summary(job))

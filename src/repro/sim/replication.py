@@ -15,9 +15,15 @@ from typing import Sequence
 
 from .runner import DesignPoint, slowdown
 
-#: two-sided 95% Student-t critical values for small samples (df = n-1)
+#: two-sided 95% Student-t critical values by degrees of freedom
+#: (df = n-1); past the table, the df-30 entry, which is wider than the
+#: true value, so the interval never narrows
 _T_95 = {1: 12.71, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-         7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228}
+         7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
+         13: 2.160, 14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110,
+         18: 2.101, 19: 2.093, 20: 2.086, 21: 2.080, 22: 2.074,
+         23: 2.069, 24: 2.064, 25: 2.060, 26: 2.056, 27: 2.052,
+         28: 2.048, 29: 2.045, 30: 2.042}
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class Replication:
         """95% confidence half-width (Student t)."""
         if self.n < 2:
             return float("inf")
-        t = _T_95.get(self.n - 1, 1.96)
+        t = _T_95[min(self.n - 1, max(_T_95))]
         return t * self.stdev / math.sqrt(self.n)
 
     def overlaps(self, other: "Replication") -> bool:

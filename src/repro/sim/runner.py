@@ -26,7 +26,6 @@ workload.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
@@ -34,7 +33,6 @@ from ..config import SystemConfig
 from ..mitigations import registry
 from ..mitigations.base import MitigationPolicy
 from ..obs.log import get_logger
-from ..obs.spans import span
 from ..obs.tracer import EventTracer
 from ..workloads.catalog import workload_cores
 from ..workloads.synthetic import TraceGenerator
@@ -94,6 +92,8 @@ class DesignPoint:
         if self.instructions <= 0:
             raise ValueError(f"instructions must be positive, got "
                              f"{self.instructions}")
+        if self.trh <= 0:
+            raise ValueError(f"trh must be positive, got {self.trh}")
         spec = registry.get(self.design)
         for name in KNOB_FIELDS:
             if getattr(self, name) != _KNOB_DEFAULTS[name] \
@@ -176,53 +176,30 @@ def resolve_engine() -> type[System]:
     return System
 
 
-def _wall_clock() -> float:
-    """Phase-timing clock behind ``result.phases``.
-
-    The phases are wall-time provenance: they travel with a cached
-    result but stay out of its stats digest and its cache key.
-    """
-    # repro: allow(determinism) — phase provenance, never in stats or keys
-    return time.perf_counter()
-
-
 def run_point(point: DesignPoint,
               tracer: EventTracer | None = None) -> SystemResult:
     """Simulate one design point from scratch (no cache layers).
 
-    ``tracer`` (opt-in) records the run's DRAM command events. The
-    tracegen/warmup/sim wall-time breakdown is attached to the result
-    as ``result.phases``.
+    ``tracer`` (opt-in) records the run's DRAM command events.
     """
     log.debug("run_point %s.%s.t%d", point.workload, point.design,
               point.trh)
-    start = _wall_clock()
-    with span("sim.tracegen", workload=point.workload):
-        config = build_config(point)
-        specs = workload_cores(point.workload, config.cores)
-        windows = [round(config.rob_entries * spec.mlp_boost)
-                   for spec in specs]
-        traces = build_traces(point, config)
-    built = _wall_clock()
-    with span("sim.warmup", design=point.design):
-        system = System(
-            config=config,
-            policy_factory=make_policy_factory(point, config),
-            traces=traces,
-            instruction_limit=point.instructions,
-            page_policy=point.page_policy,
-            collect_row_activity=point.collect_row_activity,
-            windows=windows,
-            refresh_mode=point.refresh_mode,
-            tracer=tracer,
-        )
-    warm = _wall_clock()
-    with span("sim.run", workload=point.workload, design=point.design,
-              trh=point.trh):
-        result = system.run()
-    result.phases = {"tracegen": built - start, "warmup": warm - built,
-                     "sim": _wall_clock() - warm}
-    return result
+    config = build_config(point)
+    specs = workload_cores(point.workload, config.cores)
+    windows = [round(config.rob_entries * spec.mlp_boost) for spec in specs]
+    traces = build_traces(point, config)
+    system = System(
+        config=config,
+        policy_factory=make_policy_factory(point, config),
+        traces=traces,
+        instruction_limit=point.instructions,
+        page_policy=point.page_policy,
+        collect_row_activity=point.collect_row_activity,
+        windows=windows,
+        refresh_mode=point.refresh_mode,
+        tracer=tracer,
+    )
+    return system.run()
 
 
 def simulate(point: DesignPoint, use_cache: bool = True) -> SystemResult:

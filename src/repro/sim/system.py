@@ -52,8 +52,6 @@ class SystemResult:
     row_activity: "RowActivityStats | None" = None
     #: flat dotted-namespace stats snapshot (see docs/observability.md)
     stats: dict[str, float] = field(default_factory=dict)
-    #: wall-time phase breakdown of the run that produced this result
-    phases: dict[str, float] = field(default_factory=dict)
     #: events the run's loop popped, by opcode name: a census of the
     #: engine's work, outside ``stats`` and not cached
     census: dict[str, int] = field(default_factory=dict)

@@ -59,10 +59,6 @@ class TestRoundTrip:
         assert roundtripped.stats == result.stats
         assert list(roundtripped.stats) == list(result.stats)
 
-    def test_phase_timings_bit_identical(self, result, roundtripped):
-        assert set(result.phases) == {"tracegen", "warmup", "sim"}
-        assert roundtripped.phases == result.phases
-
     def test_derived_metrics_match(self, result, roundtripped):
         assert roundtripped.row_buffer_hit_rate == \
             result.row_buffer_hit_rate

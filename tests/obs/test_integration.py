@@ -1,14 +1,11 @@
-"""Observability wired through the full stack: snapshots, tracing, phases."""
+"""Observability wired through the full stack: snapshots and tracing."""
 
-import copy
 import io
 import json
-import time
 
 import pytest
 
-from repro.check.golden import stats_digest
-from repro.obs import EventTracer, SpanTracer, install_spans, uninstall_spans
+from repro.obs import EventTracer
 from repro.sim.runner import DesignPoint, run_point
 
 FAST = dict(trh=500, instructions=6_000, rows_per_bank=512,
@@ -104,57 +101,3 @@ class TestTracing:
             if event.kind == "ACT":
                 assert event.time_ps >= last.get(event.subchannel, 0)
                 last[event.subchannel] = event.time_ps
-
-
-class TestSpans:
-    def test_span_tracer_perturbs_nothing_and_repeats(self, plain):
-        structures = []
-        for _ in range(2):
-            spans = SpanTracer()
-            token = install_spans(spans)
-            try:
-                result = run_point(DesignPoint(**ABO))
-            finally:
-                uninstall_spans(token)
-            assert result.ipcs == plain.ipcs
-            assert result.stats == plain.stats
-            assert spans.spans("sim.run"), "no sim.run span recorded"
-            structures.append([(s.span_id, s.parent_id, s.name)
-                               for s in spans.spans()])
-        # ids, names and parent links repeat; only timestamps may not
-        assert structures[0] == structures[1]
-
-        buffer = io.StringIO()
-        written = spans.to_chrome_trace(buffer)
-        events = json.loads(buffer.getvalue())["traceEvents"]
-        # one metadata record precedes the span events
-        assert len(events) == written == len(spans.spans()) + 1
-
-
-class TestPhases:
-    def test_phase_breakdown_attached(self, result):
-        assert set(result.phases) == {"tracegen", "warmup", "sim"}
-        assert all(seconds >= 0 for seconds in result.phases.values())
-
-    def test_phases_in_pipeline_order(self, result):
-        assert list(result.phases) == ["tracegen", "warmup", "sim"]
-
-    def test_phases_fit_inside_the_call(self):
-        start = time.perf_counter()
-        result = run_point(DesignPoint(workload="mcf", design="prac", **FAST))
-        elapsed = time.perf_counter() - start
-        assert 0 < sum(result.phases.values()) <= elapsed
-
-    def test_traced_run_is_timed(self, traced):
-        _, traced_result = traced
-        assert list(traced_result.phases) == ["tracegen", "warmup", "sim"]
-
-    def test_phases_stay_out_of_stats_digest(self, result):
-        retimed = copy.copy(result)
-        retimed.phases = {name: seconds + 1.0
-                          for name, seconds in result.phases.items()}
-        assert stats_digest(retimed) == stats_digest(result)
-
-    def test_sim_dominates(self, result):
-        # the event loop is the run; generator setup is bookkeeping
-        assert result.phases["sim"] >= result.phases["tracegen"]

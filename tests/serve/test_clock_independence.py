@@ -1,7 +1,7 @@
 """Serve results are clock-independent.
 
-The daemon legitimately reads wall clocks — job lifecycle stamps,
-queue/submit spans, the latency histogram — and each site carries a
+The daemon legitimately reads a wall clock — job lifecycle stamps and
+the latency histogram fed from them — and each site carries a
 ``# repro: allow(determinism)`` waiver claiming the value never reaches
 a result payload or cache key. This test backs the waivers: two runs of
 the same job under wildly different (and differently *skewed*) clocks
@@ -19,16 +19,13 @@ from .test_server import call, point, run_scenario
 
 
 def run_submission(tmp_path, wall_offset_s):
-    """One submit→wait→fetch cycle with both server clocks skewed."""
+    """One submit→wait→fetch cycle with the server's clock skewed."""
     import time
-    real_time, real_perf_ns = time.time, time.perf_counter_ns
+    real_time = time.time
     captured = {}
 
     def skewed_time():
         return real_time() + wall_offset_s
-
-    def skewed_perf_ns():
-        return real_perf_ns() + int(wall_offset_s * 1e9)
 
     async def scenario(server, client):
         job_id = await call(client.submit, [point(0), point(1)])
@@ -39,8 +36,6 @@ def run_submission(tmp_path, wall_offset_s):
         captured["keys"] = [point_key(p) for p in (point(0), point(1))]
 
     with mock.patch("repro.serve.server.time.time", skewed_time), \
-            mock.patch("repro.serve.server.time.perf_counter_ns",
-                       skewed_perf_ns), \
             mock.patch("repro.serve.jobs.time.time", skewed_time):
         run_scenario(tmp_path / f"skew{wall_offset_s}", scenario)
     return captured

@@ -327,9 +327,9 @@ class TestFrontEndContract:
             cold_results = cold.run(points)
             warm = front(kind, tmp_path / kind)
             warm_results = warm.run(points)
-            cold_docs = [comparable(r) for r in cold_results]
+            cold_docs = [result_to_dict(r) for r in cold_results]
             if kind == "sync":
-                assert [comparable(r) for r in warm_results] == cold_docs
+                assert [result_to_dict(r) for r in warm_results] == cold_docs
                 warm_results = [result_row(r) for r in warm_results]
             seen[kind] = (
                 cold_docs, warm_results,
@@ -341,13 +341,6 @@ class TestFrontEndContract:
         assert cold_counts["exec.resolve.simulated"] == len(points)
         assert warm_counts["exec.resolve.simulated"] == 0
         assert warm_counts["exec.resolve.cache_hits"] == len(points)
-
-
-def comparable(result):
-    """Result document without the machine-dependent phase timings."""
-    document = result_to_dict(result)
-    document.pop("phases", None)
-    return document
 
 
 class TestFailFast:

@@ -25,6 +25,14 @@ class TestReplicationMath:
         wide = self._repl([0.1, 0.2])
         assert narrow.ci95 < wide.ci95
 
+    @pytest.mark.parametrize("n, t", [(12, 2.201), (31, 2.042)])
+    def test_ci_uses_student_t_past_ten_samples(self, n, t):
+        """t(0.975, 11) = 2.201; past df 30 the df-30 value stands, not
+        the normal 1.96."""
+        repl = self._repl([0.1, 0.2] * (n // 2) + [0.15] * (n % 2))
+        assert repl.n == n
+        assert repl.ci95 == pytest.approx(t * repl.stdev / n ** 0.5)
+
     def test_single_sample_infinite_ci(self):
         assert self._repl([0.1]).ci95 == float("inf")
 

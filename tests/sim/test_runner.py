@@ -13,11 +13,12 @@ class TestDesignPoint:
         with pytest.raises(ValueError, match="unknown design"):
             DesignPoint(workload="mcf", design="magic")
 
-    @pytest.mark.parametrize("instructions", [0, -5])
-    def test_non_positive_instruction_budget_rejected(self, instructions):
-        with pytest.raises(ValueError, match="instructions must be positive"):
-            DesignPoint(workload="mcf", design="prac",
-                        instructions=instructions)
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_non_positive_instruction_budget_rejected(self, value):
+        for field in ("instructions", "trh"):
+            with pytest.raises(ValueError, match=f"{field} must be "
+                                                 f"positive, got {value}"):
+                DesignPoint(workload="mcf", design="prac", **{field: value})
 
     def test_baseline_projection(self):
         point = DesignPoint(workload="mcf", design="mopac-d", trh=250,
