@@ -7,7 +7,7 @@ across refactors of how the field dict is built; a moved key orphans
 every cached result and a moved journal line changes what a restarted
 daemon replays. The journal pins were taken before the field dict was
 built shallowly; the key pins were retaken when ``SCHEMA_VERSION``
-became 5 (the key hashes it). Neither may move without a
+became 6 (the key hashes it). Neither may move without a
 ``CACHE_SALT`` or ``SCHEMA_VERSION`` bump.
 """
 
@@ -61,61 +61,61 @@ CASES = cases()
 #: name -> (point_key, sha256 of the one-point job's journal line)
 PINS = {
     "prac": (
-        "337865574466e96bf07d38fd2da18a35e110cf7c624f50a015c38437a7c68c04",
+        "57380187be47bed3ae56255ba56ec91758f1b815dad4ee9b6b2c0f0f1d8dc7e1",
         "6a85b303a9ab568aaa64b167092b057607dc34677595a7bb35171607038be915"),
     "moat": (
-        "f0dd3b549a189994c8e5bc6072600897fedeb0f30905be739bc1336af9afd72b",
+        "bffcba173d2a9bde9b1a9c56304193e16104d04ae92e240ebbe6dbd8f5ef8a3c",
         "67833f0d28174b0e1da6afd25eaae042c8b061d150d88e3fff44c2a8ea290922"),
     "qprac": (
-        "084df9d6a650d392bd3a66b8d9d2e4ce9ef370e932f04ea1298cff63a1c56e8a",
+        "0ef397fa9e82ba5837ca4a86825adde775073c889130551dfffd4922aa297c77",
         "dc2b5c11a2547da9f318869d1609c2bf6ea72323e12cc9a2b6473d048512e29f"),
     "qprac-proactive": (
-        "2770d14f320d63d87ec33623ee47baaeb06c354544f791b2d8a3392a50849911",
+        "abc22d652718d1f79a1eaa3f10d9b1389c9cda38c7fe437927631520833ce48e",
         "9b24dde677d18335ddfe5e536457a8b2bd96421177a1dc6a3bdf23892af01a50"),
     "cnc-prac": (
-        "2325801b834182c2dcbc8b69b4c57713234f72295b9bfc8e2467af6a49f2174f",
+        "e4f2b0940869a327137ae862d5811fb66ae459ae2e71d44d4eb8b690e51a7065",
         "a16d6e47af3fe62f5f0cad9452af163b05f37090b3999fe5571e6c9f5c01eb95"),
     "practical": (
-        "11fed56f85bc9b677997b3cd5eecdd40666bba70f143d1385089d92a846027ba",
+        "407cfef4da9bd8bf68ebf80bfcfd2e29952d59088b135a2c2cc5807af68fcd0d",
         "f0a9b07ec1b53f52d0bcf7774a00671bee9fde330f22493814e7b7bc9d2ab1d3"),
     "mopac-c": (
-        "8ef5bcab2bbf42b342c95073f28ff7fc49291ed724034ecfca1937434f172e66",
+        "54ebce13ea92ff84d8c7508e473ed932b3d843f0595ff3d3f673fff43e53357a",
         "2550a441cab8f81633f478525cfd36e9b19b5c5d65f5a69658e7bbbabe8d88af"),
     "mopac-d": (
-        "fc86416e93438444d0eb5c66ed34b87174e568c9d4128af181275a08b714145f",
+        "480b4109e96c050c814ab402156466e0b341d8ea03090d16ab3a6e0e338ed76a",
         "0ad7aeb0e6b19a76d38ea72ca90b1a00baf0ce361e9a4bf1ef23a2bde4dd8454"),
     "mint": (
-        "0147cb6af9214a46a3706570408ddd21dc51cbab44f31a9b5bb8ee5110573899",
+        "2a77d8a0aa8e4084764d2f98c83ef69b24cd481f735d3bf5f28686a225a2bc33",
         "0f8515e68230f411ce8c66c513f52c728ada8fea94f71f0d74e64ff48797ef39"),
     "pride": (
-        "5b4cc9d8b28fcab55cea841255438c173c2570e71ccc8690a2bdaccef12b140d",
+        "24a678ea42d61f1e78e45e7abc3063652bd7c2043c6004310bf3561e10fdba26",
         "6d5b50a661eb30547b653eb605eed9dd43a25446e0add51cd501af5c79d12363"),
     "trr": (
-        "2dd1761d9af0f66bab97513b0ce07edcb7819428740069acddd53a807c6c49d7",
+        "7c14104ac48162054995c6709c43d31da1fe5039d03ddec847fbe6511950f532",
         "3291abee47b79b46097402519903cfd0794dd859f07c2903b8623bd36e0e58f4"),
     "baseline": (
-        "fabf13418cce20ecbd30b2c58f44fdfccf055b081cc8e847f4b2b489edbec2a9",
+        "5a05615996da5ce33dce765d9c69aca45c1f8c294698c6b8dd6eb6595e3b4175",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
     "mopac-d-nup": (
-        "114ec3500ca66ed7176a0e9944a5ca8b7f497b5b1dc360be48bbc4b2471c672c",
+        "ef53011a8b50900faddb3606730f0ad0b956c486aa03f33dd4c1b1b6981f5232",
         "90d090ac52f2e21ffa4313bda015adc22eed07dedf69fe64c063404182640a75"),
     "mopac-c+knobs": (
-        "c5a68ea53feafe12e4c51f13f31db2ee1824bd0daa3e0193cdfa3ac6875d4fbc",
+        "42372a103a4cffe2ef5ab4e0129be75cbbc002ac7a010729684c665526abf896",
         "3ee460071d337265938ae0342fd7afa0c00f4375fc0e0b3bfeae5f2d5b213a3c"),
     "mopac-d+knobs": (
-        "436d1da11effc9ad56f523f7e650dab77124f5474878f304199a862c6bdd49ca",
+        "9aa159efc6e23452258afd279a3a5eddae8f34bb0870b77a7cee0421b246e85a",
         "6430be3ca32272cd44bd57ea81c3e10cca1f82fce54d153669328d6cb9fc7995"),
     "mopac-d-nup+knobs": (
-        "189b6f3eff18624121ea42250cbd9ed1790ea620b235e44e91aa95b41eeb852a",
+        "6193567fa3f542c72ca17666d723c1768991445cc864027e947536215dc60f83",
         "3161a21d1aced45ce159d50e954b1cef24b1c4142cdf48a660064691050f0072"),
     "fancy": (
-        "a77206c15ae86e04390d7c164dd93ea4e06e704c3cbb4b6e0deca58d08c2dd5d",
+        "d35fdcd11e7a3ce4a7b3f6d30614a292e46ec8f01fda4913f14393eeba499347",
         "1ae79dc4669ee6af34aa7cf962e688e46e4348f8bd73d2b6a2b6ec83b1d20a7f"),
     "fancy.baseline": (
-        "89ad847eac1daccf52224b392f9de78c60c7fdf6cb114d058d6179a2547ec559",
+        "ba5379d507a33ea893dd7cd08eed05df84c0158b120171eb209e6b063907eda5",
         "39120304f6a0c93f799b8d4ca4d803876b3675df0bc9c868578677583bb468a5"),
     "mopac-d+knobs.baseline": (
-        "fabf13418cce20ecbd30b2c58f44fdfccf055b081cc8e847f4b2b489edbec2a9",
+        "5a05615996da5ce33dce765d9c69aca45c1f8c294698c6b8dd6eb6595e3b4175",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
 }
 
