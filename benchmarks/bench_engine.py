@@ -3,7 +3,11 @@
 Runs each workload at one design point through ``run_point`` and
 records its wall time, a digest of its results and the event census
 (heap pops per opcode, and pops per serviced request) in
-``benchmarks/results/BENCH_engine.json``. The digest pins *what* was
+``benchmarks/results/BENCH_engine.json``. Each workload also gets a
+*rider row* (design ``baseline+mopac-d``): the baseline run with
+MoPAC-D riding it (``run_group``), timed as one group, with both
+results' digests; its ``digest`` covers the two, so ``compare.py``
+gates it like any other row. The digest pins *what* was
 timed: ``compare.py`` refuses to compare timings of runs that simulated
 different numbers. The census is the deterministic measure of the
 loop's work: ``compare.py`` fails a row whose pops rise while its
@@ -26,12 +30,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import pathlib
 import time
 
 from repro.check.golden import stats_digest
-from repro.sim.runner import DesignPoint, run_point
+from repro.sim.runner import DesignPoint, run_group, run_point
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 OUTPUT = RESULTS_DIR / "BENCH_engine.json"
@@ -42,6 +47,9 @@ SMOKE_OUTPUT = RESULTS_DIR / "BENCH_engine_smoke.json"
 FULL_WORKLOADS = ("mix1", "mix2", "mix3", "mix4", "mix5", "mix6",
                   "mcf", "lbm")
 SMOKE_WORKLOADS = ("mix1", "mcf")
+
+#: the design each rider row simulates on its baseline's run
+RIDER = "mopac-d"
 
 
 def bench(workloads, instructions=None, design="mopac-c"):
@@ -68,6 +76,8 @@ def bench(workloads, instructions=None, design="mopac-c"):
         print(f"{workload:12s} {seconds:7.2f}s   "
               f"{result.total_requests} requests   "
               f"{pops / serviced:.2f} pops/request")
+    for workload in workloads:
+        rows.append(rider_row(workload, instructions))
     total = sum(row["seconds"] for row in rows)
     print(f"{'TOTAL':12s} {total:7.2f}s")
     return {
@@ -75,6 +85,45 @@ def bench(workloads, instructions=None, design="mopac-c"):
         "workloads": list(workloads),
         "total_s": round(total, 4),
         "rows": rows,
+    }
+
+
+def rider_row(workload, instructions=None):
+    """One baseline run with :data:`RIDER` riding it, timed as a group.
+
+    A rider that drops out (it asserted ALERT) is simulated on its own,
+    as the sweep engine would, and that run's time and pops count too.
+    """
+    kwargs = {} if instructions is None else {"instructions": instructions}
+    rider = DesignPoint(workload=workload, design=RIDER, **kwargs)
+    lead = rider.baseline()
+    start = time.perf_counter()
+    lead_result, rider_result = run_group([lead, rider])
+    census = dict(lead_result.census)
+    diverged = rider_result is None
+    if diverged:
+        rider_result = run_point(rider)
+        census = {op: count + rider_result.census[op]
+                  for op, count in census.items()}
+    seconds = time.perf_counter() - start
+    digests = {point.design: stats_digest(result) for point, result in
+               ((lead, lead_result), (rider, rider_result))}
+    pops = sum(census.values())
+    serviced = sum(stats.serviced for stats in lead_result.mc_stats)
+    print(f"{workload:12s} {seconds:7.2f}s   baseline+{RIDER} group"
+          + ("   (rider diverged, ran solo)" if diverged else ""))
+    return {
+        "workload": workload,
+        "design": f"baseline+{RIDER}",
+        "instructions": lead.instructions,
+        "seconds": round(seconds, 4),
+        "requests": lead_result.total_requests,
+        "digest": hashlib.sha256(
+            " ".join(digests.values()).encode()).hexdigest(),
+        "digests": digests,
+        "diverged": diverged,
+        "pops": census,
+        "pops_per_request": round(pops / serviced, 4),
     }
 
 

@@ -11,8 +11,10 @@ dedup → memo → cache → pool → store, see :mod:`repro.exec.resolver`)
 with a synchronous ``run()``:
 
 * repeats in the input list resolve once (``dedup_hits``);
-* misses run inline when ``workers == 1`` or at most one point misses,
-  otherwise in a pool of ``min(workers, misses)`` processes that lives
+* misses are grouped into tasks (:func:`group_misses`): a base-timing
+  design whose baseline also misses rides that baseline's run;
+* tasks run inline when ``workers == 1`` or there is at most one,
+  otherwise in a pool of ``min(workers, tasks)`` processes that lives
   for this one ``run()`` call, so no worker process outlives it;
 * the first point that fails raises
   :class:`~repro.exec.resolver.PointFailed` naming it, and the points
@@ -88,18 +90,19 @@ class SweepEngine(Resolver):
             else:
                 self._resolved(resolved, index, point, result, source, 0.0)
 
+        tasks = group_misses(misses)
         try:
-            if self.workers == 1 or len(misses) <= 1:
-                for index, point in misses:
-                    result, wall = self.simulate_inline(point)
-                    self._resolved(resolved, index, point, result,
-                                   "simulated", wall)
-            elif misses:
+            if self.workers == 1 or len(tasks) <= 1:
+                for task in tasks:
+                    self._resolved_task(
+                        resolved, task,
+                        self.simulate_inline(tuple(p for _, p in task)))
+            elif tasks:
                 import asyncio  # only here: see repro.exec.resolver
 
-                self._pool_size = min(self.workers, len(misses))
+                self._pool_size = min(self.workers, len(tasks))
                 try:
-                    asyncio.run(self._execute_all(misses, resolved))
+                    asyncio.run(self._execute_all(tasks, resolved))
                 except BaseException:
                     self.shutdown(wait=False)  # drop the queued points
                     raise
@@ -109,17 +112,22 @@ class SweepEngine(Resolver):
         log.debug("engine run: %s", self.metrics.summary())
         return [resolved[point] for point in points]
 
-    async def _execute_all(self, misses, resolved) -> None:
-        """Execute the misses in the pool; the first failure propagates
+    async def _execute_all(self, tasks, resolved) -> None:
+        """Execute the tasks in the pool; the first failure propagates
         and ``asyncio.run`` cancels the rest."""
         import asyncio
 
-        async def one(index, point):
-            result, wall = await self.execute(point)
+        async def one(task):
+            self._resolved_task(
+                resolved, task,
+                await self.execute(tuple(p for _, p in task)))
+
+        await asyncio.gather(*(one(task) for task in tasks))
+
+    def _resolved_task(self, resolved, task, outcomes) -> None:
+        for (index, point), (result, wall) in zip(task, outcomes):
             self._resolved(resolved, index, point, result, "simulated",
                            wall)
-
-        await asyncio.gather(*(one(index, point) for index, point in misses))
 
     def _resolved(self, resolved, index, point, result, source,
                   wall_s) -> None:
@@ -127,6 +135,26 @@ class SweepEngine(Resolver):
         if self.progress is not None:
             self.progress(PointOutcome(index, point, result, source,
                                        wall_s))
+
+
+def group_misses(misses: list[tuple[int, runner.DesignPoint]]
+                 ) -> list[list[tuple[int, runner.DesignPoint]]]:
+    """``(index, point)`` misses grouped into tasks, in miss order.
+
+    A point that can ride its baseline's run
+    (:func:`repro.sim.runner.rides_on`) joins that baseline's task when
+    the baseline misses too; the baseline leads the task. Every other
+    point is a task of its own.
+    """
+    missed = {point for _, point in misses}
+    tasks: dict[runner.DesignPoint, list] = {}
+    for index, point in misses:
+        lead = runner.rides_on(point)
+        tasks.setdefault(lead if lead in missed else point,
+                         []).append((index, point))
+    for lead, task in tasks.items():
+        task.sort(key=lambda miss, lead=lead: miss[1] != lead)
+    return list(tasks.values())
 
 
 def run_points(points: Sequence[runner.DesignPoint],

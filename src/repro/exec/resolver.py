@@ -14,19 +14,25 @@ daemon — goes through :class:`Resolver`, which applies, in order:
    (``cache_hits``/``cache_misses``); the async front-end checks a hit
    through the entry's row header and never decodes the result;
 4. **pool** — a fresh simulation (``simulated``), inline or in a process
-   pool. A crashed worker (``BrokenExecutor``) rebuilds the pool and the
-   point is retried with exponential backoff, at most
-   :data:`MAX_RETRIES` times; a simulation that raises fails at once as
-   :class:`PointFailed`, since re-running it would fail the same way;
+   pool, of a *task*: one point, or a baseline with the base-timing
+   designs that ride its run (:func:`run_task`; ``riders``, and
+   ``riders_diverged`` for those that dropped out and ran on their
+   own). A crashed worker (``BrokenExecutor``) rebuilds the pool and
+   the task is retried with exponential backoff, at most
+   :data:`MAX_RETRIES` times; a simulation that raises fails its own
+   point at once as :class:`PointFailed`, since re-running it would
+   fail the same way;
 5. **store** — the result is written back to the memo and the cache.
 
 Two front-ends share that chain:
 
 * :class:`repro.exec.engine.SweepEngine` — sync, for the CLI, the
-  experiment drivers and ``runner``; its pool lives for one ``run()``;
-* :meth:`Resolver.resolve` — async, for the daemon; its pool lives until
-  :meth:`Resolver.shutdown`. Cancelling a caller never cancels an
-  execution other callers share (``asyncio.shield``).
+  experiment drivers and ``runner``; it groups its misses into tasks,
+  and its pool lives for one ``run()``;
+* :meth:`Resolver.resolve` — async, for the daemon, one point per
+  task; its pool lives until :meth:`Resolver.shutdown`. Cancelling a
+  caller never cancels an execution other callers share
+  (``asyncio.shield``).
 
 Both count into one :class:`ResolveMetrics`, exposed as ``exec.resolve.*``
 through :meth:`Resolver.register_stats`.
@@ -81,15 +87,59 @@ def _wall_clock() -> float:
 
 
 def simulate_point(point: runner.DesignPoint) -> tuple[Any, float]:
-    """Run one point from scratch; return ``(result, wall_s)``.
-
-    Module-level so it pickles by reference into pool workers. Workers
-    never consult caches, which keeps pool results byte-for-byte those
-    of a cold inline run.
-    """
+    """Run one point from scratch; return ``(result, wall_s)``."""
     start = _wall_clock()
     result = runner.run_point(point)
     return result, _wall_clock() - start
+
+
+#: One point's outcome in a task: its result or the exception its
+#: simulation raised, its wall time, and how it ran ("solo", "lead",
+#: "rider", or "diverged": dropped from the lead's run, then run solo).
+Outcome = tuple[Any, float, str]
+
+
+def run_task(points: tuple, simulate: Callable[[Any], tuple[Any, float]]
+             | None = None) -> list[Outcome]:
+    """Simulate one task; one :data:`Outcome` per point, in task order.
+
+    Module-level so it pickles by reference into pool workers. Workers
+    never consult caches, which keeps pool results byte-for-byte those
+    of a cold inline run. ``points[1:]`` ride ``points[0]``'s run
+    (:func:`repro.sim.runner.run_group`); a rider that drops out, or
+    every rider if the lead's run raises, runs solo afterwards. The
+    group's wall time is split evenly over its points, so per-point
+    wall times sum to the task's. ``simulate`` (a test seam) runs each
+    point on its own instead.
+    """
+    if simulate is not None or len(points) == 1:
+        return [_solo(simulate or simulate_point, point)
+                for point in points]
+    start = _wall_clock()
+    try:
+        results = runner.run_group(list(points))
+    except Exception as error:
+        results = [error] + [None] * (len(points) - 1)
+    share = (_wall_clock() - start) / len(points)
+    outcomes: list[Outcome] = [(results[0], share, "lead")]
+    for point, result in zip(points[1:], results[1:]):
+        if result is None:
+            result, wall, _ = _solo(simulate_point, point)
+            outcomes.append((result, share + wall, "diverged"))
+        else:
+            outcomes.append((result, share, "rider"))
+    return outcomes
+
+
+def _solo(simulate: Callable[[Any], tuple[Any, float]],
+          point: Any) -> Outcome:
+    try:
+        result, wall = simulate(point)
+    except BrokenExecutor:
+        raise  # a crash, retried as one, not this point's failure
+    except Exception as error:
+        return error, 0.0, "solo"
+    return result, wall, "solo"
 
 
 def default_workers() -> int:
@@ -126,6 +176,10 @@ class ResolveMetrics:
     cache_hits: int = 0
     cache_misses: int = 0
     simulated: int = 0
+    #: simulated on their baseline's run (diverged ones included)
+    riders: int = 0
+    #: riders dropped from that run and simulated again on their own
+    riders_diverged: int = 0
     failed: int = 0
     worker_restarts: int = 0
     retries: int = 0
@@ -148,7 +202,8 @@ class ResolveMetrics:
     def summary(self) -> str:
         return (f"{self.requested} points ({self.unique} unique): "
                 f"{self.memo_hits} memo + {self.cache_hits} cached + "
-                f"{self.simulated} simulated in {self.wall_s:.1f}s")
+                f"{self.simulated} simulated ({self.riders} riders, "
+                f"{self.riders_diverged} diverged) in {self.wall_s:.1f}s")
 
 
 class Resolver:
@@ -164,10 +219,10 @@ class Resolver:
     use_memo:
         Whether to consult/populate :data:`repro.sim.runner.memo`.
     simulate_fn, executor_factory:
-        Test seams: the per-point simulation (default
-        :func:`simulate_point`) and the pool constructor, called with
-        the pool size (default a ``ProcessPoolExecutor`` of that many
-        processes).
+        Test seams: a per-point simulation that replaces the grouped
+        :func:`run_task` (each point of a task runs through it on its
+        own) and the pool constructor, called with the pool size
+        (default a ``ProcessPoolExecutor`` of that many processes).
     """
 
     def __init__(self, workers: int | None = None,
@@ -184,7 +239,7 @@ class Resolver:
         self.cache: ResultCache | None = cache
         self.use_memo = use_memo
         self.metrics = ResolveMetrics()
-        self._simulate = simulate_fn or simulate_point
+        self._simulate = simulate_fn
         self._executor_factory = executor_factory or (
             lambda n: ProcessPoolExecutor(max_workers=n))
         self._executor = None
@@ -262,27 +317,42 @@ class Resolver:
         if self.cache is not None:
             self.cache.put(point, result, key)
 
-    def _failed(self, point: Any, error: Exception) -> PointFailed:
-        self.metrics.failed += 1
-        return PointFailed(point, f"{type(error).__name__}: {error}")
+    def _settle(self, task: tuple, outcomes: list[Outcome],
+                keys: tuple | None) -> list[tuple[Any, float]]:
+        """Store every point of ``task`` that simulated; then raise
+        :class:`PointFailed` for the first that did not, else return
+        ``(result, wall_s)`` per point."""
+        failures = []
+        for index, (point, (result, wall, how)) in enumerate(
+                zip(task, outcomes)):
+            if how in ("rider", "diverged"):
+                self.metrics.riders += 1
+                self.metrics.riders_diverged += how == "diverged"
+            if isinstance(result, Exception):
+                self.metrics.failed += 1
+                failures.append((point, result))
+            else:
+                self._store(point, result, wall,
+                            keys[index] if keys else None)
+        if failures:
+            point, error = failures[0]
+            raise PointFailed(
+                point, f"{type(error).__name__}: {error}") from error
+        return [(result, wall) for result, wall, _ in outcomes]
 
-    def simulate_inline(self, point: Any) -> tuple[Any, float]:
-        """Simulate ``point`` in this process, then store it."""
-        try:
-            result, wall = self._simulate(point)
-        except Exception as error:
-            raise self._failed(point, error) from error
-        self._store(point, result, wall)
-        return result, wall
+    def simulate_inline(self, task: tuple) -> list[tuple[Any, float]]:
+        """Simulate ``task`` in this process, then store its points."""
+        return self._settle(task, run_task(task, self._simulate), None)
 
-    async def execute(self, point: Any,
-                      key: str | None = None) -> tuple[Any, float]:
-        """Simulate ``point`` in the pool, then store it.
+    async def execute(self, task: tuple, keys: tuple | None = None
+                      ) -> list[tuple[Any, float]]:
+        """Simulate ``task`` in the pool, then store its points.
 
-        At most two points per worker hold a pool slot: one running and
+        ``keys`` are the points' :meth:`key`, when the caller has them.
+        At most two tasks per worker hold a pool slot: one running and
         one queued behind it, so no worker idles while the caller
         stores a result. A worker crash fails only slot holders, and
-        points still waiting for a slot can be cancelled before they
+        tasks still waiting for a slot can be cancelled before they
         start.
         """
         import asyncio
@@ -291,37 +361,39 @@ class Resolver:
             self._slots = asyncio.Semaphore(2 * self.workers)
         loop = asyncio.get_running_loop()
         async with self._slots:
-            self.running += 1
+            self.running += len(task)
             try:
                 attempt = 0
                 while True:
                     executor = self._pool()
                     try:
-                        result, wall = await loop.run_in_executor(
-                            executor, self._simulate, point)
+                        outcomes = await loop.run_in_executor(
+                            executor, run_task, task, self._simulate)
                         break
                     except BrokenExecutor as error:
                         self.metrics.worker_restarts += 1
                         self._discard(executor)
                         if attempt >= MAX_RETRIES:
-                            self.metrics.failed += 1
+                            self.metrics.failed += len(task)
                             raise PointFailed(
-                                point, f"worker crashed {attempt + 1} "
-                                       f"times ({error})") from None
+                                task[0], f"worker crashed {attempt + 1} "
+                                         f"times ({error})") from None
                         attempt += 1
                         self.metrics.retries += 1
                         delay = RETRY_BACKOFF_S * 2 ** (attempt - 1)
                         log.warning("worker crashed on %s.%s; retry %d/%d "
-                                    "in %.2fs", point.workload,
-                                    point.design, attempt, MAX_RETRIES,
+                                    "in %.2fs", task[0].workload,
+                                    task[0].design, attempt, MAX_RETRIES,
                                     delay)
                         await asyncio.sleep(delay)
                     except Exception as error:
-                        raise self._failed(point, error) from error
+                        self.metrics.failed += len(task)
+                        raise PointFailed(
+                            task[0], f"{type(error).__name__}: {error}"
+                        ) from error
             finally:
-                self.running -= 1
-        self._store(point, result, wall, key)
-        return result, wall
+                self.running -= len(task)
+        return self._settle(task, outcomes, keys)
 
     # ------------------------------------------------------------------
     # Async front-end
@@ -343,20 +415,20 @@ class Resolver:
         task = self._inflight.get(key)
         if task is not None:
             self.metrics.dedup_hits += 1
-            result, _ = await asyncio.shield(task)
+            ((result, _),) = await asyncio.shield(task)
             return result
         found = self._memo_read(point)
         if found is None and self.cache is not None:
             found = self._cache_read(self.cache.get_row, point, key)
         if found is not None:
             return found
-        task = asyncio.ensure_future(self.execute(point, key))
+        task = asyncio.ensure_future(self.execute((point,), (key,)))
         self._inflight[key] = task
         task.add_done_callback(
             lambda done, k=key: self._retire(k, done))
         # shield: cancelling THIS caller (job timeout/cancel) must not
         # kill an execution other callers may be sharing
-        result, _ = await asyncio.shield(task)
+        ((result, _),) = await asyncio.shield(task)
         return result
 
     def _retire(self, key: str, task: asyncio.Future) -> None:

@@ -87,6 +87,7 @@ NAMESPACES: tuple[Namespace, ...] = (
               "point-resolver counters, shared by `campaign run` and "
               "the daemon (`Resolver.register_stats`)",
               "`exec.resolve.dedup_hits`, `exec.resolve.simulated`, "
+              "`exec.resolve.riders`, `exec.resolve.riders_diverged`, "
               "`exec.resolve.point_wall_ms.p99`"),
 )
 

@@ -176,30 +176,65 @@ def resolve_engine() -> type[System]:
     return System
 
 
+def rides_on(point: DesignPoint) -> DesignPoint | None:
+    """The point whose run ``point`` can ride: its baseline, when its
+    design runs every episode on the base timings (``spec.timing ==
+    "base"``) and so changes the command stream only by asserting
+    ALERT; ``None`` otherwise."""
+    if point.design == "baseline" \
+            or registry.get(point.design).timing != "base":
+        return None
+    return point.baseline()
+
+
+def run_group(points: list[DesignPoint],
+              tracer: EventTracer | None = None
+              ) -> list[SystemResult | None]:
+    """Simulate ``points[0]`` with every later point riding its run.
+
+    Each rider must have ``points[0]`` as its :func:`rides_on` point.
+    Returns one result per point: the lead's, then each rider's, or
+    ``None`` for a rider that dropped out (it requested an ALERT,
+    decided an episode differently or raised), which the caller
+    simulates on its own. A rider's result equals its solo run's.
+    ``tracer`` (opt-in, solo runs only) records the DRAM command events.
+    """
+    lead, riders = points[0], points[1:]
+    for rider in riders:
+        if rides_on(rider) != lead:
+            raise ValueError(f"{rider.workload}.{rider.design} cannot "
+                             f"ride on {lead.workload}.{lead.design}")
+    log.debug("run_group %s.%s.t%d +%d", lead.workload, lead.design,
+              lead.trh, len(riders))
+    config = build_config(lead)
+    specs = workload_cores(lead.workload, config.cores)
+    windows = [round(config.rob_entries * spec.mlp_boost) for spec in specs]
+    traces = build_traces(lead, config)
+    system = System(
+        config=config,
+        policy_factory=make_policy_factory(lead, config),
+        traces=traces,
+        instruction_limit=lead.instructions,
+        page_policy=lead.page_policy,
+        collect_row_activity=lead.collect_row_activity,
+        windows=windows,
+        refresh_mode=lead.refresh_mode,
+        tracer=tracer,
+        rider_factories=[make_policy_factory(rider, config)
+                         for rider in riders],
+    )
+    return [system.run(), *system.rider_results]
+
+
 def run_point(point: DesignPoint,
               tracer: EventTracer | None = None) -> SystemResult:
     """Simulate one design point from scratch (no cache layers).
 
     ``tracer`` (opt-in) records the run's DRAM command events.
     """
-    log.debug("run_point %s.%s.t%d", point.workload, point.design,
-              point.trh)
-    config = build_config(point)
-    specs = workload_cores(point.workload, config.cores)
-    windows = [round(config.rob_entries * spec.mlp_boost) for spec in specs]
-    traces = build_traces(point, config)
-    system = System(
-        config=config,
-        policy_factory=make_policy_factory(point, config),
-        traces=traces,
-        instruction_limit=point.instructions,
-        page_policy=point.page_policy,
-        collect_row_activity=point.collect_row_activity,
-        windows=windows,
-        refresh_mode=point.refresh_mode,
-        tracer=tracer,
-    )
-    return system.run()
+    result = run_group([point], tracer)[0]
+    assert result is not None
+    return result
 
 
 def simulate(point: DesignPoint, use_cache: bool = True) -> SystemResult:

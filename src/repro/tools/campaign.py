@@ -40,7 +40,8 @@ overlapping points (see ``docs/serving.md``):
 ``run``, ``verify``, ``submit`` and ``fetch`` exit 2 with one log line
 when the plan is missing or an INI does not read back to a design
 point; the log line names the file, and the INI line at fault if
-there is one.
+there is one. ``plan`` exits 2 the same way on a value no design
+point takes (``--trhs 0``), having written no INI.
 
 Example::
 
@@ -82,18 +83,20 @@ CSV_FIELDS = ("name", "workload", "design", "trh", "slowdown",
 
 def plan(directory: pathlib.Path, workloads, designs, trhs,
          instructions: int) -> list[pathlib.Path]:
+    """Write one INI per (workload, design, T_RH) point.
+
+    Every point is built before the first INI is written, so a bad
+    value raises ``ValueError`` and leaves no partial plan behind.
+    """
+    points = {directory / f"{workload}.{design}.t{trh}.ini":
+              DesignPoint(workload=workload, design=design, trh=trh,
+                          instructions=instructions)
+              for workload in workloads for design in designs
+              for trh in trhs}
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for workload in workloads:
-        for design in designs:
-            for trh in trhs:
-                point = DesignPoint(workload=workload, design=design,
-                                    trh=trh, instructions=instructions)
-                name = f"{workload}.{design}.t{trh}.ini"
-                path = directory / name
-                save_design_point(point, str(path))
-                paths.append(path)
-    return paths
+    for path, point in points.items():
+        save_design_point(point, str(path))
+    return list(points)
 
 
 def planned_points(directory: pathlib.Path
@@ -441,9 +444,13 @@ def main(argv: list[str] | None = None) -> int:
         print(table, end="")
         return 0 if ok else 1
     if args.command == "plan":
-        paths = plan(directory, args.workloads,
-                     args.designs or list(DEFAULT_DESIGNS), args.trhs,
-                     args.instructions)
+        try:
+            paths = plan(directory, args.workloads,
+                         args.designs or list(DEFAULT_DESIGNS), args.trhs,
+                         args.instructions)
+        except ValueError as error:
+            log.error("%s", error)
+            return 2
         log.info("planned %d evaluations in %s/", len(paths), directory)
         return 0
     if args.command == "run":

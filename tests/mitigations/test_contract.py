@@ -292,3 +292,46 @@ class TestForcedAlertPaths:
         oracle = ConformanceOracle(OracleConfig.from_policy(
             policy, banks=4, refresh_mode="all-bank"))
         assert oracle.verify(events) == []
+
+
+# ---------------------------------------------------------------------------
+# Base timing: what riding a baseline's run trusts
+# ---------------------------------------------------------------------------
+#: designs that say every episode runs on the base timings; the sweep
+#: engine simulates them on their baseline's run (``runner.run_group``)
+BASE_TIMING = tuple(name for name in BUILDABLE
+                    if registry.get(name).timing == "base")
+
+
+class TestBaseTiming:
+    POINT = dict(workload="hammer", trh=250, rows_per_bank=128, seed=7)
+    #: knobs that must not move a base-timing design off the base set
+    KNOBBED = {"mopac-d": [dict(rowpress=True), dict(chips=4),
+                           dict(abo_level=2), dict(drain_on_ref=2)],
+               "mopac-d-nup": [dict(sampler="para")]}
+
+    def _controller(self, policy, config):
+        return MemoryController(0, config.dram, policy, EventLoop())
+
+    @pytest.mark.parametrize("design", BASE_TIMING)
+    def test_timing_pair_is_the_baselines(self, design):
+        """Grouping trusts ``spec.timing == "base"``; the controller
+        derives its tRCD bound and ALERT slack from ``timing_pair()``."""
+        for knobs in [{}] + self.KNOBBED.get(design, []):
+            point = DesignPoint(design=design, **self.POINT, **knobs)
+            config = build_config(point)
+            base_factory = make_policy_factory(point.baseline(), config)
+            factory = make_policy_factory(point, config)
+            for subchannel in range(config.dram.subchannels):
+                policy = factory(subchannel)
+                base = base_factory(subchannel)
+                assert policy.timing == base.timing == config.dram.timing
+                assert policy.timing_pair() == base.timing_pair()
+                mine = self._controller(policy, config)
+                theirs = self._controller(base, config)
+                assert (mine._trcd_bound, mine._fresh_slack) == \
+                    (theirs._trcd_bound, theirs._fresh_slack)
+
+    def test_the_base_timing_designs(self):
+        assert set(BASE_TIMING) == {"baseline", "cnc-prac", "mopac-d",
+                                    "mopac-d-nup", "mint", "pride", "trr"}

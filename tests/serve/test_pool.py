@@ -322,6 +322,7 @@ class TestFrontEndContract:
                                     cache=ResultCache(directory))
 
         seen = {}
+        riders = {}
         for kind in FRONT_ENDS:
             cold = front(kind, tmp_path / kind)
             cold_results = cold.run(points)
@@ -331,10 +332,16 @@ class TestFrontEndContract:
             if kind == "sync":
                 assert [result_to_dict(r) for r in warm_results] == cold_docs
                 warm_results = [result_row(r) for r in warm_results]
+            cold_counts = counts(cold.resolver)
+            # only the sync front-end groups riders; the daemon's
+            # resolve runs one point per task
+            riders[kind] = (cold_counts.pop("exec.resolve.riders"),
+                            cold_counts.pop("exec.resolve.riders_diverged"))
             seen[kind] = (
                 cold_docs, warm_results,
-                counts(cold.resolver), counts(warm.resolver))
+                cold_counts, counts(warm.resolver))
 
+        assert riders == {"sync": (2, 0), "async": (0, 0)}
         assert seen["sync"] == seen["async"]
         _, warm_rows, cold_counts, warm_counts = seen["sync"]
         assert warm_rows == [result_row(r) for r in cold_results]

@@ -295,8 +295,9 @@ class TestStatsKeys:
             "exec.cache.entries",  # StubCache's one provider key
             *(f"exec.resolve.{name}" for name in (
                 "cache_hits", "cache_misses", "dedup_hits", "failed",
-                "memo_hits", "requested", "retries", "simulated",
-                "wall_s", "worker_restarts")),
+                "memo_hits", "requested", "retries", "riders",
+                "riders_diverged", "simulated", "wall_s",
+                "worker_restarts")),
             *(f"exec.resolve.point_wall_ms.{name}" for name in summary),
             *(f"serve.{name}" for name in (
                 "draining", "jobs_cancelled", "jobs_completed",

@@ -641,3 +641,17 @@ class TestBadIni:
         assert (f"{bad}: line 5 'instrutions = 2000': unknown [design] "
                 f"option 'instrutions'") in err
         assert not (tmp_path / "results.csv").exists()
+
+    def test_plan_with_a_bad_value_writes_nothing_and_exits_2(
+            self, tmp_path, stderr_log):
+        """A bad value late in the grid fails before the first INI is
+        written, with one log line instead of a traceback."""
+        directory = tmp_path / "plan"
+        assert campaign.main(["plan", "--dir", str(directory),
+                              "--workloads", "mcf", "--designs", "prac",
+                              "--trhs", "500", "0",
+                              "--instructions", "6000"]) == 2
+        err = stderr_log.readouterr().err
+        assert err.count("\n") == 1
+        assert "trh must be positive, got 0" in err
+        assert not list(tmp_path.rglob("*.ini"))
