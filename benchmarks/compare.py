@@ -19,7 +19,9 @@ compares it against the committed baseline with ``BENCH_THRESHOLD``
 engine's big optimisations, which is a 2-3x slowdown).
 
 Rows present on only one side are reported but are not failures: the
-benchmark mix is allowed to grow. Only like-for-like rows gate.
+benchmark mix is allowed to grow. Only like-for-like rows gate. A
+rider row (design ``baseline+mopac-d``) gates the same way: its
+``digest`` covers both of the group's results.
 """
 
 from __future__ import annotations
