@@ -9,22 +9,13 @@ mappings under the baseline and PRAC.
 
 from _common import bench_instructions, record, run_once
 
-from repro.sim.runner import DesignPoint, build_config, build_traces, \
-    make_policy_factory
-from repro.sim.system import System
-from repro.workloads.catalog import workload_cores
+from repro.sim.runner import DesignPoint, build_system
 
 
 def run(workload: str, mapper_kind: str, design: str):
     point = DesignPoint(workload=workload, design=design,
                         instructions=bench_instructions())
-    config = build_config(point)
-    specs = workload_cores(workload, config.cores)
-    windows = [round(config.rob_entries * s.mlp_boost) for s in specs]
-    system = System(config, make_policy_factory(point, config),
-                    build_traces(point, config), point.instructions,
-                    mapper_kind=mapper_kind, windows=windows)
-    return system.run()
+    return build_system(point, mapper_kind=mapper_kind).run()
 
 
 def sweep():

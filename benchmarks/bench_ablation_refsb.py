@@ -9,32 +9,30 @@ PRAC and MoPAC-D.
 
 from _common import bench_instructions, record, run_once
 
-from repro.sim.runner import DesignPoint, simulate, slowdown
+from repro.exec.engine import run_points
+from repro.sim.runner import DesignPoint, weighted_speedup
 
 WORKLOADS = ("mcf", "hammer")
+MODES = ("all-bank", "same-bank")
+DESIGNS = ("baseline", "prac", "mopac-d")
 
 
 def sweep():
+    grid = [(mode, w, design)
+            for mode in MODES for w in WORKLOADS for design in DESIGNS]
+    results = dict(zip(grid, run_points([
+        DesignPoint(workload=w, design=design, trh=500, refresh_mode=mode,
+                    instructions=bench_instructions())
+        for mode, w, design in grid])))
     out = {}
-    for mode in ("all-bank", "same-bank"):
-        base_elapsed = {}
-        for workload in WORKLOADS:
-            base = simulate(DesignPoint(
-                workload=workload, design="baseline", refresh_mode=mode,
-                instructions=bench_instructions()))
-            base_elapsed[workload] = base.elapsed_ps / 1e6
-        prac = sum(
-            slowdown(DesignPoint(workload=w, design="prac", trh=500,
-                                 refresh_mode=mode,
-                                 instructions=bench_instructions()))
-            for w in WORKLOADS) / len(WORKLOADS)
-        mopac = sum(
-            slowdown(DesignPoint(workload=w, design="mopac-d", trh=500,
-                                 refresh_mode=mode,
-                                 instructions=bench_instructions()))
-            for w in WORKLOADS) / len(WORKLOADS)
-        out[mode] = {"base_us": base_elapsed, "prac": prac,
-                     "mopac-d": mopac}
+    for mode in MODES:
+        base = {w: results[mode, w, "baseline"] for w in WORKLOADS}
+        out[mode] = {"base_us": {w: base[w].elapsed_ps / 1e6
+                                 for w in WORKLOADS}}
+        for design in DESIGNS[1:]:
+            out[mode][design] = sum(
+                1.0 - weighted_speedup(results[mode, w, design], base[w])
+                for w in WORKLOADS) / len(WORKLOADS)
     return out
 
 

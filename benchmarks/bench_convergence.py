@@ -8,20 +8,19 @@ length and asserts the PRAC slowdown settles.
 
 from _common import record, run_once
 
-from repro.sim.runner import DesignPoint, slowdown
+from repro.sim.runner import DesignPoint, slowdowns
 
 LENGTHS = (30_000, 60_000, 120_000)
+WORKLOADS = ("mcf", "add")
 
 
 def sweep():
-    out = {}
-    for workload in ("mcf", "add"):
-        out[workload] = {
-            n: slowdown(DesignPoint(workload=workload, design="prac",
-                                    trh=500, instructions=n))
-            for n in LENGTHS
-        }
-    return out
+    values = iter(slowdowns([
+        DesignPoint(workload=workload, design="prac", trh=500,
+                    instructions=n)
+        for workload in WORKLOADS for n in LENGTHS]))
+    return {workload: {n: next(values) for n in LENGTHS}
+            for workload in WORKLOADS}
 
 
 def test_convergence(benchmark):

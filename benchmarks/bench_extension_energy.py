@@ -9,21 +9,26 @@ the simulation's operation counts with DDR5-class per-op constants.
 from _common import bench_instructions, record, run_once
 
 from repro.dram.energy import energy_of, energy_overhead
-from repro.sim.runner import DesignPoint, simulate
+from repro.exec.engine import run_points
+from repro.sim.runner import DesignPoint
 
 WORKLOAD = "mcf"
 
 
+def results(*designs):
+    """The T_RH 500 runs of ``designs`` on WORKLOAD, from one call."""
+    return run_points([DesignPoint(workload=WORKLOAD, design=design,
+                                   trh=500,
+                                   instructions=bench_instructions())
+                       for design in designs])
+
+
 def sweep():
-    base = simulate(DesignPoint(workload=WORKLOAD, design="baseline",
-                                instructions=bench_instructions()))
-    out = {"baseline": (energy_of(base), 0.0)}
-    for design in ("prac", "mopac-c", "mopac-d"):
-        result = simulate(DesignPoint(workload=WORKLOAD, design=design,
-                                      trh=500,
-                                      instructions=bench_instructions()))
-        out[design] = (energy_of(result), energy_overhead(result, base))
-    return out
+    designs = ("baseline", "prac", "mopac-c", "mopac-d")
+    runs = dict(zip(designs, results(*designs)))
+    base = runs["baseline"]
+    return {design: (energy_of(result), energy_overhead(result, base))
+            for design, result in runs.items()}
 
 
 def test_extension_energy(benchmark):
@@ -45,12 +50,7 @@ def test_extension_energy(benchmark):
 def test_extension_energy_counter_scaling(benchmark):
     """MoPAC-C's counter-update energy is ~p x PRAC's."""
     def measure():
-        prac = simulate(DesignPoint(workload=WORKLOAD, design="prac",
-                                    trh=500,
-                                    instructions=bench_instructions()))
-        mopac = simulate(DesignPoint(workload=WORKLOAD, design="mopac-c",
-                                     trh=500,
-                                     instructions=bench_instructions()))
+        prac, mopac = results("prac", "mopac-c")
         return (energy_of(mopac).counter_update_mj
                 / energy_of(prac).counter_update_mj)
 

@@ -20,7 +20,8 @@ from repro.attacks.fuzzer import fuzz
 from repro.dram.energy import energy_overhead
 from repro.mitigations import (MoPACCPolicy, MoPACDPolicy, PRACMoatPolicy,
                                QPRACPolicy)
-from repro.sim.runner import DesignPoint, simulate, slowdown
+from repro.exec.engine import run_points
+from repro.sim.runner import DesignPoint, weighted_speedup
 
 GEO = dict(banks=4, rows=1024, refresh_groups=64)
 INSTRUCTIONS = 50_000
@@ -49,20 +50,21 @@ def main() -> None:
     args = parser.parse_args()
 
     margins = fuzz_margin(args.trh)
-    base = simulate(DesignPoint(workload=args.workload, design="baseline",
-                                instructions=INSTRUCTIONS))
+    # qprac is not a sim runner design (identical timing to prac); show
+    # the sim rows for the four runner designs and fuzz for all five.
+    points = [DesignPoint(workload=args.workload, design=design,
+                          trh=args.trh, instructions=INSTRUCTIONS)
+              for design in ("prac", "mopac-c", "mopac-d", "mopac-d-nup")]
+    # one call resolves the baseline and every design
+    base, *results = run_points([points[0].baseline(), *points])
 
     print(f"Design space at T_RH = {args.trh}, workload "
           f"{args.workload} ({INSTRUCTIONS:,} instr/core)\n")
     print(f"{'design':>12s} {'slowdown':>9s} {'energy':>8s} "
           f"{'ALERTs':>7s} {'fuzz worst':>11s} {'margin':>7s}")
-    # qprac is not a sim runner design (identical timing to prac); show
-    # the sim rows for the four runner designs and fuzz for all five.
-    for design in ("prac", "mopac-c", "mopac-d", "mopac-d-nup"):
-        point = DesignPoint(workload=args.workload, design=design,
-                            trh=args.trh, instructions=INSTRUCTIONS)
-        result = simulate(point)
-        sd = slowdown(point)
+    for point, result in zip(points, results):
+        design = point.design
+        sd = 1 - weighted_speedup(result, base)
         energy = energy_overhead(result, base)
         worst = margins[design]
         margin = 1 - worst / args.trh

@@ -6,11 +6,12 @@ accept ``workloads`` and ``instructions`` so benches can run a fast
 representative subset by default (environment variables ``REPRO_FULL=1``
 and ``REPRO_INSTRUCTIONS=n`` widen them to the full suite).
 
-Every simulation-backed driver enumerates its design points up front
-and prefetches them through :func:`repro.exec.engine.run_points`, so
-points fan out across worker processes and land in the in-process memo
-and the persistent result cache (``REPRO_CACHE_DIR``); the driver's own
-loop then runs entirely against resolved results. ``REPRO_WORKERS=1``
+Every simulation-backed driver builds its grid of design points once
+and resolves it in one engine run: a slowdown table through
+:func:`repro.sim.runner.slowdowns` (each point with its baseline),
+Tables 4 and 12 through :func:`repro.exec.engine.run_points`. Points
+fan out across worker processes and land in the in-process memo and the
+persistent result cache (``REPRO_CACHE_DIR``). ``REPRO_WORKERS=1``
 keeps every simulation inline.
 """
 
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 from .. import security
 from ..dram.timing import ddr5_base, ddr5_prac
 from ..exec.env import env_flag, env_int
-from ..sim.runner import DesignPoint, simulate, slowdown
+from ..exec.engine import run_points
+from ..sim.runner import DesignPoint, slowdowns
 from ..units import to_ns
 from ..workloads.catalog import ALL_WORKLOADS, STREAM_NAMES
 
@@ -41,18 +43,6 @@ def selected_workloads() -> tuple[str, ...]:
 
 def instruction_budget(default: int = 100_000) -> int:
     return env_int("REPRO_INSTRUCTIONS", default)
-
-
-def _prefetch(points: list[DesignPoint]) -> None:
-    """Resolve ``points`` (and their baselines) through the engine."""
-    from ..exec.engine import run_points
-
-    flat: list[DesignPoint] = []
-    for point in points:
-        flat.append(point)
-        if point.design != "baseline":
-            flat.append(point.baseline())
-    run_points(flat)
 
 
 # ----------------------------------------------------------------------
@@ -155,91 +145,87 @@ class SlowdownTable:
                 for column in self.columns}
 
 
-def _slowdown_table(label: str, design_columns: list[tuple[str, str, int]],
-                    workloads=None, instructions=None,
-                    **overrides) -> SlowdownTable:
+#: one slowdown-table column: its label and the DesignPoint fields,
+#: besides workload and instructions, of its points
+Column = tuple[str, dict]
+
+
+def _slowdown_table(label: str, columns: list[Column], workloads=None,
+                    instructions=None) -> SlowdownTable:
+    """Every workload's slowdown in every column, from one
+    :func:`~repro.sim.runner.slowdowns` call over the grid."""
     workloads = workloads or selected_workloads()
     instructions = instructions or instruction_budget()
-    table = SlowdownTable(label=label)
     grid = [(workload, column,
-             DesignPoint(workload=workload, design=design, trh=trh,
-                         instructions=instructions, **overrides))
-            for workload in workloads
-            for column, design, trh in design_columns]
-    _prefetch([point for _, _, point in grid])
-    for workload, column, point in grid:
-        table.add(workload, column, slowdown(point))
+             DesignPoint(workload=workload, instructions=instructions,
+                         **fields))
+            for workload in workloads for column, fields in columns]
+    table = SlowdownTable(label=label)
+    values = slowdowns([point for _, _, point in grid])
+    for (workload, column, _), value in zip(grid, values):
+        table.add(workload, column, value)
     return table
+
+
+def _at(design: str, trhs) -> list[Column]:
+    """One ``design@trh`` column per T_RH."""
+    return [(f"{design}@{trh}", dict(design=design, trh=trh))
+            for trh in trhs]
+
+
+#: the PRAC reference column of Figures 1(d), 9 and 11 and Table 15
+_PRAC: Column = ("prac", dict(design="prac", trh=500))
 
 
 def fig2_prac_slowdown(workloads=None, instructions=None,
                        trhs=(4000, 500, 100)) -> SlowdownTable:
     """Figure 2: PRAC slowdown at several thresholds (should be flat)."""
-    columns = [(f"prac@{trh}", "prac", trh) for trh in trhs]
-    return _slowdown_table("fig2", columns, workloads, instructions)
+    return _slowdown_table("fig2", _at("prac", trhs), workloads,
+                           instructions)
 
 
 def fig9_mopac_c(workloads=None, instructions=None,
                  trhs=(1000, 500, 250)) -> SlowdownTable:
     """Figure 9: PRAC vs MoPAC-C at T_RH 1000/500/250."""
-    columns = [("prac", "prac", 500)]
-    columns += [(f"mopac-c@{trh}", "mopac-c", trh) for trh in trhs]
-    return _slowdown_table("fig9", columns, workloads, instructions)
+    return _slowdown_table("fig9", [_PRAC, *_at("mopac-c", trhs)],
+                           workloads, instructions)
 
 
 def fig11_mopac_d(workloads=None, instructions=None,
                   trhs=(1000, 500, 250)) -> SlowdownTable:
     """Figure 11: PRAC vs MoPAC-D at T_RH 1000/500/250."""
-    columns = [("prac", "prac", 500)]
-    columns += [(f"mopac-d@{trh}", "mopac-d", trh) for trh in trhs]
-    return _slowdown_table("fig11", columns, workloads, instructions)
+    return _slowdown_table("fig11", [_PRAC, *_at("mopac-d", trhs)],
+                           workloads, instructions)
 
 
 def fig1_overview(workloads=None, instructions=None,
                   trhs=(4000, 2000, 1000, 500, 250)) -> SlowdownTable:
     """Figure 1(d): average slowdown of PRAC vs MoPAC-C/D across T_RH."""
-    columns = [("prac", "prac", 500)]
-    columns += [(f"mopac-c@{trh}", "mopac-c", trh) for trh in trhs]
-    columns += [(f"mopac-d@{trh}", "mopac-d", trh) for trh in trhs]
+    columns = [_PRAC, *_at("mopac-c", trhs), *_at("mopac-d", trhs)]
     return _slowdown_table("fig1d", columns, workloads, instructions)
+
+
+def _mopac_d_knob(knob: str, label: str, trhs, values) -> list[Column]:
+    """MoPAC-D at each T_RH with ``knob`` at each value."""
+    return [(f"trh{trh}/{label}{value}",
+             {"design": "mopac-d", "trh": trh, knob: value})
+            for trh in trhs for value in values]
 
 
 def fig12_drain_sweep(workloads=None, instructions=None,
                       trhs=(1000, 500, 250),
                       drains=(0, 1, 2, 4)) -> SlowdownTable:
     """Figure 12: MoPAC-D slowdown vs drain-on-REF rate."""
-    workloads = workloads or selected_workloads()
-    instructions = instructions or instruction_budget()
-    table = SlowdownTable(label="fig12")
-    grid = [(workload, f"trh{trh}/drain{drain}",
-             DesignPoint(workload=workload, design="mopac-d",
-                         trh=trh, drain_on_ref=drain,
-                         instructions=instructions))
-            for workload in workloads
-            for trh in trhs for drain in drains]
-    _prefetch([point for _, _, point in grid])
-    for workload, column, point in grid:
-        table.add(workload, column, slowdown(point))
-    return table
+    columns = _mopac_d_knob("drain_on_ref", "drain", trhs, drains)
+    return _slowdown_table("fig12", columns, workloads, instructions)
 
 
 def fig13_srq_sweep(workloads=None, instructions=None,
                     trhs=(1000, 500, 250),
                     sizes=(8, 16, 32)) -> SlowdownTable:
     """Figure 13: MoPAC-D slowdown vs SRQ size."""
-    workloads = workloads or selected_workloads()
-    instructions = instructions or instruction_budget()
-    table = SlowdownTable(label="fig13")
-    grid = [(workload, f"trh{trh}/srq{size}",
-             DesignPoint(workload=workload, design="mopac-d",
-                         trh=trh, srq_size=size,
-                         instructions=instructions))
-            for workload in workloads
-            for trh in trhs for size in sizes]
-    _prefetch([point for _, _, point in grid])
-    for workload, column, point in grid:
-        table.add(workload, column, slowdown(point))
-    return table
+    columns = _mopac_d_knob("srq_size", "srq", trhs, sizes)
+    return _slowdown_table("fig13", columns, workloads, instructions)
 
 
 def fig17_nup(workloads=None, instructions=None,
@@ -247,8 +233,8 @@ def fig17_nup(workloads=None, instructions=None,
     """Figure 17: MoPAC-D with and without NUP."""
     columns = []
     for trh in trhs:
-        columns.append((f"uniform@{trh}", "mopac-d", trh))
-        columns.append((f"nup@{trh}", "mopac-d-nup", trh))
+        columns.append((f"uniform@{trh}", dict(design="mopac-d", trh=trh)))
+        columns.append((f"nup@{trh}", dict(design="mopac-d-nup", trh=trh)))
     return _slowdown_table("fig17", columns, workloads, instructions)
 
 
@@ -257,100 +243,54 @@ def tab12_srq_insertions(workloads=None, instructions=None,
     """Table 12: SRQ insertions per 100 ACTs, uniform vs NUP."""
     workloads = workloads or selected_workloads()
     instructions = instructions or instruction_budget()
-    out: dict[int, dict[str, float]] = {}
-    _prefetch([DesignPoint(workload=workload, design=design,
-                           trh=trh, instructions=instructions)
-               for trh in trhs for workload in workloads
-               for design in ("mopac-d", "mopac-d-nup")])
-    for trh in trhs:
-        rates = {"uniform": [], "nup": []}
-        for workload in workloads:
-            for label, design in (("uniform", "mopac-d"),
-                                  ("nup", "mopac-d-nup")):
-                point = DesignPoint(workload=workload, design=design,
-                                    trh=trh, instructions=instructions)
-                result = simulate(point)
-                acts = sum(s["activations"] for s in result.policy_stats)
-                ins = sum(s["srq_insertions"] for s in result.policy_stats)
-                if acts:
-                    rates[label].append(100.0 * ins / acts)
-        out[trh] = {label: (sum(vals) / len(vals) if vals else 0.0)
-                    for label, vals in rates.items()}
-    return out
+    designs = (("uniform", "mopac-d"), ("nup", "mopac-d-nup"))
+    grid = [(trh, label, DesignPoint(workload=workload, design=design,
+                                     trh=trh, instructions=instructions))
+            for trh in trhs for workload in workloads
+            for label, design in designs]
+    rates: dict[int, dict[str, list[float]]] = {
+        trh: {label: [] for label, _ in designs} for trh in trhs}
+    for (trh, label, _), result in zip(
+            grid, run_points([point for _, _, point in grid])):
+        acts = sum(s["activations"] for s in result.policy_stats)
+        ins = sum(s["srq_insertions"] for s in result.policy_stats)
+        if acts:
+            rates[trh][label].append(100.0 * ins / acts)
+    return {trh: {label: (sum(vals) / len(vals) if vals else 0.0)
+                  for label, vals in by_label.items()}
+            for trh, by_label in rates.items()}
 
 
 def fig18_rowpress(workloads=None, instructions=None,
                    trhs=(1000, 500)) -> SlowdownTable:
     """Figure 18: slowdowns with Row-Press-aware ATH* (Appendix A)."""
-    workloads = workloads or selected_workloads()
-    instructions = instructions or instruction_budget()
-    table = SlowdownTable(label="fig18")
-    grid = [(workload, f"{design}@{trh}{'+rp' if rp else ''}",
-             DesignPoint(workload=workload, design=design,
-                         trh=trh, rowpress=rp,
-                         instructions=instructions))
-            for workload in workloads for trh in trhs
-            for design in ("mopac-c", "mopac-d")
-            for rp in (False, True)]
-    _prefetch([point for _, _, point in grid])
-    for workload, column, point in grid:
-        table.add(workload, column, slowdown(point))
-    return table
+    columns = [(f"{design}@{trh}{'+rp' if rp else ''}",
+                dict(design=design, trh=trh, rowpress=rp))
+               for trh in trhs for design in ("mopac-c", "mopac-d")
+               for rp in (False, True)]
+    return _slowdown_table("fig18", columns, workloads, instructions)
 
 
 def fig19_chips(workloads=None, instructions=None,
                 trhs=(250, 500, 1000),
                 chip_counts=(1, 2, 4, 8, 16)) -> SlowdownTable:
     """Figure 19: MoPAC-D sensitivity to the number of chips (App. B)."""
-    workloads = workloads or selected_workloads()
-    instructions = instructions or instruction_budget()
-    table = SlowdownTable(label="fig19")
-    grid = [(workload, f"trh{trh}/chips{chips}",
-             DesignPoint(workload=workload, design="mopac-d",
-                         trh=trh, chips=chips,
-                         instructions=instructions))
-            for workload in workloads
-            for trh in trhs for chips in chip_counts]
-    _prefetch([point for _, _, point in grid])
-    for workload, column, point in grid:
-        table.add(workload, column, slowdown(point))
-    return table
+    columns = _mopac_d_knob("chips", "chips", trhs, chip_counts)
+    return _slowdown_table("fig19", columns, workloads, instructions)
 
 
 def tab15_closure(workloads=None, instructions=None,
                   policies=("open", "close", "ton100", "ton200"),
                   trhs=(1000, 500, 250)) -> dict:
     """Table 15: PRAC and MoPAC-D under different row-closure policies."""
-    workloads = workloads or selected_workloads()
-    instructions = instructions or instruction_budget()
-    out: dict[str, dict[str, float]] = {}
-    _prefetch(
-        [DesignPoint(workload=workload, design="prac", trh=500,
-                     page_policy=policy, instructions=instructions)
-         for policy in policies for workload in workloads] +
-        [DesignPoint(workload=workload, design="mopac-d", trh=trh,
-                     page_policy=policy, instructions=instructions)
-         for policy in policies for trh in trhs
-         for workload in workloads])
-    for policy in policies:
-        row: dict[str, float] = {}
-        vals = []
-        for workload in workloads:
-            point = DesignPoint(workload=workload, design="prac", trh=500,
-                                page_policy=policy,
-                                instructions=instructions)
-            vals.append(slowdown(point))
-        row["prac"] = sum(vals) / len(vals)
-        for trh in trhs:
-            vals = []
-            for workload in workloads:
-                point = DesignPoint(workload=workload, design="mopac-d",
-                                    trh=trh, page_policy=policy,
-                                    instructions=instructions)
-                vals.append(slowdown(point))
-            row[f"mopac-d@{trh}"] = sum(vals) / len(vals)
-        out[policy] = row
-    return out
+    designs = [_PRAC, *_at("mopac-d", trhs)]
+    table = _slowdown_table(
+        "tab15", [(f"{policy}/{label}", dict(fields, page_policy=policy))
+                  for policy in policies for label, fields in designs],
+        workloads, instructions)
+    return {policy: {label: table.column_average(f"{policy}/{label}")
+                     for label, _ in designs}
+            for policy in policies}
 
 
 def tab4_characteristics(workloads=None, instructions=None) -> dict:
@@ -358,15 +298,11 @@ def tab4_characteristics(workloads=None, instructions=None) -> dict:
     workloads = workloads or selected_workloads()
     instructions = instructions or instruction_budget()
     out = {}
-    _prefetch([DesignPoint(workload=workload, design="baseline",
-                           instructions=instructions,
-                           collect_row_activity=True)
-               for workload in workloads])
-    for workload in workloads:
-        point = DesignPoint(workload=workload, design="baseline",
-                            instructions=instructions,
-                            collect_row_activity=True)
-        result = simulate(point)
+    results = run_points([DesignPoint(workload=workload, design="baseline",
+                                      instructions=instructions,
+                                      collect_row_activity=True)
+                          for workload in workloads])
+    for workload, result in zip(workloads, results):
         total_inst = sum(s.instructions for s in result.core_stats)
         activity = result.row_activity
         out[workload] = {

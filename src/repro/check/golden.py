@@ -33,10 +33,8 @@ from typing import Callable
 
 from ..mitigations import registry
 from ..obs.tracer import EventTracer, TraceEvent
-from ..sim.runner import (DesignPoint, build_config, build_traces,
-                          make_policy_factory)
-from ..sim.system import System
-from ..workloads.catalog import workload_cores
+from ..sim.runner import DesignPoint, build_config, build_system, \
+    build_traces
 from .driver import oracle_config_for
 from .fuzz import build_case, run_case
 from .oracle import ConformanceOracle, OracleConfig
@@ -85,7 +83,7 @@ def _design_points() -> dict[str, DesignPoint]:
     return points
 
 
-#: the LLC and generic-trace cases build their System directly
+#: the LLC and generic-trace cases, run with :func:`run_system` extras
 LLC_POINT = DesignPoint("mix1", "prac", instructions=20_000, **SMALL)
 ITERATOR_POINT = DesignPoint("mcf", "mopac-c", instructions=20_000,
                              **SMALL)
@@ -139,22 +137,10 @@ def _file_traces(point: DesignPoint, config) -> list:
 def run_system(point: DesignPoint, tracer: EventTracer | None = None,
                use_llc: bool = False, file_traces: bool = False):
     """Build and run ``point``'s System with the given extras."""
-    config = build_config(point)
-    specs = workload_cores(point.workload, config.cores)
-    traces = (_file_traces(point, config) if file_traces
-              else build_traces(point, config))
-    system = System(
-        config=config,
-        policy_factory=make_policy_factory(point, config),
-        traces=traces,
-        instruction_limit=point.instructions,
-        page_policy=point.page_policy,
-        use_llc=use_llc,
-        windows=[round(config.rob_entries * spec.mlp_boost)
-                 for spec in specs],
-        refresh_mode=point.refresh_mode,
-        tracer=tracer)
-    return system.run()
+    traces = (_file_traces(point, build_config(point)) if file_traces
+              else None)
+    return build_system(point, traces, tracer=tracer,
+                        use_llc=use_llc).run()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """Sync front-end of the point resolver: ``SweepEngine.run(points)``.
 
+Its callers are ``campaign run``, ``runner.simulate()``, and
+``runner.slowdowns()``, which resolves a grid's points with their
+baselines in one ``run`` for ``slowdown()``, ``sweep()``,
+``replicate()`` and the experiment drivers.
+
 Design points are embarrassingly parallel: every
 :class:`~repro.sim.runner.DesignPoint` is simulated from its own seed
 with no shared mutable state, so a sweep fans out across a process

@@ -1,7 +1,8 @@
 """The one design-point resolver: dedup, memo, cache, pool, store.
 
 Every design point the package resolves — ``campaign run``,
-``runner.simulate()``/``sweep()``, the experiment drivers and the serve
+``runner.simulate()``, ``runner.slowdowns()`` (behind ``slowdown()``,
+``sweep()``, ``replicate()`` and the experiment drivers) and the serve
 daemon — goes through :class:`Resolver`, which applies, in order:
 
 1. **in-flight dedup** — a point already being resolved is joined, not
@@ -26,9 +27,9 @@ daemon — goes through :class:`Resolver`, which applies, in order:
 
 Two front-ends share that chain:
 
-* :class:`repro.exec.engine.SweepEngine` — sync, for the CLI, the
-  experiment drivers and ``runner``; it groups its misses into tasks,
-  and its pool lives for one ``run()``;
+* :class:`repro.exec.engine.SweepEngine` — sync, for the CLI and
+  ``runner`` (``simulate()``, ``slowdowns()``, ``run_points``); it
+  groups its misses into tasks, and its pool lives for one ``run()``;
 * :meth:`Resolver.resolve` — async, for the daemon, one point per
   task; its pool lives until :meth:`Resolver.shutdown`. Cancelling a
   caller never cancels an execution other callers share

@@ -1,8 +1,8 @@
 """Simulation-as-a-service: a local daemon over the sweep substrate.
 
 ``repro.serve`` puts the :mod:`repro.exec` resolver behind a shared,
-long-running service so that every consumer (campaign CLI, analysis
-prefetch, benchmarks, ad-hoc scripts) stops owning its own process
+long-running service so that every consumer (campaign CLI, experiment
+drivers, benchmarks, ad-hoc scripts) stops owning its own process
 pool: concurrent clients submitting overlapping work share one
 execution per cache key, completed points short-circuit through the
 on-disk result cache, and a JSONL journal makes the queue survive

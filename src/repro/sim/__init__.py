@@ -3,7 +3,7 @@
 from .runner import (DEFAULT_INSTRUCTIONS, DESIGNS, DesignPoint, SweepResult,
                      build_config, build_traces, clear_cache, fairness,
                      harmonic_speedup, make_policy_factory, simulate,
-                     slowdown, sweep, weighted_speedup)
+                     slowdown, slowdowns, sweep, weighted_speedup)
 from .replication import Replication, replicate, significantly_faster
 from .system import RowActivityStats, System, SystemResult
 
@@ -12,5 +12,5 @@ __all__ = [
     "SweepResult", "System", "SystemResult", "build_config", "build_traces",
     "clear_cache", "fairness", "harmonic_speedup", "make_policy_factory",
     "replicate", "significantly_faster",
-    "simulate", "slowdown", "sweep", "weighted_speedup",
+    "simulate", "slowdown", "slowdowns", "sweep", "weighted_speedup",
 ]

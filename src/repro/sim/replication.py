@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .runner import DesignPoint, slowdown
+from .runner import DesignPoint, slowdowns
 
 #: two-sided 95% Student-t critical values by degrees of freedom
 #: (df = n-1); past the table, the df-30 entry, which is wider than the
@@ -67,13 +67,14 @@ class Replication:
 
 def replicate(point: DesignPoint, seeds: Sequence[int] = (1, 2, 3, 4, 5),
               use_cache: bool = True) -> Replication:
-    """Measure a design point's slowdown across seeds."""
+    """Measure a design point's slowdown across seeds, resolving every
+    seed's point and baseline in one :func:`~repro.sim.runner.slowdowns`
+    call."""
     if not seeds:
         raise ValueError("need at least one seed")
-    samples = tuple(
-        slowdown(replace(point, seed=seed), use_cache=use_cache)
-        for seed in seeds)
-    return Replication(point=point, samples=samples)
+    samples = slowdowns([replace(point, seed=seed) for seed in seeds],
+                        use_cache=use_cache)
+    return Replication(point=point, samples=tuple(samples))
 
 
 def significantly_faster(a: DesignPoint, b: DesignPoint,

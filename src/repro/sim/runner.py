@@ -5,19 +5,24 @@ This is the layer the benchmarks and examples talk to. A *design point* is
 and policies, runs the :class:`~repro.sim.system.System`, and caches the
 result so a sweep reuses its baseline runs.
 
-:func:`simulate` and :func:`sweep` resolve points through the one
-resolver (:mod:`repro.exec.resolver`): the per-process :data:`memo`,
-then, when ``REPRO_CACHE_DIR`` is set, the content-addressed on-disk
+:func:`slowdowns` is the one slowdown path: it resolves the points and
+their baselines in one :meth:`SweepEngine.run
+<repro.exec.engine.SweepEngine.run>`; :func:`slowdown`, :func:`sweep`,
+:func:`~repro.sim.replication.replicate` and the experiment drivers call
+it once per grid. Points resolve through the one resolver
+(:mod:`repro.exec.resolver`): the per-process :data:`memo`, then, when
+``REPRO_CACHE_DIR`` is set, the content-addressed on-disk
 :class:`~repro.exec.cache.ResultCache`, so re-running a figure skips
 every simulation it has already performed — in any earlier process.
-:func:`sweep` fans its misses out across worker processes
-(``workers=1`` keeps them inline; both give bit-identical numbers).
+Misses fan out across worker processes (``workers=1`` keeps them
+inline; both give bit-identical numbers).
 
 A point's ``design`` is any name :func:`repro.mitigations.registry.buildable`
 lists (``baseline`` is unprotected DDR5). Every sub-channel's policy is
 built by :func:`repro.mitigations.registry.make_policy`, with the point's
 design fields as knobs; a field the design's spec does not declare
-must keep its default.
+must keep its default, and a knob value the design's policy refuses on
+its own fails the point when it is built.
 
 Slowdown is reported as the paper does: 1 - WS(design)/WS(baseline) with
 weighted speedup normalised per-core against the baseline run of the same
@@ -27,7 +32,7 @@ workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..config import SystemConfig
 from ..mitigations import registry
@@ -94,14 +99,29 @@ class DesignPoint:
                              f"{self.instructions}")
         if self.trh <= 0:
             raise ValueError(f"trh must be positive, got {self.trh}")
-        spec = registry.get(self.design)
-        for name in KNOB_FIELDS:
-            if getattr(self, name) != _KNOB_DEFAULTS[name] \
-                    and not spec.takes(name):
+        config = None
+        for name, default in _KNOB_DEFAULTS.items():
+            value = getattr(self, name)
+            if value == default:
+                continue
+            spec = registry.get(self.design)
+            if not spec.takes(name):
                 raise ValueError(
                     f"design {self.design!r} does not take {name} "
-                    f"(got {getattr(self, name)!r}); its knobs: "
+                    f"(got {value!r}); its knobs: "
                     f"{', '.join(n for n, _ in spec.knobs) or 'none'}")
+            # the policy constructor is the one copy of the value rules:
+            # build it with this knob set and the others at their
+            # defaults (a combination of valid values, such as Row-Press
+            # derating with a small p, can still leave no budget; that
+            # fails at simulation time)
+            config = config or build_config(self)
+            try:
+                make_policy_factory(self, config, **{
+                    **_KNOB_DEFAULTS, name: value})(0)
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"design {self.design!r} refuses "
+                                 f"{name}={value!r}: {error}") from None
 
     def as_dict(self) -> dict[str, Any]:
         """Every field by name, in field order.
@@ -113,16 +133,14 @@ class DesignPoint:
         return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     def baseline(self) -> "DesignPoint":
-        """The matching baseline point (same everything, no mitigation)."""
-        return DesignPoint(
-            workload=self.workload, design="baseline", trh=self.trh,
-            instructions=self.instructions, seed=self.seed,
-            page_policy=self.page_policy,
-            rows_per_bank=self.rows_per_bank,
-            refresh_scale=self.refresh_scale,
-            collect_row_activity=self.collect_row_activity,
-            refresh_mode=self.refresh_mode,
-        )
+        """The matching baseline point (same everything, no mitigation).
+
+        Built from the point's ``__dict__``, which holds its fields and
+        nothing else: ``dataclasses.replace`` costs half as much again,
+        and ``campaign submit``/``fetch`` build a baseline per INI.
+        """
+        return DesignPoint(**{**vars(self), "design": "baseline",
+                              **_KNOB_DEFAULTS})
 
 
 _KNOB_DEFAULTS = {f.name: f.default for f in fields(DesignPoint)
@@ -130,12 +148,15 @@ _KNOB_DEFAULTS = {f.name: f.default for f in fields(DesignPoint)
 _FIELD_NAMES = tuple(f.name for f in fields(DesignPoint))
 
 
-def make_policy_factory(point: DesignPoint,
-                        config: SystemConfig) -> Callable[[int], MitigationPolicy]:
-    """Build the per-sub-channel policy constructor for a design point."""
+def make_policy_factory(point: DesignPoint, config: SystemConfig,
+                        **knobs: Any) -> Callable[[int], MitigationPolicy]:
+    """Build the per-sub-channel policy constructor for a design point.
+
+    ``knobs`` replace the point's own knob values.
+    """
     spec = registry.get(point.design)
-    knobs = {name: getattr(point, name) for name in KNOB_FIELDS
-             if spec.takes(name)}
+    knobs = {name: knobs.get(name, getattr(point, name))
+             for name in KNOB_FIELDS if spec.takes(name)}
 
     def factory(subchannel: int) -> MitigationPolicy:
         return spec.build(
@@ -187,6 +208,34 @@ def rides_on(point: DesignPoint) -> DesignPoint | None:
     return point.baseline()
 
 
+def build_system(point: DesignPoint, traces: list | None = None,
+                 riders: Sequence[DesignPoint] = (),
+                 **extras: Any) -> System:
+    """``point``'s :class:`System`, ready to run.
+
+    Its config, policies, per-core windows (``rob_entries`` scaled by
+    each core's ``mlp_boost``) and, unless ``traces`` are given, its
+    synthetic traces all come from the point; each of ``riders`` gets
+    its own policy set. ``extras`` are further ``System`` arguments
+    (``tracer``, ``use_llc``, ``mapper_kind``).
+    """
+    config = build_config(point)
+    specs = workload_cores(point.workload, config.cores)
+    return System(
+        config=config,
+        policy_factory=make_policy_factory(point, config),
+        traces=build_traces(point, config) if traces is None else traces,
+        instruction_limit=point.instructions,
+        page_policy=point.page_policy,
+        collect_row_activity=point.collect_row_activity,
+        windows=[round(config.rob_entries * spec.mlp_boost)
+                 for spec in specs],
+        refresh_mode=point.refresh_mode,
+        rider_factories=[make_policy_factory(rider, config)
+                         for rider in riders],
+        **extras)
+
+
 def run_group(points: list[DesignPoint],
               tracer: EventTracer | None = None
               ) -> list[SystemResult | None]:
@@ -206,23 +255,7 @@ def run_group(points: list[DesignPoint],
                              f"ride on {lead.workload}.{lead.design}")
     log.debug("run_group %s.%s.t%d +%d", lead.workload, lead.design,
               lead.trh, len(riders))
-    config = build_config(lead)
-    specs = workload_cores(lead.workload, config.cores)
-    windows = [round(config.rob_entries * spec.mlp_boost) for spec in specs]
-    traces = build_traces(lead, config)
-    system = System(
-        config=config,
-        policy_factory=make_policy_factory(lead, config),
-        traces=traces,
-        instruction_limit=lead.instructions,
-        page_policy=lead.page_policy,
-        collect_row_activity=lead.collect_row_activity,
-        windows=windows,
-        refresh_mode=lead.refresh_mode,
-        tracer=tracer,
-        rider_factories=[make_policy_factory(rider, config)
-                         for rider in riders],
-    )
+    system = build_system(lead, riders=riders, tracer=tracer)
     return [system.run(), *system.rider_results]
 
 
@@ -301,11 +334,31 @@ def fairness(result: SystemResult, baseline: SystemResult) -> float:
     return min(ratios) / max(ratios)
 
 
+def slowdowns(points: Sequence[DesignPoint], use_cache: bool = True,
+              workers: int | None = None) -> list[float]:
+    """Slowdown of each point vs its baseline: 1 - WS, in input order.
+
+    Every point and its :meth:`~DesignPoint.baseline` resolve in one
+    :meth:`SweepEngine.run <repro.exec.engine.SweepEngine.run>`, so
+    misses fan out across ``workers`` processes and a base-timing design
+    rides its baseline's run. ``use_cache=False`` simulates every point
+    from scratch and stores nothing.
+    """
+    from ..exec.engine import SweepEngine  # deferred: exec imports sim
+
+    flat: list[DesignPoint] = []
+    for point in points:
+        flat += (point, point.baseline())
+    engine = SweepEngine(workers=workers) if use_cache else \
+        SweepEngine(workers=workers, cache=None, use_memo=False)
+    results = engine.run(flat)
+    return [1.0 - weighted_speedup(run, base)
+            for run, base in zip(results[0::2], results[1::2])]
+
+
 def slowdown(point: DesignPoint, use_cache: bool = True) -> float:
     """Slowdown of a design point vs its baseline: 1 - WS."""
-    result = simulate(point, use_cache)
-    base = simulate(point.baseline(), use_cache)
-    return 1.0 - weighted_speedup(result, base)
+    return slowdowns([point], use_cache, workers=1)[0]
 
 
 @dataclass
@@ -331,22 +384,13 @@ def sweep(workloads: list[str], design: str, trh: int,
           workers: int | None = None, **overrides: Any) -> SweepResult:
     """Slowdown of ``design`` across ``workloads`` at one threshold.
 
-    Points (and their baselines) are resolved through the
-    :class:`~repro.exec.engine.SweepEngine`: cached results are reused,
-    misses fan out across ``workers`` processes (``workers=1`` runs
-    them inline; both paths return bit-identical numbers).
+    The points and their baselines resolve in one :func:`slowdowns`
+    call: cached results are reused, misses fan out across ``workers``
+    processes (``workers=1`` runs them inline; both paths return
+    bit-identical numbers).
     """
-    from ..exec.engine import run_points
-
-    result = SweepResult(design=design, trh=trh)
     points = [DesignPoint(workload=name, design=design, trh=trh,
                           **overrides)
               for name in workloads]
-    flat: list[DesignPoint] = []
-    for point in points:
-        flat.append(point)
-        flat.append(point.baseline())
-    results = run_points(flat, workers=workers)
-    for name, run, base in zip(workloads, results[0::2], results[1::2]):
-        result.slowdowns[name] = 1.0 - weighted_speedup(run, base)
-    return result
+    return SweepResult(design=design, trh=trh, slowdowns=dict(
+        zip(workloads, slowdowns(points, workers=workers))))

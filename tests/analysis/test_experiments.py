@@ -111,6 +111,18 @@ class TestSimulationDriversSmoke:
         table = ex.fig19_chips(trhs=(500,), chip_counts=(1, 4), **TINY)
         assert len(table.columns) == 2
 
+    def test_fig1(self):
+        table = ex.fig1_overview(trhs=(1000, 500), **TINY)
+        assert table.columns == ["prac", "mopac-c@1000", "mopac-c@500",
+                                 "mopac-d@1000", "mopac-d@500"]
+        assert "xalancbmk" in table.rows
+
+    def test_fig18(self):
+        table = ex.fig18_rowpress(trhs=(500,), **TINY)
+        assert table.columns == ["mopac-c@500", "mopac-c@500+rp",
+                                 "mopac-d@500", "mopac-d@500+rp"]
+        assert "xalancbmk" in table.rows
+
     def test_tab15(self):
         out = ex.tab15_closure(policies=("open", "close"), trhs=(500,),
                                **TINY)
@@ -119,6 +131,32 @@ class TestSimulationDriversSmoke:
     def test_stream_subset_empty_without_streams(self):
         table = ex.fig2_prac_slowdown(trhs=(500,), **TINY)
         assert ex.stream_subset(table) == {}
+
+
+#: every simulation-backed driver, on a grid small enough for a test
+DRIVERS = {
+    "fig1": lambda: ex.fig1_overview(trhs=(500,), **TINY),
+    "fig2": lambda: ex.fig2_prac_slowdown(trhs=(500,), **TINY),
+    "fig9": lambda: ex.fig9_mopac_c(trhs=(500,), **TINY),
+    "fig11": lambda: ex.fig11_mopac_d(trhs=(500,), **TINY),
+    "fig12": lambda: ex.fig12_drain_sweep(trhs=(500,), drains=(0, 4),
+                                          **TINY),
+    "fig13": lambda: ex.fig13_srq_sweep(trhs=(500,), sizes=(8, 32), **TINY),
+    "fig17": lambda: ex.fig17_nup(trhs=(500,), **TINY),
+    "fig18": lambda: ex.fig18_rowpress(trhs=(500,), **TINY),
+    "fig19": lambda: ex.fig19_chips(trhs=(500,), chip_counts=(1, 4),
+                                    **TINY),
+    "tab4": lambda: ex.tab4_characteristics(**TINY),
+    "tab12": lambda: ex.tab12_srq_insertions(trhs=(500,), **TINY),
+    "tab15": lambda: ex.tab15_closure(policies=("open", "close"),
+                                      trhs=(500,), **TINY),
+}
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_driver_resolves_its_grid_in_one_engine_run(driver, engine_runs):
+    DRIVERS[driver]()
+    assert len(engine_runs) == 1
 
 
 class TestEnvKnobs:

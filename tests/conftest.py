@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import DRAMConfig, SystemConfig
 from repro.dram.timing import ddr5_base, ddr5_prac
+from repro.exec.engine import SweepEngine
 
 
 @pytest.fixture
@@ -34,3 +35,17 @@ def small_system(small_dram):
 
 #: Conventional small policy geometry used across mitigation tests.
 POLICY_GEOMETRY = dict(banks=4, rows=512, refresh_groups=32)
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """The point lists passed to ``SweepEngine.run``, one per call."""
+    calls = []
+    run = SweepEngine.run
+
+    def counted(self, points):
+        calls.append(list(points))
+        return run(self, points)
+
+    monkeypatch.setattr(SweepEngine, "run", counted)
+    return calls

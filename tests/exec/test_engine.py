@@ -203,7 +203,7 @@ class TestConvenienceAPI:
         assert results[0].total_requests > 0
 
     def test_run_points_populates_memo(self):
-        # how the experiment drivers prefetch before their own loops
+        # a run_points result is what a later simulate() returns
         clear_cache()
         point = DesignPoint(workload="mcf", design="baseline", **FAST)
         (result,) = run_points([point], workers=1, cache=None)

@@ -187,6 +187,12 @@ class TestValidation:
                                                           **{field: 0})]})
                 assert status == 400
                 assert f"{field} must be positive" in doc["error"]
+            status, doc = await call(client.request, "POST", "/submit",
+                                     {"points": [dict(point_fields(),
+                                                      design="mopac-d",
+                                                      abo_level=3)]})
+            assert status == 400
+            assert "refuses abo_level=3" in doc["error"]
 
         run_scenario(tmp_path, scenario)
 

@@ -58,6 +58,13 @@ class TestReplicateRuns:
         assert result.n == 3
         assert len(set(result.samples)) >= 2  # seeds actually differ
 
+    def test_one_engine_run(self, engine_runs):
+        point = DesignPoint(workload="xalancbmk", design="mopac-c",
+                            trh=500, **FAST)
+        replicate(point, seeds=(1, 2, 3))
+        (flat,) = engine_runs
+        assert len(set(flat)) == 6  # three seeds, each with its baseline
+
     def test_empty_seeds_rejected(self):
         point = DesignPoint(workload="xalancbmk", design="prac", **FAST)
         with pytest.raises(ValueError):

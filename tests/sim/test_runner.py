@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim.runner import (DesignPoint, clear_cache, simulate, slowdown,
-                              sweep, weighted_speedup)
+from repro.sim import runner
+from repro.sim.runner import (DesignPoint, clear_cache, run_point, simulate,
+                              slowdown, slowdowns, sweep, weighted_speedup)
 
 FAST = dict(instructions=8_000, rows_per_bank=512, refresh_scale=1 / 256)
 
@@ -39,6 +40,29 @@ class TestDesignPoint:
         with pytest.raises(ValueError,
                            match=f"design 'prac' does not take {knob}"):
             DesignPoint(workload="mcf", design="prac", **{knob: value})
+
+    @pytest.mark.parametrize("knob,value,error", [
+        ("abo_level", 3, "abo_level must be 1, 2 or 4"),
+        ("srq_size", 0, "srq_size must be at least the ABO drain count"),
+        ("chips", 0, "chips must be >= 1"),
+        ("drain_on_ref", -1, "drain_on_ref must be >= 0"),
+        ("p", 2.0, r"p must be in \(0, 1\]"),
+        ("sampler", "magic", "unknown sampler 'magic'")])
+    def test_knob_value_the_policy_refuses_is_rejected(self, knob, value,
+                                                       error):
+        # refused where the point is built, before it gets a cache key,
+        # not when its policy is first built at simulation time
+        with pytest.raises(ValueError, match=f"design 'mopac-d' refuses "
+                                             f"{knob}={value!r}: {error}"):
+            DesignPoint(workload="mcf", design="mopac-d", **{knob: value})
+
+    def test_default_knobs_build_no_policy(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a policy")
+
+        monkeypatch.setattr(runner, "make_policy_factory", no_build)
+        DesignPoint(workload="mcf", design="mopac-d", trh=250)
+        DesignPoint(workload="mcf", design="mopac-d").baseline()
 
     def test_mopac_c_takes_only_p_and_rowpress(self):
         DesignPoint(workload="mcf", design="mopac-c", p=0.25, rowpress=True)
@@ -104,7 +128,44 @@ class TestWeightedSpeedup:
         assert weighted_speedup(result, result) == pytest.approx(1.0)
 
 
+class TestSlowdowns:
+    #: base-timing designs (mopac-d, mint) ride their baseline's run
+    POINTS = [DesignPoint(workload=workload, design=design, trh=500, **FAST)
+              for workload in ("mcf", "mix3")
+              for design in ("prac", "mopac-d", "mint", "mopac-c")]
+
+    def test_equal_per_point_slowdown_riders_included(self, monkeypatch,
+                                                      engine_runs):
+        groups = []
+        run_group = runner.run_group
+
+        def spied(points, tracer=None):
+            groups.append(len(points))
+            return run_group(points, tracer)
+
+        monkeypatch.setattr(runner, "run_group", spied)
+        together = slowdowns(self.POINTS, use_cache=False, workers=1)
+        assert len(engine_runs) == 1
+        assert max(groups) > 1  # riders rode their baseline's run
+        assert together == [slowdown(point, use_cache=False)
+                            for point in self.POINTS]
+        assert together == [
+            1.0 - weighted_speedup(run_point(point),
+                                   run_point(point.baseline()))
+            for point in self.POINTS]
+
+    def test_one_engine_run_resolves_points_and_baselines(self,
+                                                          engine_runs):
+        slowdowns(self.POINTS[:3], workers=1)
+        (flat,) = engine_runs
+        assert set(flat) == {*self.POINTS[:3], self.POINTS[0].baseline()}
+
+
 class TestSweep:
+    def test_one_engine_run(self, engine_runs):
+        sweep(["xalancbmk", "cam4"], "prac", 500, workers=1, **FAST)
+        assert len(engine_runs) == 1
+
     def test_sweep_covers_workloads(self):
         result = sweep(["xalancbmk", "cam4"], "prac", 500, **FAST)
         assert set(result.slowdowns) == {"xalancbmk", "cam4"}

@@ -263,6 +263,17 @@ class TestDesignSectionOnly:
         with pytest.raises(ValueError, match="unknown design 'mopac-z'"):
             design_point_from_ini(text)
 
+    @pytest.mark.parametrize("old, new, error", [
+        ("abo_level = 1\n", "abo_level = 3\n", "abo_level must be 1, 2 or 4"),
+        ("srq_size = 16\n", "srq_size = 0\n", "srq_size must be at least"),
+        ("sampler = mint\n", "sampler = magic\n", "unknown sampler"),
+    ], ids=["abo_level", "srq_size", "sampler"])
+    def test_knob_value_the_policy_refuses(self, old, new, error):
+        text = design_point_to_ini(self.POINT).replace(old, new)
+        with pytest.raises(ValueError, match=f"design 'mopac-d' refuses "
+                                             f".*: {error}"):
+            design_point_from_ini(text)
+
     def test_missing_workload(self):
         text = design_point_to_ini(self.POINT).replace(
             "workload = mcf\n", "")
