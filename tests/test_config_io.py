@@ -23,7 +23,7 @@ KNOBBED = {
     "mopac-d": [dict(p=0.25, srq_size=32, drain_on_ref=3),
                 dict(chips=4, sampler="para", abo_level=2, rowpress=True),
                 dict(drain_on_ref=0, abo_level=4)],
-    "mopac-d-nup": [dict(p=1 / 16, srq_size=8, drain_on_ref=1, chips=2,
+    "mopac-d-nup": [dict(p=1 / 4, srq_size=8, drain_on_ref=1, chips=2,
                          sampler="para", abo_level=4, rowpress=True)],
 }
 
@@ -93,7 +93,7 @@ class TestIniRoundtrip:
         point = DesignPoint(
             workload="hammer", design="mopac-d-nup", trh=250,
             instructions=12_345, seed=99, page_policy="ton100", chips=4,
-            srq_size=32, drain_on_ref=3, p=1 / 32, rows_per_bank=1024,
+            srq_size=32, drain_on_ref=3, p=1 / 4, rows_per_bank=1024,
             refresh_scale=1 / 128, rowpress=True, sampler="para",
             abo_level=2)
         assert design_point_from_ini(design_point_to_ini(point)) == point
