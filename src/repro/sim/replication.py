@@ -65,15 +65,14 @@ class Replication:
         return f"{self.mean:.1%} ± {self.ci95:.1%} (n={self.n})"
 
 
-def replicate(point: DesignPoint, seeds: Sequence[int] = (1, 2, 3, 4, 5),
-              use_cache: bool = True) -> Replication:
+def replicate(point: DesignPoint, seeds: Sequence[int] = (1, 2, 3, 4, 5)
+              ) -> Replication:
     """Measure a design point's slowdown across seeds, resolving every
     seed's point and baseline in one :func:`~repro.sim.runner.slowdowns`
     call."""
     if not seeds:
         raise ValueError("need at least one seed")
-    samples = slowdowns([replace(point, seed=seed) for seed in seeds],
-                        use_cache=use_cache)
+    samples = slowdowns([replace(point, seed=seed) for seed in seeds])
     return Replication(point=point, samples=tuple(samples))
 
 

@@ -146,7 +146,8 @@ class TestCacheBehaviour:
         point = DesignPoint(workload="add", design="baseline", **FAST)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_cache()
-        result = simulate(point, use_cache=False)
+        (result,) = SweepEngine(workers=1, cache=None,
+                                use_memo=False).run([point])
         assert result.total_requests > 0
         assert runner.memo_get(point) is None
         assert len(ResultCache(tmp_path)) == 0
