@@ -2,12 +2,13 @@
 
 Public surface:
 
-* :class:`~repro.exec.resolver.Resolver` — the one chain every design
-  point goes through (in-flight dedup → memo → cache → pool → store),
-  with its async front-end ``resolve(point)`` for the serve daemon,
+* :class:`~repro.exec.resolver.Resolver` — the one pass every list of
+  design points goes through (dedup → memo → cache → pool → store),
+  ``resolve_all(points)``, which the serve daemon runs once per job,
 * :class:`~repro.exec.engine.SweepEngine` /
-  :func:`~repro.exec.engine.run_points` — its sync front-end: run
-  design points across a process pool with deterministic merge order,
+  :func:`~repro.exec.engine.run_points` — the same pass behind a
+  synchronous ``run(points)``: design points across a process pool
+  with deterministic merge order,
 * :class:`~repro.exec.cache.ResultCache` /
   :func:`~repro.exec.cache.point_key` — the content-addressed on-disk
   store underneath (``REPRO_CACHE_DIR``),

@@ -3,45 +3,41 @@
 Every design point the package resolves — ``campaign run``,
 ``runner.simulate()``, ``runner.slowdowns()`` (behind ``slowdown()``,
 ``sweep()``, ``replicate()`` and the experiment drivers) and the serve
-daemon — goes through :class:`Resolver`, which applies, in order:
+daemon — goes through one list-level pass, :meth:`Resolver.resolve_all`,
+which applies, in order:
 
-1. **in-flight dedup** — a point already being resolved is joined, not
-   started again (``dedup_hits``): repeats within one
-   :meth:`SweepEngine.run <repro.exec.engine.SweepEngine.run>` list, or
-   daemon jobs asking for a cache key another job is simulating;
+1. **dedup** — repeats within the list resolve once, and a point whose
+   key is already being simulated (a daemon job asking for a key
+   another job's task is running) joins that execution
+   (``dedup_hits``);
 2. **memo** — the per-process memo :data:`repro.sim.runner.memo`
    (``memo_hits``; off for the daemon, which keeps no results in memory);
 3. **cache** — the on-disk :class:`~repro.exec.cache.ResultCache`
-   (``cache_hits``/``cache_misses``); the async front-end checks a hit
-   through the entry's row header and never decodes the result;
-4. **pool** — a fresh simulation (``simulated``), inline or in a process
-   pool, of a *task*: one point, or a baseline with the base-timing
-   designs that ride its run (:func:`run_task`; ``riders``, and
-   ``riders_diverged`` for those that dropped out and ran on their
-   own). A crashed worker (``BrokenExecutor``) rebuilds the pool and
-   the task is retried with exponential backoff, at most
-   :data:`MAX_RETRIES` times; a simulation that raises fails its own
-   point at once as :class:`PointFailed`, since re-running it would
-   fail the same way;
+   (``cache_hits``/``cache_misses``); the daemon checks a hit through
+   the entry's row header and never decodes the result;
+4. **pool** — the misses, grouped into *tasks* (:func:`group_misses`):
+   one point, or a baseline with the base-timing designs that ride its
+   run (:func:`run_task`; ``riders``, and ``riders_diverged`` for those
+   that dropped out and ran on their own), each simulated fresh
+   (``simulated``) in a process pool, or inline where
+   :class:`~repro.exec.engine.SweepEngine` has one worker or one task.
+   A crashed worker (``BrokenExecutor``) rebuilds the pool and the task
+   is retried with exponential backoff, at most :data:`MAX_RETRIES`
+   times; a simulation that raises fails its own point at once as
+   :class:`PointFailed`, since re-running it would fail the same way;
 5. **store** — the result is written back to the memo and the cache.
 
-Two front-ends share that chain:
-
-* :class:`repro.exec.engine.SweepEngine` — sync, for the CLI and
-  ``runner`` (``simulate()``, ``slowdowns()``, ``run_points``); it
-  groups its misses into tasks, and its pool lives for one ``run()``;
-* :meth:`Resolver.resolve` — async, for the daemon, one point per
-  task; its pool lives until :meth:`Resolver.shutdown`. Cancelling a
-  caller never cancels an execution other callers share
-  (``asyncio.shield``).
-
-Both count into one :class:`ResolveMetrics`, exposed as ``exec.resolve.*``
+Two callers run the pass: :meth:`SweepEngine.run
+<repro.exec.engine.SweepEngine.run>`, for the CLI and ``runner``, whose
+pool lives for one ``run()``, and the daemon, once per job, whose pool
+lives until :meth:`Resolver.shutdown`. Cancelling a caller never
+cancels an execution other callers share (``asyncio.shield``). Both
+count into one :class:`ResolveMetrics`, exposed as ``exec.resolve.*``
 through :meth:`Resolver.register_stats`.
 
-``asyncio`` is imported by the methods that run a loop, not with the
-module: ``campaign plan``/``stats`` and ``simulate()`` import this
-module but never start a loop, and the import adds ~20 ms to every CLI
-call.
+``asyncio`` is imported where a loop runs, not with the module:
+``campaign plan``/``stats`` import this module but never start a loop,
+and the import adds ~20 ms to every CLI call.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..obs.log import get_logger
 from ..obs.registry import Histogram
@@ -184,7 +180,7 @@ class ResolveMetrics:
     failed: int = 0
     worker_restarts: int = 0
     retries: int = 0
-    wall_s: float = 0.0  #: time spent inside the sync front-end
+    wall_s: float = 0.0  #: time spent inside ``SweepEngine.run``
     point_wall_ms: Histogram = field(
         default_factory=lambda: Histogram(POINT_WALL_MS_BOUNDS))
 
@@ -244,11 +240,11 @@ class Resolver:
         self._executor_factory = executor_factory or (
             lambda n: ProcessPoolExecutor(max_workers=n))
         self._executor = None
-        #: processes in the next pool built (``SweepEngine.run`` sizes
-        #: it to the points that miss)
+        #: processes in the next pool built
         self._pool_size = self.workers
         self._slots: asyncio.Semaphore | None = None
-        self._inflight: dict[str, asyncio.Future] = {}
+        #: key -> (the execution of the task holding it, its position)
+        self._inflight: dict[str, tuple[asyncio.Future, int]] = {}
         #: points holding a pool slot (running or queued in the pool)
         self.running = 0
 
@@ -261,7 +257,7 @@ class Resolver:
 
     @property
     def inflight(self) -> int:
-        """Distinct points the async front-end is executing."""
+        """Distinct points being simulated in the pool."""
         return len(self._inflight)
 
     def key(self, point: Any) -> str:
@@ -271,91 +267,145 @@ class Resolver:
         return point_key(point)
 
     # ------------------------------------------------------------------
-    # The chain
+    # The pass
     # ------------------------------------------------------------------
-    def lookup(self, point: Any, key: str | None = None) -> tuple[Any, str]:
-        """Memo, then cache: ``(result, source)``, or ``(None, "")``.
+    async def resolve_all(self, points: Sequence,
+                          keys: Sequence[str] | None = None) -> list:
+        """Resolve ``points``; one result per point, in input order.
 
-        ``key`` is ``point``'s :meth:`key`, when the caller has it.
+        ``keys`` are the points' :meth:`key`, when the caller has them.
+        A cache hit is what :meth:`_read` returns: here the entry's row
+        (the daemon drops it and reads the entry back), in
+        :class:`~repro.exec.engine.SweepEngine` the decoded result. The
+        first point that fails raises :class:`PointFailed`.
         """
-        result = self._memo_read(point)
-        if result is not None:
-            return result, "memo"
-        if self.cache is not None:
-            result = self._cache_read(self.cache.get, point, key)
+        import asyncio
+
+        points = list(points)
+        unique = dict(zip(points, keys)) if keys is not None else {
+            point: self.key(point) for point in dict.fromkeys(points)}
+        self.metrics.requested += len(points)
+        self.metrics.dedup_hits += len(points) - len(unique)
+        found: dict[Any, Any] = {}
+        waits = []
+        misses = []
+        for index, (point, key) in enumerate(unique.items()):
+            if key in self._inflight:
+                self.metrics.dedup_hits += 1
+                waits.append((index, point, *self._inflight[key]))
+                continue
+            result, source = self._lookup(point, key)
+            if result is None:
+                misses.append((index, point))
+            else:
+                found[point] = result
+                self._report(index, point, result, source, 0.0)
+
+        tasks = group_misses(misses)
+        inline = self._runs_inline(tasks)
+        for task in tasks:
+            task_points = tuple(point for _, point in task)
+            task_keys = tuple(unique[point] for point in task_points)
+            if inline:
+                outcomes = self._settle(
+                    task_points, run_task(task_points, self._simulate),
+                    task_keys)
+                for (index, point), (result, wall) in zip(task, outcomes):
+                    found[point] = result
+                    self._report(index, point, result, "simulated", wall)
+                continue
+            execution = asyncio.ensure_future(
+                self.execute(task_points, task_keys))
+            execution.add_done_callback(_mark_retrieved)
+            for position, (index, point) in enumerate(task):
+                self._inflight[unique[point]] = (execution, position)
+                waits.append((index, point, execution, position))
+
+        async def wait(index, point, execution, position):
+            # shield: cancelling this caller (a job's timeout or cancel)
+            # must not kill an execution other callers may share
+            result, wall = (await asyncio.shield(execution))[position]
+            found[point] = result
+            self._report(index, point, result, "simulated", wall)
+
+        await asyncio.gather(*(wait(*waiting) for waiting in waits))
+        return [found[point] for point in points]
+
+    def _lookup(self, point: Any, key: str) -> tuple[Any, str]:
+        """Memo, then cache: ``(result, source)``, or ``(None, "")``."""
+        if self.use_memo:
+            result = runner.memo.get(point)
             if result is not None:
-                if self.use_memo:
-                    runner.memo[point] = result
-                return result, "cache"
+                self.metrics.memo_hits += 1
+                return result, "memo"
+        if self.cache is not None:
+            found = self._read(point, key)
+            if found is not None:
+                self.metrics.cache_hits += 1
+                return found, "cache"
+            self.metrics.cache_misses += 1
         return None, ""
 
-    def _memo_read(self, point: Any) -> Any:
-        """The memo's result for ``point`` (counted), or ``None``."""
-        if not self.use_memo:
-            return None
-        result = runner.memo.get(point)
-        if result is not None:
-            self.metrics.memo_hits += 1
-        return result
+    def _read(self, point: Any, key: str) -> Any:
+        """``point``'s cache entry, or ``None``: its row, which
+        :meth:`~repro.exec.cache.ResultCache.get_row` checks without
+        decoding the result."""
+        return self.cache.get_row(point, key)
 
-    def _cache_read(self, read: Callable[[Any, str | None], Any],
-                    point: Any, key: str | None) -> Any:
-        """One counted cache lookup through ``read`` (``get`` or
-        ``get_row``): what it found, or ``None``."""
-        found = read(point, key)
-        if found is None:
-            self.metrics.cache_misses += 1
-        else:
-            self.metrics.cache_hits += 1
-        return found
+    def _runs_inline(self, tasks: list) -> bool:
+        """Whether this pass simulates ``tasks`` in this process; the
+        daemon never does."""
+        return False
 
-    def _store(self, point: Any, result: Any, wall_s: float,
-               key: str | None = None) -> None:
-        self.metrics.simulated += 1
-        self.metrics.point_wall_ms.observe(wall_s * 1000.0)
-        if self.use_memo:
-            runner.memo[point] = result
-        if self.cache is not None:
-            self.cache.put(point, result, key)
+    def _report(self, index: int, point: Any, result: Any, source: str,
+                wall_s: float) -> None:
+        """Hook called once per unique point as it resolves."""
 
     def _settle(self, task: tuple, outcomes: list[Outcome],
-                keys: tuple | None) -> list[tuple[Any, float]]:
+                keys: tuple) -> list[tuple[Any, float]]:
         """Store every point of ``task`` that simulated; then raise
         :class:`PointFailed` for the first that did not, else return
         ``(result, wall_s)`` per point."""
         failures = []
-        for index, (point, (result, wall, how)) in enumerate(
-                zip(task, outcomes)):
+        for point, key, (result, wall, how) in zip(task, keys, outcomes):
             if how in ("rider", "diverged"):
                 self.metrics.riders += 1
                 self.metrics.riders_diverged += how == "diverged"
             if isinstance(result, Exception):
                 self.metrics.failed += 1
                 failures.append((point, result))
-            else:
-                self._store(point, result, wall,
-                            keys[index] if keys else None)
+                continue
+            self.metrics.simulated += 1
+            self.metrics.point_wall_ms.observe(wall * 1000.0)
+            if self.use_memo:
+                runner.memo[point] = result
+            if self.cache is not None:
+                self.cache.put(point, result, key)
         if failures:
             point, error = failures[0]
             raise PointFailed(
                 point, f"{type(error).__name__}: {error}") from error
         return [(result, wall) for result, wall, _ in outcomes]
 
-    def simulate_inline(self, task: tuple) -> list[tuple[Any, float]]:
-        """Simulate ``task`` in this process, then store its points."""
-        return self._settle(task, run_task(task, self._simulate), None)
-
-    async def execute(self, task: tuple, keys: tuple | None = None
+    async def execute(self, task: tuple, keys: tuple
                       ) -> list[tuple[Any, float]]:
         """Simulate ``task`` in the pool, then store its points.
 
-        ``keys`` are the points' :meth:`key`, when the caller has them.
-        At most two tasks per worker hold a pool slot: one running and
-        one queued behind it, so no worker idles while the caller
-        stores a result. A worker crash fails only slot holders, and
-        tasks still waiting for a slot can be cancelled before they
-        start.
+        ``keys`` are the points' :meth:`key`; the pass that started the
+        task holds them in flight until it ends. At most two tasks per
+        worker hold a pool slot: one running and one queued behind it,
+        so no worker idles while the caller stores a result. A worker
+        crash fails only slot holders, and tasks still waiting for a
+        slot can be cancelled before they start.
         """
+        try:
+            return await self._execute(task, keys)
+        finally:
+            for key in keys:
+                self._inflight.pop(key, None)
+
+    async def _execute(self, task: tuple, keys: tuple
+                       ) -> list[tuple[Any, float]]:
         import asyncio
 
         if self._slots is None:
@@ -397,50 +447,6 @@ class Resolver:
         return self._settle(task, outcomes, keys)
 
     # ------------------------------------------------------------------
-    # Async front-end
-    # ------------------------------------------------------------------
-    async def resolve(self, point: Any, key: str | None = None) -> Any:
-        """Resolve one point (in flight -> memo -> cache -> pool).
-
-        ``key`` is ``point``'s :meth:`key`, when the caller has it; it is
-        computed here otherwise. Returns the point's result, except on a
-        cache hit: the hit is checked through
-        :meth:`~repro.exec.cache.ResultCache.get_row`, which never
-        decodes the result, and that row is returned. The daemon, the
-        one caller, drops the value and reads the cache entry back.
-        """
-        import asyncio
-
-        key = key or self.key(point)
-        self.metrics.requested += 1
-        task = self._inflight.get(key)
-        if task is not None:
-            self.metrics.dedup_hits += 1
-            ((result, _),) = await asyncio.shield(task)
-            return result
-        found = self._memo_read(point)
-        if found is None and self.cache is not None:
-            found = self._cache_read(self.cache.get_row, point, key)
-        if found is not None:
-            return found
-        task = asyncio.ensure_future(self.execute((point,), (key,)))
-        self._inflight[key] = task
-        task.add_done_callback(
-            lambda done, k=key: self._retire(k, done))
-        # shield: cancelling THIS caller (job timeout/cancel) must not
-        # kill an execution other callers may be sharing
-        ((result, _),) = await asyncio.shield(task)
-        return result
-
-    def _retire(self, key: str, task: asyncio.Future) -> None:
-        self._inflight.pop(key, None)
-        if not task.cancelled():
-            # mark the exception retrieved so an execution whose waiters
-            # were all cancelled does not warn at GC time; live waiters
-            # still observe it through the shield
-            task.exception()
-
-    # ------------------------------------------------------------------
     # Pool lifetime
     # ------------------------------------------------------------------
     def _pool(self):
@@ -464,10 +470,39 @@ class Resolver:
         Queued pool work is always cancelled; ``wait`` blocks until the
         points already running in workers finish.
         """
-        for task in list(self._inflight.values()):
-            task.cancel()
+        for execution in {execution for execution, _
+                          in self._inflight.values()}:
+            execution.cancel()
         self._inflight.clear()
         self._slots = None
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=True)
+
+
+def _mark_retrieved(execution: asyncio.Future) -> None:
+    """Retrieve a finished execution's exception, so one whose waiters
+    were all cancelled does not warn at GC time; live waiters still
+    observe it through their shield."""
+    if not execution.cancelled():
+        execution.exception()
+
+
+def group_misses(misses: list[tuple[int, runner.DesignPoint]]
+                 ) -> list[list[tuple[int, runner.DesignPoint]]]:
+    """``(index, point)`` misses grouped into tasks, in miss order.
+
+    A point that can ride its baseline's run
+    (:func:`repro.sim.runner.rides_on`) joins that baseline's task when
+    the baseline misses too; the baseline leads the task. Every other
+    point is a task of its own.
+    """
+    missed = {point for _, point in misses}
+    tasks: dict[runner.DesignPoint, list] = {}
+    for index, point in misses:
+        lead = runner.rides_on(point)
+        tasks.setdefault(lead if lead in missed else point,
+                         []).append((index, point))
+    for lead, task in tasks.items():
+        task.sort(key=lambda miss, lead=lead: miss[1] != lead)
+    return list(tasks.values())

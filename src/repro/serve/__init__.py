@@ -15,8 +15,9 @@ Public surface:
 * :class:`~repro.serve.client.ServeClient` — blocking stdlib client
   (``campaign submit/status/fetch`` build on it);
 * :mod:`repro.serve.jobs` — job model + journal;
-* points resolve through the async front-end of
-  :class:`~repro.exec.resolver.Resolver` (dedup, cache, crash retries);
+* a job's points resolve in one pass of
+  :class:`~repro.exec.resolver.Resolver` (dedup, cache, riders, crash
+  retries), the pass ``campaign run`` uses;
 * :mod:`repro.serve.protocol` — the HTTP/JSON wire format and the
   ``unix:/path`` / ``host:port`` address syntax.
 

@@ -5,8 +5,8 @@ One :class:`ServeServer` owns:
 * a **priority queue** of journaled :class:`~repro.serve.jobs.Job`\\ s —
   higher ``priority`` dispatches first, FIFO within a priority;
 * a **dispatcher** that starts up to ``max_jobs`` jobs concurrently;
-  each job resolves its points through the async front-end of one
-  shared :class:`~repro.exec.resolver.Resolver` (so per-point dedup,
+  each job resolves its points in one pass of a shared
+  :class:`~repro.exec.resolver.Resolver` (so per-point dedup, riders,
   the result cache and crash retries work *across* jobs);
 * the **JSON API** (see :mod:`repro.serve.protocol` and
   ``docs/serving.md``): ``POST /submit``, ``GET /status``,
@@ -317,13 +317,11 @@ class ServeServer:
         log.info("job_id=%s: running %d point(s) (priority %d) keys=%s",
                  job.id, len(job.points), job.priority, _key_summary(job))
         try:
-            gathered = asyncio.gather(
-                *(self._resolve(point, key)
-                  for point, key in zip(job.points, job.keys)))
-            if job.timeout_s is not None:
-                await asyncio.wait_for(gathered, job.timeout_s)
-            else:
-                await gathered
+            # the results are dropped: the cache entries under the job's
+            # keys are the copy /result reads
+            await asyncio.wait_for(
+                self.resolver.resolve_all(job.points, job.keys),
+                job.timeout_s)
         except asyncio.CancelledError:
             if self._draining:
                 # drain: leave the submission journaled (no terminal
@@ -347,11 +345,6 @@ class ServeServer:
             self._finish(job, DONE)
             self._h_latency.observe(
                 (job.finished_s - job.submitted_s) * 1000.0)
-
-    async def _resolve(self, point: DesignPoint, key: str) -> None:
-        """Resolve one point of a job and drop its result: the cache
-        entry under ``key`` is the copy ``/result`` reads."""
-        await self.resolver.resolve(point, key)
 
     def _finish(self, job: Job, state: str, error: str | None = None) -> None:
         job.state = state

@@ -90,7 +90,7 @@ def test_scope_gates_the_rule():
 
 
 def test_scope_covers_the_point_resolver():
-    # the daemon's event loop runs the resolver's async front-end too
+    # the daemon's event loop runs the resolver's pass too
     bad = FIXTURES / "async_blocking" / "bad.py"
     source = bad.read_text().replace(
         "# repro-lint-module: repro.serve.fixture_bad",

@@ -1,10 +1,10 @@
-"""The resolver's front-ends: cache short-circuit, dedup, crash retries.
+"""The resolver's pass: cache short-circuit, dedup, crash retries.
 
 Most tests inject a thread-pool executor and closure simulate
 functions, so they neither fork a process nor run a real simulation.
-The crash-retry tests run against both front-ends: the sync
-``SweepEngine.run`` the CLI uses and the async ``Resolver.resolve`` the
-daemon uses.
+The crash-retry tests run against both callers of the pass: the sync
+``SweepEngine.run`` the CLI uses and ``Resolver.resolve_all`` on a
+long-lived pool, as the daemon runs it.
 """
 
 import asyncio
@@ -81,9 +81,9 @@ class TestCacheShortCircuit:
             cache=cache)
 
         async def go():
-            return await resolver.resolve(p)
+            return await resolver.resolve_all([p])
 
-        assert run(go()) == {"cached": True}
+        assert run(go()) == [{"cached": True}]
         assert calls == []
         stats = registry.snapshot()
         assert stats["exec.resolve.cache_hits"] == 1
@@ -96,9 +96,9 @@ class TestCacheShortCircuit:
             lambda q: ({"seed": q.seed}, 0.001), cache=cache)
 
         async def go():
-            return await resolver.resolve(p)
+            return await resolver.resolve_all([p])
 
-        assert run(go()) == {"seed": 0}
+        assert run(go()) == [{"seed": 0}]
         assert cache.store[point_key(p)] == {"seed": 0}
         stats = registry.snapshot()
         assert stats["exec.resolve.cache_misses"] == 1
@@ -115,7 +115,7 @@ class TestCacheShortCircuit:
                                     cache=StubCache())
 
         async def go():
-            return await resolver.resolve(p)
+            return await resolver.resolve_all([p])
 
         run(go())
         assert runner.memo_get(p) is None
@@ -135,15 +135,15 @@ class TestInflightDedup:
         p = point()
 
         async def go():
-            first = asyncio.ensure_future(resolver.resolve(p))
+            first = asyncio.ensure_future(resolver.resolve_all([p]))
             await asyncio.sleep(0.02)  # first registers its execution
-            second = asyncio.ensure_future(resolver.resolve(p))
+            second = asyncio.ensure_future(resolver.resolve_all([p]))
             await asyncio.sleep(0.02)
             release.set()
             return await asyncio.gather(first, second)
 
         results = run(go())
-        assert results[0] == results[1] == {"seed": 0}
+        assert results[0] == results[1] == [{"seed": 0}]
         assert len(calls) == 1
         stats = registry.snapshot()
         assert stats["exec.resolve.dedup_hits"] == 1
@@ -154,10 +154,10 @@ class TestInflightDedup:
             lambda q: ({"seed": q.seed}, 0.001), cache=StubCache())
 
         async def go():
-            return await asyncio.gather(resolver.resolve(point(0)),
-                                        resolver.resolve(point(1)))
+            return await asyncio.gather(resolver.resolve_all([point(0)]),
+                                        resolver.resolve_all([point(1)]))
 
-        assert run(go()) == [{"seed": 0}, {"seed": 1}]
+        assert run(go()) == [[{"seed": 0}], [{"seed": 1}]]
         assert registry.snapshot()["exec.resolve.dedup_hits"] == 0
 
     def test_cancelled_waiter_does_not_kill_shared_execution(self):
@@ -173,21 +173,21 @@ class TestInflightDedup:
         p = point()
 
         async def go():
-            first = asyncio.ensure_future(resolver.resolve(p))
+            first = asyncio.ensure_future(resolver.resolve_all([p]))
             await asyncio.sleep(0.02)
-            second = asyncio.ensure_future(resolver.resolve(p))
+            second = asyncio.ensure_future(resolver.resolve_all([p]))
             await asyncio.sleep(0.02)
             first.cancel()
             await asyncio.sleep(0.02)
             release.set()
             return await second
 
-        assert run(go()) == {"seed": 0}
+        assert run(go()) == [{"seed": 0}]
         assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
-# Both front-ends over one core
+# Both callers of the one pass
 # ----------------------------------------------------------------------
 class SyncFrontEnd:
     """``SweepEngine.run``: the CLI's, per-call pool."""
@@ -200,18 +200,14 @@ class SyncFrontEnd:
 
 
 class AsyncFrontEnd:
-    """``Resolver.resolve`` gathered over the list: the daemon's."""
+    """``Resolver.resolve_all`` over the list: the daemon's."""
 
     def __init__(self, **kwargs):
         self.resolver = Resolver(**kwargs)
 
     def run(self, points):
-        async def go():
-            return list(await asyncio.gather(
-                *(self.resolver.resolve(p) for p in points)))
-
         try:
-            return run(go())
+            return run(self.resolver.resolve_all(points))
         finally:
             self.resolver.shutdown()
 
@@ -235,7 +231,7 @@ def counts(resolver):
 
 
 class TestWorkerCrashes:
-    """Two points, so the sync front-end takes its pool path too."""
+    """Two points, so ``SweepEngine`` takes its pool path too."""
 
     @pytest.fixture(autouse=True)
     def fast_backoff(self, monkeypatch):
@@ -306,9 +302,10 @@ class TestWorkerCrashes:
 
 
 class TestFrontEndContract:
-    """Sync and async front-ends agree on results and on counters. On a
-    cache hit the async front-end returns the entry's row (it never
-    decodes the result), the sync one the decoded result."""
+    """Sync and async callers of the pass agree on results and on
+    counters, riders included. On a cache hit the async one returns the
+    entry's row (it never decodes the result), the sync one the decoded
+    result."""
 
     def test_same_results_and_counts_cold_and_warm(self, tmp_path):
         points = []
@@ -322,7 +319,6 @@ class TestFrontEndContract:
                                     cache=ResultCache(directory))
 
         seen = {}
-        riders = {}
         for kind in FRONT_ENDS:
             cold = front(kind, tmp_path / kind)
             cold_results = cold.run(points)
@@ -332,20 +328,17 @@ class TestFrontEndContract:
             if kind == "sync":
                 assert [result_to_dict(r) for r in warm_results] == cold_docs
                 warm_results = [result_row(r) for r in warm_results]
-            cold_counts = counts(cold.resolver)
-            # only the sync front-end groups riders; the daemon's
-            # resolve runs one point per task
-            riders[kind] = (cold_counts.pop("exec.resolve.riders"),
-                            cold_counts.pop("exec.resolve.riders_diverged"))
             seen[kind] = (
                 cold_docs, warm_results,
-                cold_counts, counts(warm.resolver))
+                counts(cold.resolver), counts(warm.resolver))
 
-        assert riders == {"sync": (2, 0), "async": (0, 0)}
         assert seen["sync"] == seen["async"]
         _, warm_rows, cold_counts, warm_counts = seen["sync"]
         assert warm_rows == [result_row(r) for r in cold_results]
         assert cold_counts["exec.resolve.simulated"] == len(points)
+        # both mopac-d points rode their baseline's run
+        assert (cold_counts["exec.resolve.riders"],
+                cold_counts["exec.resolve.riders_diverged"]) == (2, 0)
         assert warm_counts["exec.resolve.simulated"] == 0
         assert warm_counts["exec.resolve.cache_hits"] == len(points)
 
@@ -425,7 +418,7 @@ class TestConfig:
         resolver, _ = make_resolver(lambda q: ({}, 0.001))
 
         async def go():
-            await resolver.resolve(point())
+            await resolver.resolve_all([point()])
             resolver.shutdown()
             resolver.shutdown()
 

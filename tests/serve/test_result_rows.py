@@ -212,8 +212,9 @@ class TestOneKeyPerPoint:
 
         async def go():
             # two concurrent resolves join one execution under one key
-            await asyncio.gather(resolver.resolve(p), resolver.resolve(p))
-            await resolver.resolve(p)  # and a warm one
+            await asyncio.gather(resolver.resolve_all([p]),
+                                 resolver.resolve_all([p]))
+            await resolver.resolve_all([p])  # and a warm one
 
         try:
             asyncio.run(go())

@@ -14,8 +14,8 @@ import pytest
 
 from repro.check import golden
 from repro.exec.cache import ResultCache
-from repro.exec.engine import SweepEngine, group_misses
-from repro.exec.resolver import PointFailed, run_task
+from repro.exec.engine import SweepEngine
+from repro.exec.resolver import PointFailed, group_misses, run_task
 from repro.exec.serialize import result_to_dict
 from repro.mitigations import registry
 from repro.mitigations.mint import MINTPolicy
