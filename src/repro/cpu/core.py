@@ -20,16 +20,29 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from ..config import SystemConfig
 from ..mc.request import MemRequest
 from .trace import TraceItem
 
-#: Accesses pulled per ``TraceGenerator.next_block`` refill. Per-core RNG
-#: means pulling ahead cannot change the stream; the only waste is up to
-#: one block of draws past the instruction budget.
+#: Accesses staged per ``next_block`` refill. Per-core RNG means pulling
+#: ahead cannot change the stream; the only waste is up to one block of
+#: draws past the instruction budget.
 TRACE_BLOCK = 256
+
+
+def item_blocks(items: Iterator[TraceItem]
+                ) -> Callable[[int], list[tuple[int, int, bool]]]:
+    """A ``next_block(n)`` over any :class:`TraceItem` iterator: the
+    next ``n`` items as raw ``(gap, address, is_write)`` tuples, fewer
+    at the end of a finite trace, and an empty block once it has
+    ended."""
+    def next_block(n: int) -> list[tuple[int, int, bool]]:
+        return [(item.gap, item.address, item.is_write)
+                for item in islice(items, n)]
+    return next_block
 
 
 @dataclass
@@ -51,8 +64,12 @@ class Core:
 
     The :class:`~repro.sim.system.System` drives it (the dispatch,
     ROB-stall and completion rules live in ``System._drive_core`` and
-    ``System._complete``); the core owns its trace, which it stages one
-    access at a time with :meth:`pull`.
+    ``System._complete``); the core owns its trace, which it stages in
+    blocks of raw ``(gap, address, is_write)`` tuples and hands out one
+    access at a time with :meth:`pull`. A trace with a ``next_block(n)``
+    method (:class:`~repro.workloads.synthetic.TraceGenerator`) draws
+    the blocks itself; any other iterable of :class:`TraceItem` goes
+    through :func:`item_blocks`.
 
     The miss window ``_order`` holds the core's unretired reads, as
     :class:`~repro.mc.request.MemRequest` objects, oldest first. A read
@@ -62,11 +79,14 @@ class Core:
     (``_waiting_on``) and, once ``draining``, for every read still out.
     """
 
-    def __init__(self, core_id: int, trace: Iterator[TraceItem],
+    def __init__(self, core_id: int, trace: Iterable[TraceItem],
                  config: SystemConfig, instruction_limit: int,
                  window: int | None = None):
         self.core_id = core_id
-        self.trace = iter(trace)
+        #: ``n -> block``: the trace's next ``n`` accesses, an empty
+        #: block once a finite trace has ended
+        self._next_block = getattr(trace, "next_block", None) \
+            or item_blocks(iter(trace))
         self.config = config
         self.instruction_limit = instruction_limit
         self.pspi = config.ps_per_instruction
@@ -80,7 +100,6 @@ class Core:
         self._order: collections.deque[MemRequest] = collections.deque()
         #: the staged access as a raw ``(gap, address, is_write)`` tuple
         self._next_item: tuple[int, int, bool] | None = None
-        self._exhausted = False
         #: return time -> the first read stamped to return then. An
         #: entry for a time still ahead is a read not yet returned; a
         #: wake due at that time defers to it (see System._drive_core).
@@ -94,35 +113,22 @@ class Core:
         self._last_completion = 0.0
         #: set by the system once the core has nothing left to do
         self.done = False
-        #: a block source (``next_block(n)``) for the trace, set by the
-        #: system for synthetic traces; otherwise items are pulled one
-        #: by one from the iterator
-        self._gen = None
         self._block: list[tuple[int, int, bool]] = []
         self._pos = 0
         self.stats = CoreStats()
 
     def pull(self) -> tuple[int, int, bool] | None:
         """Stage the next trace access in ``_next_item`` and return it;
-        None once the trace is exhausted."""
-        gen = self._gen
-        if gen is not None:
-            pos = self._pos
-            block = self._block
-            if pos >= len(block):
-                block = self._block = gen.next_block(TRACE_BLOCK)
-                pos = 0
-            item = self._next_item = block[pos]
-            self._pos = pos + 1
-            return item
-        if self._exhausted:
-            return None
-        try:
-            nxt = next(self.trace)
-        except StopIteration:
-            self._exhausted = True
-            return None
-        item = self._next_item = (nxt.gap, nxt.address, nxt.is_write)
+        None once the trace has ended."""
+        pos = self._pos
+        block = self._block
+        if pos >= len(block):
+            block = self._block = self._next_block(TRACE_BLOCK)
+            if not block:
+                return None
+            pos = 0
+        item = self._next_item = block[pos]
+        self._pos = pos + 1
         return item
 
     def stamp(self, request: MemRequest, ret: int, rseq: int) -> bool:

@@ -32,8 +32,8 @@ from ..dram.bank import BankStats, TimingSoA
 from ..mitigations.base import EpisodeDecision, MitigationPolicy
 from ..obs.registry import Histogram, StatsRegistry
 from ..obs.tracer import EventTracer
-from .events import (FASTFORWARD_MIN_GAP_PS, OP_COMPLETE, OP_REF,
-                     OP_REFSB, OP_RFM, OP_SERVICE, OP_TIMEOUT, EventLoop)
+from .events import (OP_COMPLETE, OP_REF, OP_REFSB, OP_RFM, OP_SERVICE,
+                     OP_TIMEOUT, EventLoop)
 from .pagepolicy import OpenPagePolicy, PagePolicy
 from .request import MemRequest
 
@@ -255,17 +255,14 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Per-bank service
     # ------------------------------------------------------------------
-    def service(self, bank_index: int, now: int) -> int:
-        """Service ``bank_index`` at ``now``; returns the advanced clock.
+    def service(self, bank_index: int, now: int) -> None:
+        """Service ``bank_index`` at ``now``.
 
         Selects the request (FR-FCFS: oldest row hit within the window,
         else oldest), defers it if its commands would be dated past the
         commit horizon or the ALERT grace, else issues PRE / ACT /
-        column as needed. When the post-column re-arm would be the very
-        next event the loop pops (no pending heap entry fires at or
-        before it), the next service runs *inline* instead of
-        round-tripping through the heap; the returned time tells the
-        event loop how far the clock moved.
+        column as needed and re-arms the bank one burst after the
+        column when its queue still holds requests.
         """
         scheduled = self._bank_scheduled
         scheduled[bank_index] = False
@@ -274,224 +271,208 @@ class MemoryController:
         heap = self._heap
         seq = self._seq
         soa = self.soa
-        while True:
-            if not queue:
-                return now
-            blocked = soa.blocked_until[bank_index]
-            if blocked > now:
-                scheduled[bank_index] = True
-                heappush(heap, (blocked, next(seq), OP_SERVICE, self,
-                                bank_index))
-                return now
+        if not queue:
+            return
+        blocked = soa.blocked_until[bank_index]
+        if blocked > now:
+            scheduled[bank_index] = True
+            heappush(heap, (blocked, next(seq), OP_SERVICE, self,
+                            bank_index))
+            return
 
-            # FR-FCFS: oldest row hit within the window, else oldest.
-            open_rows = soa.open_row
-            open_row = open_rows[bank_index]
-            request = queue[0]
-            req_pos = 0
-            if open_row >= 0 and request.row != open_row:
-                pos = 1
-                for other in queue:
-                    if pos > FRFCFS_WINDOW:
-                        break
-                    if other.row == open_row:
-                        request = other
-                        req_pos = pos - 1
-                        break
-                    pos += 1
+        # FR-FCFS: oldest row hit within the window, else oldest.
+        open_rows = soa.open_row
+        open_row = open_rows[bank_index]
+        request = queue[0]
+        req_pos = 0
+        if open_row >= 0 and request.row != open_row:
+            pos = 1
+            for other in queue:
+                if pos > FRFCFS_WINDOW:
+                    break
+                if other.row == open_row:
+                    request = other
+                    req_pos = pos - 1
+                    break
+                pos += 1
 
-            # Commit-freshness check: compute the latest command date
-            # this service would commit, without mutating anything, using
-            # the pessimistic tRCD bound in place of the not-yet-made
-            # episode decision; defer past the horizon / outside the
-            # grace. Re-kicking at the horizon means the deferred service
-            # observes the maintenance event's blocking (and forced
-            # closes) exactly as an in-order controller would.
-            arrival = request.arrival_ps
-            eff_now = now if now >= arrival else arrival
-            if self._all_bank:
-                horizon = self._ref_horizon
-                deadline = self._alert_deadline
-                if deadline is not None and deadline < horizon:
-                    horizon = deadline
+        # Commit-freshness check: compute the latest command date
+        # this service would commit, without mutating anything, using
+        # the pessimistic tRCD bound in place of the not-yet-made
+        # episode decision; defer past the horizon / outside the
+        # grace. Re-kicking at the horizon means the deferred service
+        # observes the maintenance event's blocking (and forced
+        # closes) exactly as an in-order controller would.
+        arrival = request.arrival_ps
+        eff_now = now if now >= arrival else arrival
+        if self._all_bank:
+            horizon = self._ref_horizon
+            deadline = self._alert_deadline
+            if deadline is not None and deadline < horizon:
+                horizon = deadline
+        else:
+            horizon = self._commit_horizon(bank_index)
+        bus_floor = self.bus_free - self._tCAS
+        hit = open_row >= 0 and request.row == open_row
+        t_pre = t_act = 0
+        if hit:
+            t_col = eff_now
+            ready_col = soa.ready_col[bank_index]
+            earliest = ready_col if ready_col >= blocked else blocked
+            if earliest > t_col:
+                t_col = earliest
+            if bus_floor > t_col:
+                t_col = bus_floor
+            latest = t_col
+        else:
+            if open_row >= 0:  # conflict: the close chains into the ACT
+                pre_timing = self.episodes[bank_index].pre_timing
+                ready_pre = soa.ready_pre[bank_index]
+                earliest = ready_pre if ready_pre >= blocked else blocked
+                t_pre = eff_now if eff_now >= earliest else earliest
+                ready_act = t_pre + pre_timing.tRP
+                bound = soa.last_act[bank_index] + pre_timing.tRC
+                if bound > ready_act:
+                    ready_act = bound
+                if blocked > ready_act:
+                    ready_act = blocked
             else:
-                horizon = self._commit_horizon(bank_index)
-            bus_floor = self.bus_free - self._tCAS
-            hit = open_row >= 0 and request.row == open_row
-            t_pre = t_act = 0
-            if hit:
-                t_col = eff_now
-                ready_col = soa.ready_col[bank_index]
-                earliest = ready_col if ready_col >= blocked else blocked
-                if earliest > t_col:
-                    t_col = earliest
-                if bus_floor > t_col:
-                    t_col = bus_floor
-                latest = t_col
-            else:
-                if open_row >= 0:  # conflict: the close chains into the ACT
-                    pre_timing = self.episodes[bank_index].pre_timing
-                    ready_pre = soa.ready_pre[bank_index]
-                    earliest = ready_pre if ready_pre >= blocked else blocked
-                    t_pre = eff_now if eff_now >= earliest else earliest
-                    ready_act = t_pre + pre_timing.tRP
-                    bound = soa.last_act[bank_index] + pre_timing.tRC
-                    if bound > ready_act:
-                        ready_act = bound
-                    if blocked > ready_act:
-                        ready_act = blocked
-                else:
-                    ready_act = soa.ready_act[bank_index]
-                    if blocked > ready_act:
-                        ready_act = blocked
-                t_act = eff_now if eff_now >= ready_act else ready_act
-                if self.next_act_ok > t_act:
-                    t_act = self.next_act_ok
-                recent = self._recent_acts
-                if len(recent) == 4:
-                    bound = recent[0] + self._tFAW
-                    if bound > t_act:
-                        t_act = bound
-                latest = t_act + self._trcd_bound
-                if bus_floor > latest:
-                    latest = bus_floor
-            if latest - now > self._fresh_slack:
-                # A not-yet-arrived request, a deep data-bus backlog, or
-                # a long ready-time chain would forward-date commands
-                # more than tALERT_NORMAL past this pop — potentially
-                # inside the window or stall of an ALERT that a
-                # later-popping event asserts. Wait until the whole
-                # chain's dates fall within the grace.
-                scheduled[bank_index] = True
-                heappush(heap, (latest - self._fresh_slack, next(seq),
-                                OP_SERVICE, self, bank_index))
-                return now
-            if latest >= horizon:
-                scheduled[bank_index] = True
-                heappush(heap, (horizon, next(seq), OP_SERVICE, self,
-                                bank_index))
-                return now
+                ready_act = soa.ready_act[bank_index]
+                if blocked > ready_act:
+                    ready_act = blocked
+            t_act = eff_now if eff_now >= ready_act else ready_act
+            if self.next_act_ok > t_act:
+                t_act = self.next_act_ok
+            recent = self._recent_acts
+            if len(recent) == 4:
+                bound = recent[0] + self._tFAW
+                if bound > t_act:
+                    t_act = bound
+            latest = t_act + self._trcd_bound
+            if bus_floor > latest:
+                latest = bus_floor
+        if latest - now > self._fresh_slack:
+            # A not-yet-arrived request, a deep data-bus backlog, or
+            # a long ready-time chain would forward-date commands
+            # more than tALERT_NORMAL past this pop — potentially
+            # inside the window or stall of an ALERT that a
+            # later-popping event asserts. Wait until the whole
+            # chain's dates fall within the grace.
+            scheduled[bank_index] = True
+            heappush(heap, (latest - self._fresh_slack, next(seq),
+                            OP_SERVICE, self, bank_index))
+            return
+        if latest >= horizon:
+            scheduled[bank_index] = True
+            heappush(heap, (horizon, next(seq), OP_SERVICE, self,
+                            bank_index))
+            return
 
-            # Issue: PRE / ACT / column as needed.
-            stats = self.stats
-            row = request.row
-            bank_stats = self.bank_stats[bank_index]
-            tracer = self.tracer
-            if hit:
-                stats.row_hits += 1
-                episode_timing = self.episodes[bank_index].act_timing
-                scal = self._tscal.get(id(episode_timing))
-                if scal is None:
-                    scal = self._new_scal(episode_timing)
+        # Issue: PRE / ACT / column as needed.
+        stats = self.stats
+        row = request.row
+        bank_stats = self.bank_stats[bank_index]
+        tracer = self.tracer
+        if hit:
+            stats.row_hits += 1
+            episode_timing = self.episodes[bank_index].act_timing
+            scal = self._tscal.get(id(episode_timing))
+            if scal is None:
+                scal = self._new_scal(episode_timing)
+        else:
+            if open_row >= 0:
+                stats.row_conflicts += 1
+                bank_stats.row_conflicts += 1
+                self._close(bank_index, t_pre)
+                act_cause = "conflict"
             else:
-                if open_row >= 0:
-                    stats.row_conflicts += 1
-                    bank_stats.row_conflicts += 1
-                    self._close(bank_index, t_pre)
-                    act_cause = "conflict"
-                else:
-                    stats.row_misses += 1
-                    act_cause = "miss"
-                decision = self.policy.on_activate(bank_index, row, t_act)
-                self.episodes[bank_index] = decision
-                episode_timing = decision.act_timing
-                scal = self._tscal.get(id(episode_timing))
-                if scal is None:
-                    scal = self._new_scal(episode_timing)
-                open_rows[bank_index] = row
-                soa.last_act[bank_index] = t_act
-                ready_col = t_act + scal[1]
-                soa.ready_col[bank_index] = ready_col
-                soa.ready_pre[bank_index] = t_act + scal[2]
-                bank_stats.activations += 1
-                self.next_act_ok = t_act + self._tRRD
-                self._recent_acts.append(t_act)
-                stats.activations += 1
-                if self.act_hook is not None:
-                    self.act_hook(t_act, bank_index, row)
-                if tracer is not None:
-                    tracer.record(t_act, "ACT", self.subchannel,
-                                  bank_index, row, act_cause,
-                                  cu=decision.counter_update)
-                if not self._alert_in_flight and self._alert_requested():
-                    self._check_alert(t_act)
-                # blocked_until <= t_act <= ready_col, so the column's
-                # earliest time is ready_col.
-                t_col = eff_now
-                if ready_col > t_col:
-                    t_col = ready_col
-                if bus_floor > t_col:
-                    t_col = bus_floor
-
-            # Column command: the episode timing governs the bank, the
-            # policy timing governs the bus. A read's burst must leave
-            # the bank before the row closes; a write adds recovery.
-            bank_stats.row_hits += 1
-            is_write = request.is_write
-            if is_write:
-                bank_stats.writes += 1
-                bound = t_col + scal[5]
-            else:
-                bank_stats.reads += 1
-                bound = t_col + scal[4]
-            ready_pres = soa.ready_pre
-            if bound > ready_pres[bank_index]:
-                ready_pres[bank_index] = bound
-            done = t_col + scal[3]
+                stats.row_misses += 1
+                act_cause = "miss"
+            decision = self.policy.on_activate(bank_index, row, t_act)
+            self.episodes[bank_index] = decision
+            episode_timing = decision.act_timing
+            scal = self._tscal.get(id(episode_timing))
+            if scal is None:
+                scal = self._new_scal(episode_timing)
+            open_rows[bank_index] = row
+            soa.last_act[bank_index] = t_act
+            ready_col = t_act + scal[1]
+            soa.ready_col[bank_index] = ready_col
+            soa.ready_pre[bank_index] = t_act + scal[2]
+            bank_stats.activations += 1
+            self.next_act_ok = t_act + self._tRRD
+            self._recent_acts.append(t_act)
+            stats.activations += 1
+            if self.act_hook is not None:
+                self.act_hook(t_act, bank_index, row)
             if tracer is not None:
-                tracer.record(t_col, "WR" if is_write else "RD",
-                              self.subchannel, bank_index, row)
-            self.bus_free = t_col + self._tCAS + self._tBURST
-            self._bank_last_access[bank_index] = t_col
+                tracer.record(t_act, "ACT", self.subchannel,
+                              bank_index, row, act_cause,
+                              cu=decision.counter_update)
+            if not self._alert_in_flight and self._alert_requested():
+                self._check_alert(t_act)
+            # blocked_until <= t_act <= ready_col, so the column's
+            # earliest time is ready_col.
+            t_col = eff_now
+            if ready_col > t_col:
+                t_col = ready_col
+            if bus_floor > t_col:
+                t_col = bus_floor
 
-            if req_pos == 0:
-                queue.popleft()
-            else:
-                del queue[req_pos]
-            request.completion_ps = done
-            stats.serviced += 1
-            latency = done - arrival
-            stats.total_latency_ps += latency
-            if not is_write:
-                stats.read_serviced += 1
-                stats.read_latency_ps += latency
-            hist = self.latency_hist
-            hist.counts[bisect_left(hist.bounds, latency)] += 1
-            hist.count += 1
-            hist.total += latency
-            # Stamp a core's read with its return. The sequence number
-            # is drawn whether or not the completion is pushed, so the
-            # stamp orders against the heap like the event would; only
-            # a core stalled on this read, or draining, gets the event.
-            owner = request.owner
-            if owner is not None:
-                ret = done + self._return_ps
-                rseq = next(seq)
-                if owner.stamp(request, ret, rseq):
-                    heappush(heap, (ret, rseq, OP_COMPLETE, owner, request))
-            if not self._page_noop:
-                self._after_column(bank_index, t_col)
-            if queue and not scheduled[bank_index]:
-                # The bank can take its next column command one burst
-                # later; the data of the previous one drains meanwhile.
-                t_next = t_col + self._tBURST
-                if not heap or heap[0][0] > t_next:
-                    # Every pending event fires strictly after t_next, so
-                    # the re-arm pushed here would be the very next pop:
-                    # run it inline. Eliding the push skips one seq draw,
-                    # which preserves relative order — all live seqs are
-                    # smaller, and nothing can allocate between the push
-                    # and its pop. A tie (heap[0][0] == t_next) must go
-                    # through the heap: the pending event has the smaller
-                    # seq and pops first.
-                    if t_next - now >= FASTFORWARD_MIN_GAP_PS:
-                        self.events.jump(now, t_next)
-                    now = t_next
-                    continue
-                scheduled[bank_index] = True
-                heappush(heap, (t_next, next(seq), OP_SERVICE,
-                                self, bank_index))
-            return now
+        # Column command: the episode timing governs the bank, the
+        # policy timing governs the bus. A read's burst must leave
+        # the bank before the row closes; a write adds recovery.
+        bank_stats.row_hits += 1
+        is_write = request.is_write
+        if is_write:
+            bank_stats.writes += 1
+            bound = t_col + scal[5]
+        else:
+            bank_stats.reads += 1
+            bound = t_col + scal[4]
+        ready_pres = soa.ready_pre
+        if bound > ready_pres[bank_index]:
+            ready_pres[bank_index] = bound
+        done = t_col + scal[3]
+        if tracer is not None:
+            tracer.record(t_col, "WR" if is_write else "RD",
+                          self.subchannel, bank_index, row)
+        self.bus_free = t_col + self._tCAS + self._tBURST
+        self._bank_last_access[bank_index] = t_col
+
+        if req_pos == 0:
+            queue.popleft()
+        else:
+            del queue[req_pos]
+        request.completion_ps = done
+        stats.serviced += 1
+        latency = done - arrival
+        stats.total_latency_ps += latency
+        if not is_write:
+            stats.read_serviced += 1
+            stats.read_latency_ps += latency
+        hist = self.latency_hist
+        hist.counts[bisect_left(hist.bounds, latency)] += 1
+        hist.count += 1
+        hist.total += latency
+        # Stamp a core's read with its return. The sequence number
+        # is drawn whether or not the completion is pushed, so the
+        # stamp orders against the heap like the event would; only
+        # a core stalled on this read, or draining, gets the event.
+        owner = request.owner
+        if owner is not None:
+            ret = done + self._return_ps
+            rseq = next(seq)
+            if owner.stamp(request, ret, rseq):
+                heappush(heap, (ret, rseq, OP_COMPLETE, owner, request))
+        if not self._page_noop:
+            self._after_column(bank_index, t_col)
+        if queue and not scheduled[bank_index]:
+            # The bank can take its next column command one burst
+            # later; the data of the previous one drains meanwhile.
+            scheduled[bank_index] = True
+            heappush(heap, (t_col + self._tBURST, next(seq), OP_SERVICE,
+                            self, bank_index))
 
     def _new_scal(self, timing) -> tuple:
         """Memoise the episode-timing scalars the column path re-reads."""

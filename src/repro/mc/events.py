@@ -5,8 +5,9 @@ sequence number breaks time ties in push order, so two runs that push
 the same events pop them in the same order. Dispatch is an integer
 switch on the opcode instead of a closure call per event.
 
-:class:`~repro.sim.system.System` drives the heap with its own inlined
-loop (it adds the core-side opcodes); :meth:`EventLoop.run` is the small
+:class:`~repro.sim.system.System` drives the heap with a loop of its
+own (it adds the core-side opcodes and counts fast-forwarded idle time
+through :meth:`EventLoop.jump`); :meth:`EventLoop.run` is the small
 standalone loop that drives memory controllers alone — the scheduler
 fuzzer, the Figure 4 latency bench and the controller unit tests.
 """
@@ -51,7 +52,7 @@ class EventLoop:
         self.seq = itertools.count()
         self.return_ps = return_ps
         #: simulated idle time crossed in jumps of at least
-        #: FASTFORWARD_MIN_GAP_PS, by the loop or an inlined service chain
+        #: FASTFORWARD_MIN_GAP_PS by the system's loop
         self.fastforward_ps = 0
         self.pops = [0] * len(OP_NAMES)
         #: ``(start, end) -> times``: the return times strictly inside
@@ -64,8 +65,9 @@ class EventLoop:
     def jump(self, start: int, end: int) -> None:
         """Count the clock jump ``start -> end`` as fast-forwarded time.
 
-        Only jumps of at least FASTFORWARD_MIN_GAP_PS count; callers
-        skip shorter ones, whose pieces could not count either.
+        Only jumps of at least FASTFORWARD_MIN_GAP_PS count; the
+        system's loop, the one caller, skips shorter ones, whose pieces
+        could not count either.
         """
         cut = start
         if self.returns_within is not None:

@@ -47,7 +47,6 @@ from ..mc.request import UNSTAMPED, MemRequest
 from ..mitigations.base import EpisodeDecision, MitigationPolicy
 from ..obs.registry import StatsRegistry
 from ..obs.tracer import EventTracer
-from ..workloads.synthetic import TraceGenerator
 
 PolicyFactory = Callable[[int], MitigationPolicy]
 
@@ -360,12 +359,6 @@ class System:
                  window=windows[i] if windows is not None else None)
             for i, trace in enumerate(traces)
         ]
-        for core in self.cores:
-            # Synthetic traces refill in blocks; the exact-type check
-            # matters, since a subclass could override the draw helpers
-            # that next_block inlines.
-            if type(core.trace) is TraceGenerator:
-                core._gen = core.trace
         self.llc = (SetAssociativeCache(config.llc_bytes, config.llc_ways,
                                         config.dram.line_bytes)
                     if use_llc else None)
@@ -388,10 +381,6 @@ class System:
                     self._monitor.notify(t, _sub, bank, row))
         self._llc_ps = config.llc_hit_ps
         self._line_bytes = config.dram.line_bytes
-        self._total_lines = self.mapper.total_lines()
-        #: line index -> (controller, bank, row); the working set is
-        #: bounded by the workload footprint
-        self._line_memo: dict[int, tuple] = {}
 
     def _registry(self, policies: list[MitigationPolicy]) -> StatsRegistry:
         """The stats registry of the run seen through ``policies`` (the
@@ -509,24 +498,18 @@ class System:
                     order.append(request)
                 continue
             arrival = issue + self._llc_ps
-            line_index = (item[1] // self._line_bytes) % self._total_lines
-            entry = self._line_memo.get(line_index)
-            if entry is None:
-                sub, bank_index, row = self.mapper.map_line_raw(line_index)
-                entry = self._line_memo[line_index] = (
-                    self.controllers[sub], bank_index, row)
-            mc, bank_index, row = entry
+            sub, bank_index, row = self.mapper.map_line_raw(
+                item[1] // self._line_bytes)
             if is_write:
                 # Writes are dirty-line writebacks: they consume DRAM
                 # bandwidth but never block retirement.
-                request = MemRequest(core.core_id, mc.subchannel,
-                                     bank_index, row, arrival, True)
+                request = MemRequest(core.core_id, sub, bank_index, row,
+                                     arrival, True)
             else:
-                request = MemRequest(core.core_id, mc.subchannel,
-                                     bank_index, row, arrival, False, core,
-                                     inst_index)
+                request = MemRequest(core.core_id, sub, bank_index, row,
+                                     arrival, False, core, inst_index)
                 order.append(request)
-            mc.enqueue(request, arrival)
+            self.controllers[sub].enqueue(request, arrival)
 
     def _drain(self, core: Core, now: int, seq: int) -> bool:
         """``core`` can issue nothing more; True once every read returned.
@@ -595,8 +578,7 @@ class System:
             now = time_ps
             if op == OP_SERVICE:
                 services += 1
-                # an inlined service chain advances the clock
-                now = target.service(arg, time_ps)
+                target.service(arg, time_ps)
                 continue
             if op == OP_DRIVE:
                 drives += 1

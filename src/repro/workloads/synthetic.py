@@ -111,21 +111,14 @@ class TraceGenerator:
         return self.next_item()
 
     def next_item(self) -> TraceItem:
-        gap = self._draw_gap()
-        address = self._draw_line() * self._line_bytes
-        is_write = self.rng.random() < self._write_fraction
-        return TraceItem(gap, address, is_write)
+        return TraceItem(*self.next_block(1)[0])
 
     def next_block(self, n: int) -> list[tuple[int, int, bool]]:
-        """Draw ``n`` accesses at once as raw ``(gap, address, is_write)``.
+        """Draw the next ``n`` accesses as raw ``(gap, address, is_write)``.
 
-        Exactly the same RNG-call sequence and arithmetic as ``n``
-        consecutive :meth:`next_item` calls, with the per-item iterator
-        dispatch and :class:`TraceItem` construction elided — the fast
-        engine consumes blocks so trace generation stops being a
-        per-event cost. The draw logic is a manual inline of
-        :meth:`_draw_gap` / :meth:`_draw_line`; any change there must be
-        mirrored here (the engine-equivalence tests compare the streams).
+        This is the one draw code: :meth:`next_item` takes a block of
+        one, and the core stages its trace in blocks. The stream does
+        not depend on the block sizes it is drawn in.
         """
         rng = self.rng
         uniform = rng.random
@@ -148,8 +141,15 @@ class TraceGenerator:
             if mean <= 0:
                 gap = 0
             elif k == 0:
+                # Deterministic gaps: streaming kernels miss like
+                # clockwork, which is what lets them saturate bandwidth
+                # (and what makes them insensitive to PRAC latency,
+                # Figure 2).
                 gap = gap_const
             else:
+                # Erlang-k keeps the MPKI mean while tuning burstiness:
+                # k = 1 is geometric (pointer chasing), larger k smooths
+                # the stream.
                 total = 0.0
                 for _ in range(k):
                     v = 1.0 - uniform()
@@ -171,43 +171,6 @@ class TraceGenerator:
             append((gap, line * line_bytes, uniform() < write_fraction))
         return out
 
-    # ------------------------------------------------------------------
-    def _draw_gap(self) -> int:
-        mean = self._mean_gap
-        if mean <= 0:
-            return 0
-        k = self._gap_shape
-        if k == 0:
-            # Deterministic gaps: streaming kernels miss like clockwork,
-            # which is what lets them saturate bandwidth (and what makes
-            # them insensitive to PRAC latency, Figure 2).
-            return self._gap_const
-        # Erlang-k keeps the MPKI mean while tuning burstiness: k = 1 is
-        # geometric (pointer chasing), larger k smooths the stream.
-        total = 0.0
-        scale = self._gap_scale
-        uniform = self.rng.random
-        log = _math_log
-        for _ in range(k):
-            v = 1.0 - uniform()
-            total += scale * log(v if v > 1e-12 else 1e-12)
-        return int(total)
-
-    def _draw_line(self) -> int:
-        hot = self._hot_fraction
-        if hot and self.rng.random() < hot:
-            return self._next_hot_line()
-        if self._run_left > 0:
-            self._run_left -= 1
-            self._cursor = (self._cursor + 1) % self.footprint
-            return self.base_line + self._cursor
-        if self.rng.random() < self._stream_weight:
-            self._run_left = self._run_lines - 1
-            self._cursor = (self._cursor + 1) % self.footprint
-            return self.base_line + self._cursor
-        self._cursor = self.rng.randrange(self.footprint)
-        return self.base_line + self._cursor
-
     def _next_hot_line(self) -> int:
         # Cycle the hot set so consecutive hot accesses hit different rows
         # (each visit is a fresh activation, like a pointer-chasing loop
@@ -218,13 +181,9 @@ class TraceGenerator:
         return line + self.rng.randrange(self._mop_lines)
 
 
-def _log1m(u: float) -> float:
-    return _math_log(max(1.0 - u, 1e-12))
-
-
 def generate_trace(spec: WorkloadSpec, config: DRAMConfig,
                    accesses: int, core_id: int = 0,
                    seed: int = 0x7ACE) -> list[TraceItem]:
     """Materialise a finite trace (mostly for tests and examples)."""
     gen = TraceGenerator(spec, config, core_id, seed)
-    return [gen.next_item() for _ in range(accesses)]
+    return [TraceItem(*raw) for raw in gen.next_block(accesses)]
