@@ -96,8 +96,12 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
 
     def connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        sock.connect(self._path)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self._path)
+        except BaseException:
+            sock.close()
+            raise
         self.sock = sock
 
 

@@ -1,6 +1,9 @@
-"""Jittered exponential poll backoff in ServeClient.wait."""
+"""ServeClient polling: jittered exponential backoff in ``wait``, and
+refused ``wait_ready`` polls that leave no socket open."""
 
+import gc
 import itertools
+import warnings
 
 import pytest
 
@@ -136,3 +139,17 @@ class TestWaitBackoff:
                         max_poll_s=60.0)
         # no single sleep may overshoot the remaining budget
         assert all(s <= 2.0 for s in clock["slept"])
+
+
+class TestWaitReady:
+    def test_refused_polls_close_their_sockets(self, tmp_path):
+        # every poll against a missing socket path is refused; each
+        # must close the socket it opened
+        client = ServeClient(f"unix:{tmp_path / 'missing.sock'}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(TimeoutError, match="not ready after"):
+                client.wait_ready(timeout_s=0.2)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
