@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import DRAMConfig, SystemConfig
 from repro.cpu.core import Core
-from repro.cpu.trace import TraceItem
+from repro.cpu.trace import TraceItem, format_trace_item, read_trace
 from repro.dram.timing import ddr5_base
 from repro.mc.events import FASTFORWARD_MIN_GAP_PS, OP_COMPLETE
 from repro.mc.request import MemRequest
@@ -219,10 +219,17 @@ class TestFinish:
         result = system.run()
         assert result.core_stats[0].instructions == 500
 
-    def test_exhausted_trace_finishes(self):
-        system, core = make_system([TraceItem(3, 0, is_write=True)],
-                                   limit=10**6)
+    # the core stages its trace in blocks of TRACE_BLOCK (256) accesses:
+    # lengths on both sides of one and two block boundaries
+    @pytest.mark.parametrize("length", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("source", ["list", "read_trace"])
+    def test_exhausted_trace_finishes(self, length, source):
+        items = [TraceItem(3, i * 64, is_write=True) for i in range(length)]
+        if source == "read_trace":
+            items = read_trace(format_trace_item(item) for item in items)
+        system, core = make_system(items, limit=10**6)
         assert drive(system, core, NEVER)
+        assert core.stats.requests == length
         assert core.pull() is None
 
 

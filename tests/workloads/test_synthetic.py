@@ -109,9 +109,11 @@ class TestIteration:
 
 
 class TestBlockDraws:
-    """``next_block`` manually inlines the per-item draw helpers, so it
-    must be proven equal to ``next_item`` for every catalog workload —
-    a drift between the two silently breaks fast-engine bit-identity.
+    """The stream does not depend on the block sizes it is drawn in:
+    ``next_item`` (a block of one), uneven ``next_block`` sizes and the
+    two interleaved all give the same accesses, for every catalog
+    workload. The core stages synthetic traces in blocks, so this is
+    what keeps a run's numbers independent of ``TRACE_BLOCK``.
     """
 
     @pytest.mark.parametrize("name", sorted(SPEC_WORKLOADS))
