@@ -61,7 +61,18 @@ class TestCompare:
                                       pops=census(complete=201)),
                               threshold=0.10)
         assert failures == ["mix1/mopac-c: event pops rose for the same "
-                            "results (2003 -> 2004)"]
+                            "results (2003 -> 2004: complete +1)"]
+
+    def test_pop_failure_names_each_opcode_that_rose(self):
+        # service and drive rose, complete fell: only the risers are named
+        failures, _ = compare(summary(pops=census()),
+                              summary(pops=census(service=1003,
+                                                  complete=199,
+                                                  drive=801)),
+                              threshold=0.10)
+        assert failures == ["mix1/mopac-c: event pops rose for the same "
+                            "results (2003 -> 2006: service +3, "
+                            "drive +1)"]
 
     def test_fewer_or_moved_pops_pass(self):
         # the gate is on the total: pops may move between opcodes
