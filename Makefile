@@ -26,8 +26,10 @@ typecheck:
 # Engine smoke: two short runs must simulate the same results as the
 # committed baseline and stay within BENCH_THRESHOLD of its timings.
 # Sub-second smoke runs on shared machines jitter ~±20%, so the
-# default gate is wide; it still catches losing one of the engine's
-# big optimisations (a 2-3x slowdown). Drop --smoke for the full
+# default gate is wide: it catches a 2-3x slowdown, but not losing
+# one of the fast paths the engine keeps (item-by-item trace staging
+# instead of block admission costs +16%; see docs/performance.md
+# "What carries the speed"). Drop --smoke for the full
 # Table 4 mix (docs/performance.md quotes those numbers). The attack
 # harness is gated the same way: every §9.2 table design must give
 # the committed BENCH_harness.json digests. Its rows are 0.1-0.3 s
