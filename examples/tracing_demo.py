@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     if alerts == 0:
         print("ERROR: expected ALERT events in the trace", file=sys.stderr)
         return 1
-    rfm_stats = sum(s.rfm_commands for s in result.mc_stats)
+    rfm_stats = result.total("rfm_commands")
     if counts.get("RFM", 0) != rfm_stats:
         print(f"ERROR: {counts.get('RFM', 0)} RFM trace events but the "
               f"controllers count {rfm_stats}", file=sys.stderr)

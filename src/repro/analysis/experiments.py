@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import security
+from ..dram.energy import instructions_of
 from ..dram.timing import ddr5_base, ddr5_prac
 from ..exec.env import env_flag, env_int
 from ..exec.engine import run_points
@@ -252,8 +253,11 @@ def tab12_srq_insertions(workloads=None, instructions=None,
         trh: {label: [] for label, _ in designs} for trh in trhs}
     for (trh, label, _), result in zip(
             grid, run_points([point for _, _, point in grid])):
-        acts = sum(s["activations"] for s in result.policy_stats)
-        ins = sum(s["srq_insertions"] for s in result.policy_stats)
+        policies = range(result.config.dram.subchannels)
+        acts = sum(result.stats[f"mitigation.{sc}.activations"]
+                   for sc in policies)
+        ins = sum(result.stats[f"mitigation.{sc}.srq_insertions"]
+                  for sc in policies)
         if acts:
             rates[trh][label].append(100.0 * ins / acts)
     return {trh: {label: (sum(vals) / len(vals) if vals else 0.0)
@@ -303,14 +307,11 @@ def tab4_characteristics(workloads=None, instructions=None) -> dict:
                                       collect_row_activity=True)
                           for workload in workloads])
     for workload, result in zip(workloads, results):
-        total_inst = sum(s.instructions for s in result.core_stats)
-        activity = result.row_activity
         out[workload] = {
-            "mpki": 1000.0 * result.total_requests / total_inst,
+            "mpki": 1000.0 * result.total_requests / instructions_of(result),
             "rbhr": result.row_buffer_hit_rate,
-            "apri": activity.apri if activity else 0.0,
-            "act64": activity.act64 if activity else 0.0,
-            "act200": activity.act200 if activity else 0.0,
+            **{column: result.stats[f"sim.row_activity.{column}"]
+               for column in ("apri", "act64", "act200")},
         }
     return out
 

@@ -1,8 +1,7 @@
 """Golden fingerprints: the simulator's behaviour, frozen.
 
 Each golden case is one small simulation. Its fingerprint is two
-sha256 digests: one of the stats snapshot (plus per-core and per-MC
-stats and the elapsed time) and one of the full :class:`EventTracer`
+sha256 digests: one of the stats snapshot and one of the full :class:`EventTracer`
 command trace. ``tests/check/goldens.json`` holds the committed
 digests; any change to the simulated event sequence changes at least
 one of them. Together with the conformance oracle, which must accept
@@ -105,14 +104,9 @@ def _digest(payload) -> str:
 
 
 def stats_digest(result) -> str:
-    """Digest of what a run reports: its stats snapshot, core and
-    controller records and simulated time (no wall time is in a result)."""
-    return _digest({
-        "stats": result.stats,
-        "core": [dataclasses.asdict(s) for s in result.core_stats],
-        "mc": [dataclasses.asdict(s) for s in result.mc_stats],
-        "elapsed_ps": result.elapsed_ps,
-    })
+    """Digest of what a run reports: its stats snapshot (no wall time
+    is in a result)."""
+    return _digest(result.stats)
 
 
 def trace_digest(events: list[TraceEvent]) -> str:

@@ -64,12 +64,11 @@ class EnergyBreakdown:
 def energy_of(result: SystemResult) -> EnergyBreakdown:
     """Energy breakdown of a finished run."""
     acts = result.total_activations
-    reads = sum(s.reads for s in result.mc_stats)
-    writes = sum(s.writes for s in result.mc_stats)
-    refreshes = sum(s.refreshes for s in result.mc_stats)
+    reads = result.total("reads")
+    writes = result.total("writes")
+    refreshes = result.total("refreshes")
     alerts = result.total_alerts
-    updates = sum(s.get("counter_updates", 0)
-                  for s in result.policy_stats)
+    updates = result.stats["mitigation.counter_updates"]
     seconds = result.elapsed_ps / 1e12
     subchannels = result.config.dram.subchannels
     nj = 1e-6  # nanojoule -> millijoule
@@ -86,7 +85,8 @@ def energy_of(result: SystemResult) -> EnergyBreakdown:
 
 def instructions_of(result: SystemResult) -> int:
     """Instructions retired by every core of a run."""
-    return sum(s.instructions for s in result.core_stats)
+    return sum(result.stats[f"core.{i}.instructions"]
+               for i in range(result.config.cores))
 
 
 def energy_overhead(result: SystemResult,

@@ -4,11 +4,11 @@ The on-disk result cache (:mod:`repro.exec.cache`) stores one JSON
 document per design point, opened by a header line that carries the
 :func:`result_row` and a digest of the rest. The document carries
 everything a :class:`SystemResult` holds — the resolved system
-configuration, per-core stats (and hence IPCs), per-controller
-:class:`MCStats`, per-sub-channel policy stats, and the optional
-row-activity census — so a cache hit reconstructs a result that is
-indistinguishable from a fresh simulation to every downstream consumer
-(weighted speedup, energy model, table renderers). :func:`result_row`
+configuration and the flat stats snapshot (per-core, per-controller,
+per-policy and run-level keys, the optional row-activity census among
+them) — so a cache hit reconstructs a result that is indistinguishable
+from a fresh simulation to every downstream consumer (weighted
+speedup, energy model, table renderers). :func:`result_row`
 reduces a result to the few fields a ``results.csv`` row needs.
 
 ``SCHEMA_VERSION`` is bumped whenever the document layout changes;
@@ -22,11 +22,9 @@ import dataclasses
 from typing import Any
 
 from ..config import DRAMConfig, SystemConfig
-from ..cpu.core import CoreStats
 from ..dram.energy import energy_of, instructions_of
 from ..dram.timing import TimingSet
-from ..mc.controller import MCStats
-from ..sim.system import RowActivityStats, SystemResult
+from ..sim.system import SystemResult
 
 #: Layout version of the serialized result document.
 #: v2 added the observability fields (``stats`` snapshot, ``phases``).
@@ -39,7 +37,11 @@ from ..sim.system import RowActivityStats, SystemResult
 #: text and the body, so a damaged row is a miss too.
 #: v6 dropped ``phases``, the one wall-time member: an entry now holds
 #: only what the simulation determines.
-SCHEMA_VERSION = 6
+#: v7 dropped ``core_stats``, ``mc_stats``, ``policy_stats``,
+#: ``elapsed_ps`` and ``row_activity``, each a copy of snapshot keys
+#: (``core.{i}.*``, ``mc.{sc}.*``, ``mitigation.{sc}.*``, ``sim.*``):
+#: a document is ``schema``, ``config`` and ``stats``.
+SCHEMA_VERSION = 7
 
 
 class SchemaMismatch(ValueError):
@@ -62,12 +64,6 @@ def result_to_dict(result: SystemResult) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "config": dataclasses.asdict(result.config),
-        "core_stats": [dataclasses.asdict(s) for s in result.core_stats],
-        "mc_stats": [dataclasses.asdict(s) for s in result.mc_stats],
-        "policy_stats": [dict(s) for s in result.policy_stats],
-        "elapsed_ps": result.elapsed_ps,
-        "row_activity": (dataclasses.asdict(result.row_activity)
-                         if result.row_activity is not None else None),
         "stats": dict(result.stats),
     }
 
@@ -111,14 +107,5 @@ def result_from_dict(data: dict[str, Any]) -> SystemResult:
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
         raise SchemaMismatch(schema, SCHEMA_VERSION)
-    activity = data["row_activity"]
-    return SystemResult(
-        config=config_from_dict(data["config"]),
-        core_stats=[CoreStats(**s) for s in data["core_stats"]],
-        mc_stats=[MCStats(**s) for s in data["mc_stats"]],
-        policy_stats=[dict(s) for s in data["policy_stats"]],
-        elapsed_ps=data["elapsed_ps"],
-        row_activity=(RowActivityStats(**activity)
-                      if activity is not None else None),
-        stats=dict(data["stats"]),
-    )
+    return SystemResult(config=config_from_dict(data["config"]),
+                        stats=dict(data["stats"]))

@@ -14,8 +14,6 @@ same the simulator has always produced — is pinned separately by the
 golden fingerprints (``tests/check/test_goldens.py``).
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,12 +34,8 @@ POINTS = [
 
 
 def fingerprint(result):
-    return (
-        dict(result.stats),
-        [dataclasses.asdict(s) for s in result.core_stats],
-        [dataclasses.asdict(s) for s in result.mc_stats],
-        result.elapsed_ps,
-    )
+    # the snapshot holds every core, controller and run-level number
+    return dict(result.stats), result.elapsed_ps
 
 
 @pytest.mark.parametrize("point", POINTS,

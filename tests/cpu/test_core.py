@@ -194,7 +194,7 @@ class TestFinish:
                                    limit=1000)
         result = system.run()
         # 999 remaining instructions at 62.5 ps each
-        assert result.core_stats[0].finish_ps == \
+        assert result.stats["core.0.finish_ps"] == \
             pytest.approx(999 * 62.5, rel=0.01)
 
     def test_finish_waits_for_last_completion(self):
@@ -203,7 +203,7 @@ class TestFinish:
         stats = system.controllers[0].stats
         assert stats.read_serviced == 1
         # the read's data returns after arrival + its DRAM latency
-        assert result.core_stats[0].finish_ps \
+        assert result.stats["core.0.finish_ps"] \
             >= stats.read_latency_ps + 2 * system.config.llc_hit_ps
 
     def test_done_requires_no_outstanding(self):
@@ -217,7 +217,7 @@ class TestFinish:
     def test_finalize_reports_full_budget(self):
         system, core = make_system([TraceItem(0, 0)], limit=500)
         result = system.run()
-        assert result.core_stats[0].instructions == 500
+        assert result.stats["core.0.instructions"] == 500
 
     # the core stages its trace in blocks of TRACE_BLOCK (256) accesses:
     # lengths on both sides of one and two block boundaries
@@ -299,7 +299,7 @@ class TestCompletionEvents:
         assert last[2] == OP_COMPLETE
         assert (last[0], last[1]) == max((e[0], e[1]) for e in completions)
         assert last[0] == core._last_completion
-        assert result.core_stats[0].finish_ps == last[0]
+        assert result.stats["core.0.finish_ps"] == last[0]
 
 
 class TestLazyRetirement:

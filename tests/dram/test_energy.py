@@ -39,7 +39,8 @@ class TestBreakdown:
         assert breakdown.counter_update_mj > 0
         # one update per closed episode (rows still open at run end have
         # not paid their PREcu yet)
-        updates = sum(s["counter_updates"] for s in prac.policy_stats)
+        updates = sum(prac.stats[f"mitigation.{sc}.counter_updates"]
+                      for sc in range(prac.config.dram.subchannels))
         assert breakdown.counter_update_mj == pytest.approx(
             updates * 1.1e-6, rel=1e-9)
         assert updates == pytest.approx(prac.total_activations, rel=0.05)

@@ -32,14 +32,15 @@ class TestInlinePoolEquivalence:
         rp = pool.run(points)
         assert [r.ipcs for r in rs] == [r.ipcs for r in rp]
         assert [r.elapsed_ps for r in rs] == [r.elapsed_ps for r in rp]
-        assert [r.mc_stats for r in rs] == [r.mc_stats for r in rp]
+        assert [r.stats for r in rs] == [r.stats for r in rp]
 
     def test_merge_order_is_input_order(self):
         points = small_points()
         results = SweepEngine(workers=2, cache=None,
                               use_memo=False).run(points)
         for point, result in zip(points, results):
-            total = sum(s.instructions for s in result.core_stats)
+            total = sum(result.stats[f"core.{i}.instructions"]
+                        for i in range(result.config.cores))
             assert total == point.instructions * result.config.cores
 
     def test_no_worker_outlives_a_run(self):

@@ -29,8 +29,8 @@ class TestRefsbMode:
                                     **FAST))
         sameb = simulate(DesignPoint(workload="mcf", design="baseline",
                                      refresh_mode="same-bank", **FAST))
-        refs_all = sum(s.refreshes for s in allb.mc_stats)
-        refs_same = sum(s.refreshes for s in sameb.mc_stats)
+        refs_all = allb.total("refreshes")
+        refs_same = sameb.total("refreshes")
         # one REFsb per bank per tREFI vs one REFab per tREFI
         assert refs_same > 8 * refs_all
 

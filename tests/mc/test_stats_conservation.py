@@ -1,5 +1,7 @@
 """MCStats accounting identities and derived accessors."""
 
+import dataclasses
+
 import pytest
 
 from repro.mc.controller import MCStats
@@ -40,7 +42,10 @@ def stats(request):
                                    trh=500, instructions=4_000,
                                    rows_per_bank=512,
                                    refresh_scale=1 / 256))
-    return result.mc_stats
+    # each sub-channel's MCStats, read back from the snapshot
+    return [MCStats(**{field.name: result.stats[f"mc.{sc}.{field.name}"]
+                       for field in dataclasses.fields(MCStats)})
+            for sc in range(result.config.dram.subchannels)]
 
 
 class TestConservation:

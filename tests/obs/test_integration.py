@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs import EventTracer
-from repro.sim.runner import DesignPoint, run_point
+from repro.sim.runner import DesignPoint, build_system, run_point
 
 FAST = dict(trh=500, instructions=6_000, rows_per_bank=512,
             refresh_scale=1 / 256)
@@ -43,16 +43,22 @@ class TestSnapshot:
         assert "core.0.ipc" in snap
         assert "sim.elapsed_ps" in snap
 
-    def test_snapshot_matches_dataclass_stats(self, result):
-        assert result.stats["mc.0.row_hits"] == result.mc_stats[0].row_hits
-        assert result.stats["sim.elapsed_ps"] == result.elapsed_ps
-        assert result.stats["core.0.ipc"] == result.ipcs[0]
+    def test_snapshot_matches_dataclass_stats(self):
+        point = DesignPoint(workload="mcf", design="prac", **FAST)
+        system = build_system(point)
+        result = system.run()
+        assert result.stats["mc.0.row_hits"] == \
+            system.controllers[0].stats.row_hits
+        assert result.stats["sim.elapsed_ps"] == result.elapsed_ps == \
+            max(core.stats.finish_ps for core in system.cores)
+        assert result.stats["core.0.ipc"] == result.ipcs[0] == \
+            system.cores[0].stats.ipc(result.config.core_ghz)
 
     def test_latency_histogram_in_snapshot(self, result):
         snap = result.stats
-        total = sum(s.serviced for s in result.mc_stats)
+        total = result.total("serviced")
         count = sum(snap[f"mc.{i}.latency_ps.count"]
-                    for i in range(len(result.mc_stats)))
+                    for i in range(result.config.dram.subchannels))
         assert count == total
         assert snap["mc.0.latency_ps.p50"] > 0
 
@@ -70,9 +76,8 @@ class TestTracing:
     def test_alert_and_rfm_events_match_stats(self, traced):
         tracer, result = traced
         counts = tracer.counts()
-        assert counts["ALERT"] == sum(s.alerts for s in result.mc_stats) > 0
-        assert counts["RFM"] == sum(s.rfm_commands
-                                    for s in result.mc_stats)
+        assert counts["ALERT"] == result.total("alerts") > 0
+        assert counts["RFM"] == result.total("rfm_commands")
         assert counts["ACT"] == result.total_activations
 
     def test_drain_events_traced(self, traced):

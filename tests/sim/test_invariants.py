@@ -82,14 +82,18 @@ class TestConservation:
 
     def test_hits_plus_activations_cover_requests(self, run):
         system, _, result = run
-        for stats in result.mc_stats:
-            total = stats.row_hits + stats.row_misses + stats.row_conflicts
-            assert total == stats.requests
-            assert stats.activations == stats.row_misses + \
-                stats.row_conflicts
+        for sc in range(result.config.dram.subchannels):
+            stats = {name: result.stats[f"mc.{sc}.{name}"]
+                     for name in ("row_hits", "row_misses", "row_conflicts",
+                                  "requests", "activations")}
+            total = stats["row_hits"] + stats["row_misses"] + \
+                stats["row_conflicts"]
+            assert total == stats["requests"]
+            assert stats["activations"] == stats["row_misses"] + \
+                stats["row_conflicts"]
 
     def test_all_cores_retired_budget(self, run):
         _, _, result = run
-        for stats in result.core_stats:
-            assert stats.instructions == 10_000
-            assert stats.finish_ps > 0
+        for i in range(result.config.cores):
+            assert result.stats[f"core.{i}.instructions"] == 10_000
+            assert result.stats[f"core.{i}.finish_ps"] > 0

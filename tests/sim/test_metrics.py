@@ -1,5 +1,7 @@
 """Speedup / fairness metrics."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import SystemConfig
@@ -13,14 +15,17 @@ FAST = dict(instructions=12_000, rows_per_bank=512, refresh_scale=1 / 256)
 
 def synthetic_result(ipcs):
     """A SystemResult whose per-core IPCs are exactly ``ipcs``."""
-    config = SystemConfig.reduced(rows_per_bank=512)
+    config = dataclasses.replace(SystemConfig.reduced(rows_per_bank=512),
+                                 cores=len(ipcs))
     finish = 1_000_000  # 1 us
     cores = [CoreStats(instructions=round(ipc * finish * config.core_ghz
                                           / 1000.0),
                        requests=0, finish_ps=finish)
              for ipc in ipcs]
-    result = SystemResult(config=config, core_stats=cores, mc_stats=[],
-                          policy_stats=[], elapsed_ps=finish)
+    stats = {f"core.{i}.ipc": core.ipc(config.core_ghz)
+             for i, core in enumerate(cores)}
+    result = SystemResult(config=config,
+                          stats={**stats, "sim.elapsed_ps": finish})
     for want, got in zip(ipcs, result.ipcs):
         assert got == pytest.approx(want, rel=1e-6)
     return result

@@ -63,15 +63,19 @@ class TestRiderEqualsSolo:
             assert document(result) == document(run_point(point)), \
                 point.design
         if collect_row_activity:
-            assert group[0].row_activity.windows >= 1
+            assert group[0].stats["sim.row_activity.windows"] >= 1
 
     def test_rider_records_are_its_own(self):
         base = DesignPoint("mcf", "baseline", **SMALL)
         lead, rider = run_group([base, DesignPoint("mcf", "mint",
                                                    **SMALL)])
-        assert rider.core_stats == lead.core_stats
-        assert rider.core_stats[0] is not lead.core_stats[0]
-        assert rider.mc_stats[0] is not lead.mc_stats[0]
+        def cores(result):
+            return {key: value for key, value in result.stats.items()
+                    if key.startswith("core.")}
+        assert cores(rider) == cores(lead)
+        assert rider.stats is not lead.stats
+        assert rider.census == lead.census
+        assert rider.census is not lead.census
 
     def test_only_its_baseline_leads_a_rider(self):
         point = DesignPoint("mcf", "mopac-d", **SMALL)
