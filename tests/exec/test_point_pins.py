@@ -7,7 +7,7 @@ across refactors of how the field dict is built; a moved key orphans
 every cached result and a moved journal line changes what a restarted
 daemon replays. The journal pins were taken before the field dict was
 built shallowly; the key pins were retaken when ``SCHEMA_VERSION``
-became 6 (the key hashes it). Neither may move without a
+became 7 (the key hashes it). Neither may move without a
 ``CACHE_SALT`` or ``SCHEMA_VERSION`` bump. The ``mopac-c+knobs`` and
 ``mopac-d-nup+knobs`` points were re-pinned with ``p`` = 1/8 when a
 point began building its policy with all its knobs at once: Row-Press
@@ -65,61 +65,61 @@ CASES = cases()
 #: name -> (point_key, sha256 of the one-point job's journal line)
 PINS = {
     "prac": (
-        "57380187be47bed3ae56255ba56ec91758f1b815dad4ee9b6b2c0f0f1d8dc7e1",
+        "19690271c59a64a75f42fac8e45f0d2e0e9bdbf56c5af78ffcc7ec46ff1ee0a3",
         "6a85b303a9ab568aaa64b167092b057607dc34677595a7bb35171607038be915"),
     "moat": (
-        "bffcba173d2a9bde9b1a9c56304193e16104d04ae92e240ebbe6dbd8f5ef8a3c",
+        "b5c7bd35bfa05d7e82bd63d934d8ec9f982146776a92952f8a29ad5c7720ee38",
         "67833f0d28174b0e1da6afd25eaae042c8b061d150d88e3fff44c2a8ea290922"),
     "qprac": (
-        "0ef397fa9e82ba5837ca4a86825adde775073c889130551dfffd4922aa297c77",
+        "53b2729db723bb2f0acfdee6ab6bfdeeee35e75e151e373277de2a9a91a85146",
         "dc2b5c11a2547da9f318869d1609c2bf6ea72323e12cc9a2b6473d048512e29f"),
     "qprac-proactive": (
-        "abc22d652718d1f79a1eaa3f10d9b1389c9cda38c7fe437927631520833ce48e",
+        "df52fc20f006eabca23dcdfff5b60c4e4e435ae2affc35c997ac2030e9d62812",
         "9b24dde677d18335ddfe5e536457a8b2bd96421177a1dc6a3bdf23892af01a50"),
     "cnc-prac": (
-        "e4f2b0940869a327137ae862d5811fb66ae459ae2e71d44d4eb8b690e51a7065",
+        "8b8bce922795064c0d9ea5422fbe5d6608eb7e34ab1aedf214f8babb5f9b4126",
         "a16d6e47af3fe62f5f0cad9452af163b05f37090b3999fe5571e6c9f5c01eb95"),
     "practical": (
-        "407cfef4da9bd8bf68ebf80bfcfd2e29952d59088b135a2c2cc5807af68fcd0d",
+        "49119223691ef6451f3799faf0f2299c6f69ca74c544d835ec3d9b1b07ced5cd",
         "f0a9b07ec1b53f52d0bcf7774a00671bee9fde330f22493814e7b7bc9d2ab1d3"),
     "mopac-c": (
-        "54ebce13ea92ff84d8c7508e473ed932b3d843f0595ff3d3f673fff43e53357a",
+        "9f3e61244eb21e2c9cd2a6081363910e266055dbff4a206d516648fa37cec7ad",
         "2550a441cab8f81633f478525cfd36e9b19b5c5d65f5a69658e7bbbabe8d88af"),
     "mopac-d": (
-        "480b4109e96c050c814ab402156466e0b341d8ea03090d16ab3a6e0e338ed76a",
+        "14d4e2d053121f0c70b97d81fd98c890e6fd76ff89bb96b758957d63ba28ed7e",
         "0ad7aeb0e6b19a76d38ea72ca90b1a00baf0ce361e9a4bf1ef23a2bde4dd8454"),
     "mint": (
-        "2a77d8a0aa8e4084764d2f98c83ef69b24cd481f735d3bf5f28686a225a2bc33",
+        "f1d6bd770033f3b5e17e55cb51a3d98c4add5f22ad70e757bd49b5854f0d3784",
         "0f8515e68230f411ce8c66c513f52c728ada8fea94f71f0d74e64ff48797ef39"),
     "pride": (
-        "24a678ea42d61f1e78e45e7abc3063652bd7c2043c6004310bf3561e10fdba26",
+        "8a74ec8b68d67613a56adf3a63c5605928c8ddd1e54ffffabfb63f5957e1808f",
         "6d5b50a661eb30547b653eb605eed9dd43a25446e0add51cd501af5c79d12363"),
     "trr": (
-        "7c14104ac48162054995c6709c43d31da1fe5039d03ddec847fbe6511950f532",
+        "31eaf767cb518089fb4bf8fb28764149ce1fb0fe240c2faad03742c11851eb0f",
         "3291abee47b79b46097402519903cfd0794dd859f07c2903b8623bd36e0e58f4"),
     "baseline": (
-        "5a05615996da5ce33dce765d9c69aca45c1f8c294698c6b8dd6eb6595e3b4175",
+        "54fb03f76dabe76fd771cc770e9d9c189ca3730bbc3eee944f38cb9dbe2f92fa",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
     "mopac-d-nup": (
-        "ef53011a8b50900faddb3606730f0ad0b956c486aa03f33dd4c1b1b6981f5232",
+        "1041b08a9b9757695a3f6c54e95bed38f6512d1a147cd9194e2546bbac3be8b6",
         "90d090ac52f2e21ffa4313bda015adc22eed07dedf69fe64c063404182640a75"),
     "mopac-c+knobs": (
-        "e1d9db4067037b0d5cd312d321b2b214dca5345b666ba6c51595631243d9befe",
+        "1803336c3e6f9c070832acf8bd57e5d7084ac0ac933d17e990966f4a497a8226",
         "6fcf25032295eeb46d005c98b26a880f391bcd8411e9259261b906153183f031"),
     "mopac-d+knobs": (
-        "9aa159efc6e23452258afd279a3a5eddae8f34bb0870b77a7cee0421b246e85a",
+        "50b9f77df9764e634da92bd22253c047b725e744faa46b739e99f2283b5588ea",
         "6430be3ca32272cd44bd57ea81c3e10cca1f82fce54d153669328d6cb9fc7995"),
     "mopac-d-nup+knobs": (
-        "3445715383d2dc359c1569d4827442a780fa7106fd65b6d176a6039345daea9e",
+        "b431b2c489fb3e8931dc3c56480cb9e340ba3d45ad5739a213c98ab2fca3d54b",
         "97cf23887419b5e42eb77b3706316141065a45d6f79ba39694d14ea80d05095f"),
     "fancy": (
-        "d35fdcd11e7a3ce4a7b3f6d30614a292e46ec8f01fda4913f14393eeba499347",
+        "afaa1ca36f24cd7a3f5de9007b93858d7afae1abc9491d9be10694cc93d0a55c",
         "1ae79dc4669ee6af34aa7cf962e688e46e4348f8bd73d2b6a2b6ec83b1d20a7f"),
     "fancy.baseline": (
-        "ba5379d507a33ea893dd7cd08eed05df84c0158b120171eb209e6b063907eda5",
+        "4660d4e038e32e60ef2ace138861fe1b2e19563925ea50264e937350d018a03e",
         "39120304f6a0c93f799b8d4ca4d803876b3675df0bc9c868578677583bb468a5"),
     "mopac-d+knobs.baseline": (
-        "5a05615996da5ce33dce765d9c69aca45c1f8c294698c6b8dd6eb6595e3b4175",
+        "54fb03f76dabe76fd771cc770e9d9c189ca3730bbc3eee944f38cb9dbe2f92fa",
         "d58c0facab2f6f7e45474e8731073abe4a12e77ffae8944edec67a6cd989c09d"),
 }
 
