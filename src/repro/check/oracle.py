@@ -52,7 +52,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from ..dram.timing import TimingSet, ddr5_base
+from ..dram.timing import TimingSet
 from ..obs.tracer import TraceEvent
 
 #: column commands
@@ -471,13 +471,3 @@ def events_from_jsonl(path: str) -> list[TraceEvent]:
                                      d.get("cause", ""),
                                      bool(d.get("cu", False))))
     return events
-
-
-def default_config(banks: int | None = None,
-                   refresh_mode: str = "all-bank") -> OracleConfig:
-    """Oracle config for a baseline (single timing set) device."""
-    from ..config import DRAMConfig
-    base = ddr5_base()
-    return OracleConfig(normal=base, counter_update=base,
-                        banks=banks or DRAMConfig().banks_per_subchannel,
-                        refresh_mode=refresh_mode)

@@ -26,11 +26,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def mpka(self) -> float:
-        """Misses per kilo-access."""
-        return 1000.0 * self.misses / self.accesses if self.accesses else 0.0
-
 
 class SetAssociativeCache:
     """LRU set-associative cache of line addresses."""

@@ -19,7 +19,7 @@ simulation time in picoseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dram.timing import TimingSet, ddr5_base
 
@@ -175,12 +175,3 @@ class MitigationPolicy:
             # itself activated once by the refresh (footnote 5)
             self.security.on_mitigation(bank, row)
         self.pending_mitigations.append(MitigationEvent(bank, row, now))
-
-
-@dataclass
-class AlertCause:
-    MITIGATION = "mitigation"
-    SRQ_FULL = "srq_full"
-    TARDINESS = "tardiness"
-
-    cause: str = field(default=MITIGATION)

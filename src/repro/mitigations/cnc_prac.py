@@ -168,6 +168,3 @@ class CnCPRACPolicy(MitigationPolicy):
     def counter_value(self, bank: int, row: int) -> int:
         """Logical counter value: committed plus buffered increments."""
         return self.state.value(bank, row) + self.buffers[bank].get(row, 0)
-
-    def buffer_occupancy(self, bank: int) -> int:
-        return len(self.buffers[bank])

@@ -16,7 +16,6 @@ timings, zero drift against the shadow truth.
 from __future__ import annotations
 
 from ..dram.timing import TimingSet
-from ..security.moat_model import moat_ath, moat_eth
 from .prac import PRACMoatPolicy
 
 
@@ -41,8 +40,3 @@ class MOATPolicy(PRACMoatPolicy):
         elif ath is not None:
             # the footnote-3 relation follows a swept ATH by default
             self.eth = max(self.ath // 2, 1)
-
-    @staticmethod
-    def model_thresholds(trh: int) -> tuple[int, int]:
-        """The Table 2 (ATH, ETH) defaults for ``trh``."""
-        return moat_ath(trh), moat_eth(trh)

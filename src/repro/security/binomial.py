@@ -61,10 +61,6 @@ def survival_probability(critical: int, activations: int, p: float) -> float:
     return 1.0 - undercount_probability(critical, activations, p)
 
 
-def binomial_mean(activations: int, p: float) -> float:
-    return activations * p
-
-
 def escape_probability_bernoulli(n_acts: int, p: float) -> float:
     """P(row never selected in n_acts Bernoulli(p) trials) = (1-p)^n.
 
