@@ -22,6 +22,9 @@ class BankStats:
     writes: int = 0
     precharges: int = 0
     counter_update_precharges: int = 0
+    #: column accesses to the open row, the first after an ACT among
+    #: them: unlike the controller's ``mc.{sc}.row_hits``, which counts
+    #: only requests that found their row already open
     row_hits: int = 0
     row_conflicts: int = 0
 

@@ -58,7 +58,9 @@ NAMESPACES: tuple[Namespace, ...] = (
     Namespace("mc.{sc}.latency_ps",
               "read/write service latency `Histogram`",
               "`mc.0.latency_ps.count/mean/p50/p90/p99`"),
-    Namespace("mc.{sc}.bank.{b}", "per-bank `BankStats`",
+    Namespace("mc.{sc}.bank.{b}",
+              "per-bank `BankStats`; its `row_hits` counts every column "
+              "access, unlike `mc.{sc}.row_hits`",
               "`mc.0.bank.7.activations`"),
     Namespace("mitigation.{sc}", "each policy's `stats.as_dict()`",
               "`mitigation.0.alerts`, `mitigation.1.srq_insertions`"),
