@@ -9,9 +9,9 @@ every golden trace, they are the referee for changes to the engine.
 
 The cases cover every registered mitigation plus ``baseline``, the
 open / close / timeout page policies, both refresh modes, ABO level 2,
-the PARA sampler, Row-Press parameters, the LLC, and a generic
-(file-format) trace iterator. The ``fuzz-*`` cases fingerprint the
-standalone controller harness of :mod:`repro.check.fuzz`.
+the PARA sampler, two-chip MoPAC-D, Row-Press parameters, the LLC, and
+a generic (file-format) trace iterator. The ``fuzz-*`` cases fingerprint
+the standalone controller harness of :mod:`repro.check.fuzz`.
 
 Usage::
 
@@ -74,6 +74,8 @@ def _design_points() -> dict[str, DesignPoint]:
                                    abo_level=2, **short),
         "sampler-para": DesignPoint("hammer", "mopac-d", trh=100,
                                     sampler="para", **short),
+        "chips-2": DesignPoint("hammer", "mopac-d", trh=100, chips=2,
+                               **short),
         "rowpress": DesignPoint("hammer", "mopac-c", trh=100,
                                 rowpress=True, **short),
         "mopac-d-nup": DesignPoint("hammer", "mopac-d-nup", trh=100,
