@@ -20,8 +20,14 @@ the contract its spec declares, with no per-design test code:
   (stats and traced command stream, ``repro.check.golden``);
 * **forced recovery paths** — the ALERT/RFM backstops that benign
   streams rarely reach (QPRAC's queue overflow, PRACtical's bank-scoped
-  recovery through the real memory controller + conformance oracle).
+  recovery through the real memory controller + conformance oracle);
+* **refresh modes** — one all-bank REF leaves the same state as a
+  same-bank REF of every bank in order;
+* **ALERT episodes** — after its RFMs, a design asserts ALERT again
+  only once a new activation has arrived.
 """
+
+import random
 
 import pytest
 
@@ -36,6 +42,7 @@ from repro.mc.pagepolicy import make_page_policy
 from repro.mc.request import MemRequest
 from repro.mitigations import registry
 from repro.mitigations.practical import PRACticalPolicy
+from repro.obs.registry import Histogram
 from repro.obs.tracer import EventTracer
 from repro.sim.runner import DesignPoint, build_config, make_policy_factory
 
@@ -335,3 +342,140 @@ class TestBaseTiming:
     def test_the_base_timing_designs(self):
         assert set(BASE_TIMING) == {"baseline", "cnc-prac", "mopac-d",
                                     "mopac-d-nup", "mint", "pride", "trr"}
+
+
+# ---------------------------------------------------------------------------
+# Refresh modes: REFab is one REFsb round
+# ---------------------------------------------------------------------------
+#: a small geometry whose rows a seeded stream hammers into ALERTs
+SMALL_GEO = dict(banks=4, rows=128, refresh_groups=16)
+
+
+def _hammer_stream(seed, count):
+    """``count`` seeded (bank, row) ACTs, most of them on 5 hot rows
+    (three adjacent, so mitigations disturb hot neighbours)."""
+    rng = random.Random(seed)
+    hot = (10, 40, 64, 65, 66)
+    for _ in range(count):
+        bank = rng.randrange(SMALL_GEO["banks"])
+        row = (rng.choice(hot) if rng.random() < 0.9
+               else rng.randrange(SMALL_GEO["rows"]))
+        yield bank, row
+
+
+def _activate(policy, bank, row, now):
+    """One whole episode: ACT, then the closing precharge."""
+    decision = policy.on_activate(bank, row, now)
+    policy.on_precharge(bank, row, now, decision.counter_update)
+
+
+def _serve_alert(policy, now):
+    """The ABO protocol: ``abo_level`` RFMs while ALERT is asserted."""
+    if policy.alert_requested():
+        for _ in range(policy.abo_level):
+            policy.on_rfm(now)
+
+
+def _plain(value):
+    """A snapshot value with its histograms as comparable tuples."""
+    if isinstance(value, Histogram):
+        return value.counts, value.count, value.total
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def _state(policy, mitigations):
+    """Everything one refresh mode could leave differently."""
+    banks, rows = SMALL_GEO["banks"], SMALL_GEO["rows"]
+    security = (None if policy.security is None
+                else _plain(policy.security.as_dict(policy.stats)))
+    return ([[policy.counter_value(b, r) for r in range(rows)]
+             for b in range(banks)],
+            policy.stats.as_dict(),
+            [(e.bank, e.row, e.time_ps) for e in mitigations],
+            security, policy.alert_requested())
+
+
+class TestRefreshModes:
+    @pytest.mark.parametrize("design", BUILDABLE)
+    def test_all_bank_ref_is_a_same_bank_round(self, design):
+        """``on_refresh(now)`` == ``on_refresh(now, bank=b)`` for each
+        bank in order, round after round, with ALERTs served."""
+        all_bank, same_bank = (
+            registry.make_policy(design, 100, seed=3, **SMALL_GEO)
+            for _ in range(2))
+        mitigations = ([], [])
+        stream = _hammer_stream(0x5EF, 40 * 300)
+        now = 0
+        for _ in range(40):
+            for _ in range(300):
+                bank, row = next(stream)
+                now += 50_000
+                for policy, drained in zip((all_bank, same_bank),
+                                           mitigations):
+                    _activate(policy, bank, row, now)
+                    _serve_alert(policy, now)
+                    drained += policy.drain_mitigations()
+            now += 50_000
+            all_bank.on_refresh(now)
+            for bank in range(SMALL_GEO["banks"]):
+                same_bank.on_refresh(now, bank=bank)
+            for policy, drained in zip((all_bank, same_bank), mitigations):
+                drained += policy.drain_mitigations()
+            assert _state(all_bank, mitigations[0]) \
+                == _state(same_bank, mitigations[1])
+        assert all_bank.stats.activations == 40 * 300
+
+
+# ---------------------------------------------------------------------------
+# ALERT episodes: no new ALERT without a new ACT
+# ---------------------------------------------------------------------------
+#: designs that keep activation counters, which is what ALERT is raised
+#: from; the others (baseline, mint, pride, trr) never assert it
+ALERTING = tuple(d for d in BUILDABLE if registry.get(d).counting)
+
+
+class TestAlertEpisodes:
+    def _check_episodes(self, design, **knobs):
+        """Episodes stay open across other banks' ACTs, REFs and the
+        RFMs; every ALERT must follow an ACT that came after the last
+        RFM, and no RFM of an episode may re-assert it."""
+        policy = registry.make_policy(design, 100, seed=5, **SMALL_GEO,
+                                      **knobs)
+        rng = random.Random(0xA1E)
+        open_rows: dict[int, tuple[int, bool]] = {}
+        acted = True  # an ACT since the last RFM
+        episodes = 0
+        now = 0
+        for bank, row in _hammer_stream(0xA1E, 20_000):
+            now += 50_000
+            if bank in open_rows:
+                open_row, counter_update = open_rows.pop(bank)
+                policy.on_precharge(bank, open_row, now, counter_update)
+            else:
+                decision = policy.on_activate(bank, row, now)
+                open_rows[bank] = (row, decision.counter_update)
+                acted = True
+            if rng.random() < 1 / 300:
+                policy.on_refresh(now)
+            if not policy.alert_requested():
+                continue
+            assert acted, "ALERT asserted with no ACT since the last RFM"
+            for _ in range(policy.abo_level):
+                policy.on_rfm(now)
+                assert not policy.alert_requested()
+            acted = False
+            episodes += 1
+        assert episodes >= 3
+
+    def test_the_alerting_designs(self):
+        assert set(BUILDABLE) - set(ALERTING) \
+            == {"baseline", "mint", "pride", "trr"}
+
+    @pytest.mark.parametrize("design", ALERTING)
+    def test_no_alert_without_new_activation(self, design):
+        self._check_episodes(design)
+
+    def test_no_alert_without_new_activation_abo_level_2(self):
+        self._check_episodes("mopac-d", abo_level=2)

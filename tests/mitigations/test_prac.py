@@ -83,14 +83,6 @@ class TestAlertProtocol:
         assert (1, 20) in rows
         assert (2, 30) not in rows
 
-    def test_alert_needs_activation_between_episodes(self):
-        policy = make_policy(500)
-        self._hammer(policy, 0, 10, policy.ath)
-        policy.on_rfm(10_000)
-        assert not policy.alert_requested()
-        # one more activation re-arms the protocol if a row is still hot
-        self._hammer(policy, 0, 11, 1)
-
     def test_alert_counts_by_cause(self):
         policy = make_policy(500)
         self._hammer(policy, 0, 10, policy.ath)
