@@ -178,10 +178,9 @@ class AttackHarness:
         if self._alert_deadline is None or issue < self._alert_deadline:
             return
         timing = self.policy.timing
-        level = getattr(self.policy, "abo_level", 1)
-        scope = getattr(self.policy, "recovery_scope", "subchannel")
-        recovery = (list(self.policy.alert_banks())
-                    if scope == "bank" else None)
+        level = self.policy.abo_level
+        recovery = (self.policy.alert_banks()
+                    if self.policy.recovery_scope == "bank" else None)
         stall_end = self._alert_deadline + level * timing.tALERT_RFM
         for _ in range(level):
             self.policy.on_rfm(stall_end)

@@ -117,9 +117,8 @@ class OracleConfig:
         normal, cu = policy.timing_pair()
         return cls(normal=normal, counter_update=cu, banks=banks,
                    refresh_mode=refresh_mode,
-                   abo_level=getattr(policy, "abo_level", 1),
-                   recovery_scope=getattr(policy, "recovery_scope",
-                                          "subchannel"))
+                   abo_level=policy.abo_level,
+                   recovery_scope=policy.recovery_scope)
 
 
 @dataclass

@@ -620,8 +620,8 @@ class MemoryController:
                 close_by = max(now, soa.earliest_precharge(bank_index))
         if close_by < self._alert_deadline:
             return None
-        level = getattr(self.policy, "abo_level", 1)
-        return self._alert_deadline + level * self.policy.timing.tALERT_RFM
+        return (self._alert_deadline
+                + self.policy.abo_level * self.policy.timing.tALERT_RFM)
 
     def _ref_event(self, now: int) -> None:
         retry = self._refresh_collides_with_alert(now, None)
@@ -695,19 +695,17 @@ class MemoryController:
             return
         self._alert_in_flight = True
         if self.tracer is not None:
-            causes = getattr(self.policy, "alert_causes", None)
             self.tracer.record(now, "ALERT", self.subchannel, -1, -1,
-                               ",".join(sorted(causes)) if causes else "")
+                               ",".join(sorted(self.policy.alert_causes)))
         deadline = now + self.policy.timing.tALERT_NORMAL
         self._alert_deadline = deadline
         self.events.push(deadline, OP_RFM, self, 0)
 
     def _rfm_event(self, now: int) -> None:
-        level = getattr(self.policy, "abo_level", 1)
+        level = self.policy.abo_level
         end = now + level * self.policy.timing.tALERT_RFM
-        scope = getattr(self.policy, "recovery_scope", "subchannel")
-        recovery = (tuple(self.policy.alert_banks())
-                    if scope == "bank" else None)
+        recovery = (self.policy.alert_banks()
+                    if self.policy.recovery_scope == "bank" else None)
         if recovery is None:
             self.soa.block_all(end)
         else:

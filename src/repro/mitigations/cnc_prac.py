@@ -34,9 +34,8 @@ from __future__ import annotations
 
 from ..dram.timing import TimingSet, ddr5_base
 from ..security.moat_model import moat_ath
-from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import PRACCounters, RefreshSchedule
-from .security import SecurityTelemetry
+from .base import EpisodeDecision
+from .prac import PRACMoatPolicy
 
 #: Default coalescing-buffer capacity per bank (entries).
 DEFAULT_BUFFER_SIZE = 8
@@ -45,7 +44,7 @@ DEFAULT_BUFFER_SIZE = 8
 DEFAULT_FLUSH_THRESHOLD = 8
 
 
-class CnCPRACPolicy(MitigationPolicy):
+class CnCPRACPolicy(PRACMoatPolicy):
     """PRAC with a per-bank coalescing buffer for counter updates."""
 
     name = "cnc-prac"
@@ -55,35 +54,26 @@ class CnCPRACPolicy(MitigationPolicy):
                  buffer_size: int = DEFAULT_BUFFER_SIZE,
                  flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
                  timing: TimingSet | None = None):
-        super().__init__(timing or ddr5_base())
-        if trh <= 0:
-            raise ValueError("trh must be positive")
+        super().__init__(trh, banks, rows, refresh_groups,
+                         timing=timing or ddr5_base())
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         if flush_threshold < 1:
             raise ValueError("flush_threshold must be >= 1")
-        self.trh = trh
         self.buffer_size = buffer_size
         self.flush_threshold = flush_threshold
         # ALERT detection lags a hammered row by the entry's unflushed
         # pending count, so the threshold is derated by that staleness.
         self.ath = max(moat_ath(trh) - (flush_threshold - 1), 1)
         self.eth = max(self.ath // 2, 1)
-        self.state = PRACCounters(banks, rows)
-        self.refresh_schedules = [RefreshSchedule(rows, refresh_groups)
-                                  for _ in range(banks)]
-        self.security = SecurityTelemetry(banks, rows)
         #: per-bank coalescing buffers: row -> pending increments
         self.buffers: list[dict[int, int]] = [{} for _ in range(banks)]
         self.coalesced_updates = 0
         self.buffer_evictions = 0
-        self._alert = False
-        self._acts_since_rfm = 1
 
     # -- activation path --------------------------------------------------
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
-        self._acts_since_rfm += 1
         return self._plain_decision
 
     def on_precharge(self, bank: int, row: int, now: int,
@@ -123,46 +113,29 @@ class CnCPRACPolicy(MitigationPolicy):
             self._flush_entry(bank, row)
 
     # -- maintenance path --------------------------------------------------
-    def on_refresh(self, now: int, bank: int | None = None) -> None:
-        banks = (range(self.state.banks) if bank is None else (bank,))
-        for index in banks:
-            start, stop = self.refresh_schedules[index].advance()
-            # refreshed rows are forgiven: their buffered increments
-            # vanish with the committed counter, exactly like the shadow
-            buffer = self.buffers[index]
-            for row in [r for r in buffer if start <= r < stop]:
-                del buffer[row]
-            self.state.refresh_rows(index, start, stop)
-            self.security.on_refresh_range(index, start, stop)
-            # the REF shadow pays for writing back everything else
-            self._flush_bank(index)
+    def _refresh_bank(self, bank: int, start: int, stop: int,
+                      now: int) -> None:
+        # refreshed rows are forgiven: their buffered increments
+        # vanish with the committed counter, exactly like the shadow
+        buffer = self.buffers[bank]
+        for row in [r for r in buffer if start <= r < stop]:
+            del buffer[row]
+        super()._refresh_bank(bank, start, stop, now)
+        # the REF shadow pays for writing back everything else
+        self._flush_bank(bank)
 
-    def alert_requested(self) -> bool:
-        return self._alert and self._acts_since_rfm > 0
-
-    def on_rfm(self, now: int) -> None:
+    def _serve_rfm(self, now: int) -> bool:
         """Flush every buffer, then MOAT-mitigate under the RFM."""
-        self.stats.alerts += 1
-        self.stats.alerts_mitigation += 1
-        if self._acts_since_rfm > 0:  # first RFM of this ALERT episode
-            self.security.on_rfm(self.stats.activations)
         for bank in range(self.state.banks):
             self._flush_bank(bank)
-        for bank in range(self.state.banks):
-            tracker = self.state.tracker(bank)
-            if tracker.valid and tracker.value >= self.eth:
-                row = self.state.mitigate(bank)
-                if row is not None:
-                    # the victim refresh forgives the aggressor's
-                    # not-yet-recorded increments too
-                    self.buffers[bank].pop(row, None)
-                    self._record_mitigation(bank, row, now)
-        self._alert = False
-        self._acts_since_rfm = 0
-        for bank in range(self.state.banks):
-            if self.state.tracker(bank).value >= self.ath:
-                self._alert = True
-                break
+        return super()._serve_rfm(now)
+
+    def _mitigate_tracked(self, bank: int, now: int) -> int:
+        row = super()._mitigate_tracked(bank, now)
+        # the victim refresh forgives the aggressor's not-yet-recorded
+        # increments too
+        self.buffers[bank].pop(row, None)
+        return row
 
     # -- introspection -----------------------------------------------------
     def counter_value(self, bank: int, row: int) -> int:

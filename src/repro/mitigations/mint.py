@@ -15,16 +15,14 @@ from __future__ import annotations
 import random
 
 from ..dram.timing import TimingSet, ddr5_base
-from .base import EpisodeDecision, MitigationPolicy
+from .base import EpisodeDecision, RefMitigationPolicy
 from .mopac_d import MintSampler
-from .prac_state import RefreshSchedule
-from .security import SecurityTelemetry
 
 #: Activations a bank can perform per tREFI (3900 ns / 46 ns).
 DEFAULT_WINDOW = 84
 
 
-class MINTPolicy(MitigationPolicy):
+class MINTPolicy(RefMitigationPolicy):
     """Per-bank MINT sampling with mitigate-on-REF."""
 
     name = "mint"
@@ -34,23 +32,16 @@ class MINTPolicy(MitigationPolicy):
                  refs_per_mitigation: int = 1,
                  timing: TimingSet | None = None,
                  rng: random.Random | None = None):
-        super().__init__(timing or ddr5_base())
-        if refs_per_mitigation < 1:
-            raise ValueError("refs_per_mitigation must be >= 1")
+        # MINT has no counters, but the shadow truth still tracks the
+        # per-row disturbance its sampling leaves unmitigated
+        super().__init__(timing or ddr5_base(), banks, rows, refresh_groups,
+                         refs_per_mitigation)
         rng = rng or random.Random(0x414E54)
         self.samplers = [
             MintSampler(window, random.Random(rng.getrandbits(64)))
             for _ in range(banks)
         ]
         self.pending: list[int | None] = [None] * banks
-        self.refs_per_mitigation = refs_per_mitigation
-        # MINT has no counters, but the shadow truth still tracks the
-        # per-row disturbance its sampling leaves unmitigated
-        self.security = SecurityTelemetry(banks, rows)
-        self.refresh_schedules = [RefreshSchedule(rows, refresh_groups)
-                                  for _ in range(banks)]
-        self._ref_count = 0
-        self._bank_ref_counts = [0] * banks
 
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
@@ -61,26 +52,8 @@ class MINTPolicy(MitigationPolicy):
             self.pending[bank] = selected
         return self._plain_decision
 
-    def _advance_refresh(self, bank: int) -> None:
-        start, stop = self.refresh_schedules[bank].advance()
-        self.security.on_refresh_range(bank, start, stop)
-
-    def on_refresh(self, now: int, bank: int | None = None) -> None:
-        if bank is not None:
-            self._advance_refresh(bank)
-            self._bank_ref_counts[bank] += 1
-            if self._bank_ref_counts[bank] % self.refs_per_mitigation:
-                return
-            if self.pending[bank] is not None:
-                self._record_mitigation(bank, self.pending[bank], now)
-                self.pending[bank] = None
-            return
-        for index in range(len(self.pending)):
-            self._advance_refresh(index)
-        self._ref_count += 1
-        if self._ref_count % self.refs_per_mitigation:
-            return
-        for index, row in enumerate(self.pending):
-            if row is not None:
-                self._record_mitigation(index, row, now)
-                self.pending[index] = None
+    def _mitigate_on_ref(self, bank: int, now: int) -> None:
+        row = self.pending[bank]
+        if row is not None:
+            self._record_mitigation(bank, row, now)
+            self.pending[bank] = None

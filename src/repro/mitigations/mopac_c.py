@@ -49,7 +49,6 @@ class MoPACCPolicy(PRACMoatPolicy):
 
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
-        self._acts_since_rfm += 1
         self.security.on_activate(bank, row)
         if self.rng.random() < self.p:
             return self._cu_decision
@@ -57,13 +56,3 @@ class MoPACCPolicy(PRACMoatPolicy):
 
     def timing_pair(self):
         return self.timings.normal, self.timings.counter_update
-
-    def on_precharge(self, bank: int, row: int, now: int,
-                     counter_update: bool) -> None:
-        if not counter_update:
-            return
-        self.stats.counter_updates += 1
-        value = self.state.update(bank, row, self.increment)
-        self.security.on_counter_update(bank, row, value)
-        if value >= self.ath:
-            self._request_alert()

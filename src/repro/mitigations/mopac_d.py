@@ -40,8 +40,7 @@ from ..security.csearch import (DEFAULT_TTH, MoPACParams,
 from ..security.markov import mopac_d_nup_params
 from ..security.rowpress import ROWPRESS_TON_CAP_NS
 from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import PRACCounters, RefreshSchedule
-from .security import SecurityTelemetry
+from .prac_state import PRACCounters
 
 #: SRQ entries drained per ABO (each row update takes 70 ns of the 350 ns).
 SRQ_DRAIN_PER_ABO = 5
@@ -116,11 +115,8 @@ class _ChipState:
     """Per-chip MoPAC-D state: counters, samplers, SRQs."""
 
     def __init__(self, banks: int, rows: int, window: int,
-                 srq_size: int, refresh_groups: int, rng: random.Random,
-                 sampler: str = "mint"):
+                 srq_size: int, rng: random.Random, sampler: str = "mint"):
         self.prac = PRACCounters(banks, rows)
-        self.refresh_schedules = [RefreshSchedule(rows, refresh_groups)
-                                  for _ in range(banks)]
         sampler_cls = {"mint": MintSampler, "para": ParaSampler}[sampler]
         self.samplers = [sampler_cls(window, rng) for _ in range(banks)]
         self.srqs: list[dict[int, SRQEntry]] = [{} for _ in range(banks)]
@@ -143,7 +139,7 @@ class MoPACDPolicy(MitigationPolicy):
                  params: MoPACParams | None = None,
                  sampler: str = "mint", rowpress_aware: bool = False,
                  abo_level: int = 1):
-        super().__init__(timing or ddr5_base())
+        super().__init__(timing or ddr5_base(), banks, rows, refresh_groups)
         if abo_level not in (1, 2, 4):
             raise ValueError("abo_level must be 1, 2 or 4 (JEDEC menu)")
         self.abo_level = abo_level
@@ -184,22 +180,18 @@ class MoPACDPolicy(MitigationPolicy):
         self.sampler_kind = sampler
         rng = rng or random.Random(0x40D0)
         self.chips = [
-            _ChipState(banks, rows, self.inv_p, srq_size, refresh_groups,
+            _ChipState(banks, rows, self.inv_p, srq_size,
                        random.Random(rng.getrandbits(64)), sampler)
             for _ in range(chips)
         ]
         self.banks = banks
-        self.security = SecurityTelemetry(banks, rows)
         self.rowpress_aware = rowpress_aware
-        self._alert_causes: set[str] = set()
-        self._acts_since_rfm = 1
 
     # ------------------------------------------------------------------
     # Activation path — baseline timings, in-DRAM sampling
     # ------------------------------------------------------------------
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
-        self._acts_since_rfm += 1
         self.security.on_activate(bank, row)
         for chip in self.chips:
             self._chip_activate(chip, bank, row)
@@ -211,7 +203,8 @@ class MoPACDPolicy(MitigationPolicy):
         if entry is not None:
             entry.actr += 1
             if entry.actr >= self.tth:
-                self._alert_causes.add("tardiness")
+                self.alert_causes.add("tardiness")
+                self._alert = True
         selected = chip.samplers[bank].observe(row)
         if selected is None:
             return
@@ -229,12 +222,14 @@ class MoPACDPolicy(MitigationPolicy):
             return
         if len(srq) >= chip.srq_size:
             # Should be drained before this point; assert ALERT and drop.
-            self._alert_causes.add("srq_full")
+            self.alert_causes.add("srq_full")
+            self._alert = True
             return
         srq[row] = SRQEntry(row)
         self.stats.srq_insertions += 1
         if len(srq) >= chip.srq_size:
-            self._alert_causes.add("srq_full")
+            self.alert_causes.add("srq_full")
+            self._alert = True
 
     def note_row_open(self, bank: int, row: int, open_ps: int) -> None:
         """Appendix A: long row-open episodes charge extra damage.
@@ -257,49 +252,42 @@ class MoPACDPolicy(MitigationPolicy):
     # ------------------------------------------------------------------
     # Maintenance path
     # ------------------------------------------------------------------
-    def on_refresh(self, now: int, bank: int | None = None) -> None:
+    def _refresh_bank(self, bank: int, start: int, stop: int,
+                      now: int) -> None:
+        # every chip refreshes the same rows: one schedule serves all
         for chip in self.chips:
-            banks = (range(chip.prac.banks) if bank is None else (bank,))
-            for index in banks:
-                start, stop = chip.refresh_schedules[index].advance()
-                chip.prac.refresh_rows(index, start, stop)
-                if chip is self.chips[0]:
-                    # all chips advance identical schedules; the shadow
-                    # truth clears once per physical REF
-                    self.security.on_refresh_range(index, start, stop)
-                if self.drain_on_ref:
+            chip.prac.refresh_rows(bank, start, stop)
+
+    def on_refresh(self, now: int, bank: int | None = None) -> None:
+        super().on_refresh(now, bank)
+        if self.drain_on_ref:
+            # each chip then drains its own SRQs under the REF
+            banks = range(self.banks) if bank is None else (bank,)
+            for chip in self.chips:
+                for index in banks:
                     self._drain(chip, index, self.drain_on_ref, now,
                                 on_ref=True)
 
-    def alert_requested(self) -> bool:
-        return bool(self._alert_causes) and self._acts_since_rfm > 0
-
-    @property
-    def alert_causes(self) -> frozenset[str]:
-        return frozenset(self._alert_causes)
-
-    def on_rfm(self, now: int) -> None:
+    def _serve_rfm(self, now: int) -> bool:
         """Service one RFM: drain SRQs or mitigate, per Section 6.1.
 
         With ``abo_level`` > 1 the harness calls this several times per
         ALERT; the cause is attributed once (follow-up RFMs of the same
         episode find the cause set empty).
         """
-        self.stats.alerts += 1
-        if self._acts_since_rfm > 0:  # first RFM of this ALERT episode
-            self.security.on_rfm(self.stats.activations)
-        if self._alert_causes:
-            if "srq_full" in self._alert_causes:
+        causes = self.alert_causes
+        if causes:
+            if "srq_full" in causes:
                 self.stats.alerts_srq_full += 1
-            elif "tardiness" in self._alert_causes:
+            elif "tardiness" in causes:
                 self.stats.alerts_tardiness += 1
             else:
                 self.stats.alerts_mitigation += 1
-        self._alert_causes.clear()
+        causes.clear()
         for chip in self.chips:
             for bank in range(chip.prac.banks):
                 self._service_bank(chip, bank, now)
-        self._acts_since_rfm = 0
+        return bool(causes)
 
     def _service_bank(self, chip: _ChipState, bank: int, now: int) -> None:
         srq = chip.srqs[bank]
@@ -338,7 +326,8 @@ class MoPACDPolicy(MitigationPolicy):
             if on_ref:
                 self.stats.ref_drains += 1
             if value >= self.ath_star:
-                self._alert_causes.add("mitigation")
+                self.alert_causes.add("mitigation")
+                self._alert = True
 
     def _mitigate(self, chip: _ChipState, bank: int, now: int) -> None:
         row = chip.prac.mitigate(bank)

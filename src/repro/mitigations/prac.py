@@ -12,35 +12,37 @@ from __future__ import annotations
 from ..dram.timing import TimingSet, ddr5_base, ddr5_prac
 from ..security.moat_model import moat_ath, moat_eth
 from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import PRACCounters, RefreshSchedule
-from .security import SecurityTelemetry
+from .prac_state import PRACCounters
 
 
 class PRACMoatPolicy(MitigationPolicy):
-    """Deterministic PRAC: counter update on every precharge."""
+    """Deterministic PRAC: counter update on every precharge.
+
+    Also the MOAT service the PRAC family shares (MOAT, MoPAC-C, QPRAC,
+    CnC-PRAC): under each RFM every bank whose tracked counter is at
+    least ETH mitigates that row, and ALERT stays raised while a
+    tracked counter is still at ATH.
+    """
 
     name = "prac"
+
+    #: counter increment per counter-update precharge
+    increment = 1
 
     def __init__(self, trh: int, banks: int = 32, rows: int = 65536,
                  refresh_groups: int = 8192,
                  timing: TimingSet | None = None):
-        super().__init__(timing or ddr5_prac())
+        super().__init__(timing or ddr5_prac(), banks, rows, refresh_groups)
         if trh <= 0:
             raise ValueError("trh must be positive")
         self.trh = trh
         self.ath = moat_ath(trh)
         self.eth = moat_eth(trh)
         self.state = PRACCounters(banks, rows)
-        self.refresh_schedules = [RefreshSchedule(rows, refresh_groups)
-                                  for _ in range(banks)]
-        self.security = SecurityTelemetry(banks, rows)
-        self._alert = False
-        self._acts_since_rfm = 1  # ABO requires activations between ALERTs
 
     # -- activation path --------------------------------------------------
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
-        self._acts_since_rfm += 1
         self.security.on_activate(bank, row)
         return self._cu_decision
 
@@ -49,52 +51,35 @@ class PRACMoatPolicy(MitigationPolicy):
         if not counter_update:
             return
         self.stats.counter_updates += 1
-        value = self.state.update(bank, row, 1)
+        value = self.state.update(bank, row, self.increment)
         self.security.on_counter_update(bank, row, value)
         if value >= self.ath:
-            self._request_alert()
+            self._alert = True
 
     # -- maintenance path --------------------------------------------------
-    def on_refresh(self, now: int, bank: int | None = None) -> None:
-        banks = (range(self.state.banks) if bank is None else (bank,))
-        for index in banks:
-            start, stop = self.refresh_schedules[index].advance()
-            self.state.refresh_rows(index, start, stop)
-            self.security.on_refresh_range(index, start, stop)
+    def _refresh_bank(self, bank: int, start: int, stop: int,
+                      now: int) -> None:
+        self.state.refresh_rows(bank, start, stop)
 
-    def alert_requested(self) -> bool:
-        return self._alert and self._acts_since_rfm > 0
-
-    def on_rfm(self, now: int) -> None:
+    def _serve_rfm(self, now: int) -> bool:
         """All banks of the sub-channel mitigate their tracked row."""
-        self.stats.alerts += 1
         self.stats.alerts_mitigation += 1
-        if self._acts_since_rfm > 0:  # first RFM of this ALERT episode
-            self.security.on_rfm(self.stats.activations)
-        for bank in range(self.state.banks):
-            tracker = self.state.tracker(bank)
-            if tracker.valid and tracker.value >= self.eth:
-                row = self.state.mitigate(bank)
-                if row is not None:
-                    self._record_mitigation(bank, row, now)
-        self._alert = False
-        self._acts_since_rfm = 0
-        self._recheck_alert()
+        eth = self.eth
+        for bank, tracker in enumerate(self.state.trackers):
+            if tracker.valid and tracker.value >= eth:
+                self._mitigate_tracked(bank, now)
+        return any(tracker.value >= self.ath
+                   for tracker in self.state.trackers)
+
+    def _mitigate_tracked(self, bank: int, now: int) -> int:
+        """Victim-refresh the bank's tracked row; returns the row."""
+        row = self.state.mitigate(bank)
+        self._record_mitigation(bank, row, now)
+        return row
 
     # -- introspection -----------------------------------------------------
     def counter_value(self, bank: int, row: int) -> int:
         return self.state.value(bank, row)
-
-    # -- internals -----------------------------------------------------------
-    def _request_alert(self) -> None:
-        self._alert = True
-
-    def _recheck_alert(self) -> None:
-        """Re-assert if some bank is still above threshold after RFM."""
-        for bank in range(self.state.banks):
-            if self.state.tracker(bank).value >= self.ath:
-                self._alert = True
-                return
 
 
 class BaselinePolicy(MitigationPolicy):

@@ -30,8 +30,7 @@ from __future__ import annotations
 from ..dram.timing import MoPACTimings, TimingSet
 from ..security.moat_model import moat_ath, moat_eth
 from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import BLAST_RADIUS, MoatTracker, RefreshSchedule, zeros
-from .security import SecurityTelemetry
+from .prac_state import BLAST_RADIUS, MoatTracker, zeros
 
 #: Default subarrays per bank (real parts have 32-128; the scaled-down
 #: geometries used in tests keep the ratio rows/subarray meaningful).
@@ -113,21 +112,16 @@ class PRACticalPolicy(MitigationPolicy):
                  subarrays: int = DEFAULT_SUBARRAYS,
                  timings: MoPACTimings | None = None):
         self.timings = timings or MoPACTimings.default()
-        super().__init__(self.timings.normal)
+        super().__init__(self.timings.normal, banks, rows, refresh_groups)
         if trh <= 0:
             raise ValueError("trh must be positive")
         self.trh = trh
         self.ath = moat_ath(trh)
         self.eth = moat_eth(trh)
         self.state = SubarrayState(banks, rows, min(subarrays, rows))
-        self.refresh_schedules = [RefreshSchedule(rows, refresh_groups)
-                                  for _ in range(banks)]
-        self.security = SecurityTelemetry(banks, rows)
         #: last-activated subarray per bank; -1 = counter write retired
         self._busy_subarray = [-1] * banks
         self._alert_banks: set[int] = set()
-        self._alert = False
-        self._acts_since_rfm = 1
         self.overlapped_updates = 0
         # the cu flag encodes which timing set the episode ran at (the
         # oracle's contract); counting itself is unconditional — see
@@ -139,7 +133,6 @@ class PRACticalPolicy(MitigationPolicy):
     # -- activation path --------------------------------------------------
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
-        self._acts_since_rfm += 1
         self.security.on_activate(bank, row)
         subarray = self.state.subarray_of(row)
         previous = self._busy_subarray[bank]
@@ -166,43 +159,29 @@ class PRACticalPolicy(MitigationPolicy):
             self._alert_banks.add(bank)
 
     # -- maintenance path --------------------------------------------------
-    def on_refresh(self, now: int, bank: int | None = None) -> None:
-        banks = (range(self.state.banks) if bank is None else (bank,))
-        for index in banks:
-            start, stop = self.refresh_schedules[index].advance()
-            self.state.refresh_rows(index, start, stop)
-            self.security.on_refresh_range(index, start, stop)
-            # REF closes the bank; the pending write retires under it
-            self._busy_subarray[index] = -1
-
-    def alert_requested(self) -> bool:
-        return self._alert and self._acts_since_rfm > 0
+    def _refresh_bank(self, bank: int, start: int, stop: int,
+                      now: int) -> None:
+        self.state.refresh_rows(bank, start, stop)
+        # REF closes the bank; the pending write retires under it
+        self._busy_subarray[bank] = -1
 
     def alert_banks(self) -> tuple[int, ...]:
         """Banks the pending ALERT needs recovery on (sorted)."""
         return tuple(sorted(self._alert_banks))
 
-    def on_rfm(self, now: int) -> None:
+    def _serve_rfm(self, now: int) -> bool:
         """Mitigate every eligible subarray of the recovery banks only."""
-        self.stats.alerts += 1
         self.stats.alerts_mitigation += 1
-        if self._acts_since_rfm > 0:  # first RFM of this ALERT episode
-            self.security.on_rfm(self.stats.activations)
+        state = self.state
         for bank in sorted(self._alert_banks):
-            for subarray in range(self.state.subarrays):
-                tracker = self.state.trackers[bank][subarray]
+            for subarray, tracker in enumerate(state.trackers[bank]):
                 if tracker.valid and tracker.value >= self.eth:
-                    row = self.state.mitigate_subarray(bank, subarray)
-                    if row is not None:
-                        self._record_mitigation(bank, row, now)
+                    row = state.mitigate_subarray(bank, subarray)
+                    self._record_mitigation(bank, row, now)
             self._busy_subarray[bank] = -1
-        self._alert_banks.clear()
-        self._alert = False
-        self._acts_since_rfm = 0
-        for bank in range(self.state.banks):
-            if self.state.max_tracked(bank) >= self.ath:
-                self._alert = True
-                self._alert_banks.add(bank)
+        self._alert_banks = {bank for bank in range(state.banks)
+                             if state.max_tracked(bank) >= self.ath}
+        return bool(self._alert_banks)
 
     # -- introspection -----------------------------------------------------
     def counter_value(self, bank: int, row: int) -> int:

@@ -14,13 +14,11 @@ import collections
 import random
 
 from ..dram.timing import TimingSet, ddr5_base
-from .base import EpisodeDecision, MitigationPolicy
+from .base import EpisodeDecision, RefMitigationPolicy
 from .mint import DEFAULT_WINDOW
-from .prac_state import RefreshSchedule
-from .security import SecurityTelemetry
 
 
-class PrIDEPolicy(MitigationPolicy):
+class PrIDEPolicy(RefMitigationPolicy):
     """Bernoulli sampling into a lossy per-bank FIFO, drain-on-REF."""
 
     name = "pride"
@@ -30,24 +28,17 @@ class PrIDEPolicy(MitigationPolicy):
                  queue_size: int = 2, refs_per_mitigation: int = 1,
                  timing: TimingSet | None = None,
                  rng: random.Random | None = None):
-        super().__init__(timing or ddr5_base())
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        if refs_per_mitigation < 1:
-            raise ValueError("refs_per_mitigation must be >= 1")
+        super().__init__(timing or ddr5_base(), banks, rows, refresh_groups,
+                         refs_per_mitigation)
         self.probability = 1.0 / window
         self.queues: list[collections.deque[int]] = [
             collections.deque() for _ in range(banks)
         ]
         self.queue_size = queue_size
-        self.refs_per_mitigation = refs_per_mitigation
         self.rng = rng or random.Random(0x1DE)
-        self.security = SecurityTelemetry(banks, rows)
-        self.refresh_schedules = [RefreshSchedule(rows, refresh_groups)
-                                  for _ in range(banks)]
         self.dropped_samples = 0
-        self._ref_count = 0
-        self._bank_ref_counts = [0] * banks
 
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
@@ -60,25 +51,7 @@ class PrIDEPolicy(MitigationPolicy):
                 self.dropped_samples += 1
         return self._plain_decision
 
-    def _advance_refresh(self, bank: int) -> None:
-        start, stop = self.refresh_schedules[bank].advance()
-        self.security.on_refresh_range(bank, start, stop)
-
-    def on_refresh(self, now: int, bank: int | None = None) -> None:
-        if bank is not None:
-            self._advance_refresh(bank)
-            self._bank_ref_counts[bank] += 1
-            if self._bank_ref_counts[bank] % self.refs_per_mitigation:
-                return
-            if self.queues[bank]:
-                self._record_mitigation(bank, self.queues[bank].popleft(),
-                                        now)
-            return
-        for index in range(len(self.queues)):
-            self._advance_refresh(index)
-        self._ref_count += 1
-        if self._ref_count % self.refs_per_mitigation:
-            return
-        for index, queue in enumerate(self.queues):
-            if queue:
-                self._record_mitigation(index, queue.popleft(), now)
+    def _mitigate_on_ref(self, bank: int, now: int) -> None:
+        queue = self.queues[bank]
+        if queue:
+            self._record_mitigation(bank, queue.popleft(), now)

@@ -12,12 +12,10 @@ is exactly the paper's motivation for PRAC.
 from __future__ import annotations
 
 from ..dram.timing import TimingSet, ddr5_base
-from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import RefreshSchedule
-from .security import SecurityTelemetry
+from .base import EpisodeDecision, RefMitigationPolicy
 
 
-class TRRPolicy(MitigationPolicy):
+class TRRPolicy(RefMitigationPolicy):
     """Misra-Gries tracker with ``entries`` counters per bank."""
 
     name = "trr"
@@ -27,19 +25,14 @@ class TRRPolicy(MitigationPolicy):
                  mitigation_threshold: int = 64,
                  refs_per_mitigation: int = 4,
                  timing: TimingSet | None = None):
-        super().__init__(timing or ddr5_base())
+        # the shadow truth makes the strawman's escapes measurable
+        super().__init__(timing or ddr5_base(), banks, rows, refresh_groups,
+                         refs_per_mitigation)
         if entries < 1:
             raise ValueError("entries must be >= 1")
         self.entries = entries
         self.mitigation_threshold = mitigation_threshold
-        self.refs_per_mitigation = refs_per_mitigation
         self.tables: list[dict[int, int]] = [{} for _ in range(banks)]
-        # the shadow truth makes the strawman's escapes measurable
-        self.security = SecurityTelemetry(banks, rows)
-        self.refresh_schedules = [RefreshSchedule(rows, refresh_groups)
-                                  for _ in range(banks)]
-        self._ref_count = 0
-        self._bank_ref_counts = [0] * banks
 
     def on_activate(self, bank: int, row: int, now: int) -> EpisodeDecision:
         self.stats.activations += 1
@@ -57,27 +50,7 @@ class TRRPolicy(MitigationPolicy):
                     del table[key]
         return self._plain_decision
 
-    def _advance_refresh(self, bank: int) -> None:
-        start, stop = self.refresh_schedules[bank].advance()
-        self.security.on_refresh_range(bank, start, stop)
-
-    def on_refresh(self, now: int, bank: int | None = None) -> None:
-        if bank is not None:
-            self._advance_refresh(bank)
-            self._bank_ref_counts[bank] += 1
-            if self._bank_ref_counts[bank] % self.refs_per_mitigation:
-                return
-            self._service_bank(bank, now)
-            return
-        for index in range(len(self.tables)):
-            self._advance_refresh(index)
-        self._ref_count += 1
-        if self._ref_count % self.refs_per_mitigation:
-            return
-        for index in range(len(self.tables)):
-            self._service_bank(index, now)
-
-    def _service_bank(self, bank: int, now: int) -> None:
+    def _mitigate_on_ref(self, bank: int, now: int) -> None:
         table = self.tables[bank]
         if not table:
             return

@@ -30,7 +30,7 @@ class AboSim:
     def force_alert(self):
         """Put a row at ATH and assert ALERT directly."""
         self.policy.state.update(0, 64, self.policy.ath)
-        self.policy._request_alert()
+        self.policy._alert = True
 
     def submit(self, bank, row, at):
         request = MemRequest(0, 0, bank, row, at)

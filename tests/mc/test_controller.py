@@ -174,7 +174,7 @@ class TestAlertFlow:
         # Force the tracker over ATH directly, then trigger the check
         # through a normal request cycle.
         policy.state.update(0, 64, policy.ath)
-        policy._request_alert()
+        policy._alert = True
         request = sim.submit(1, 3, at=0)
         sim.run_all()
         sim.run(until=10**9)

@@ -77,9 +77,7 @@ class TestHammerCLI:
         policy, geometry = _attacked(monkeypatch, design, "--banks", "4",
                                      "--rows", "1024",
                                      "--refresh-groups", "64")
-        holders = [policy] + list(getattr(policy, "chips", []))
-        schedules = [schedule for holder in holders
-                     for schedule in getattr(holder, "refresh_schedules", [])]
+        schedules = policy.refresh_schedules
         assert len(schedules) in (0, geometry["banks"])
         for schedule in schedules:
             assert (schedule.rows, schedule.groups) \
