@@ -19,12 +19,12 @@ from repro.tools import campaign
 
 #: design -> non-default values of the DesignPoint knobs it takes
 KNOBBED = {
-    "mopac-c": [dict(p=1 / 32), dict(rowpress=True)],
+    "mopac-c": [dict(p=1 / 8), dict(rowpress=True)],
     "mopac-d": [dict(p=0.25, srq_size=32, drain_on_ref=3),
                 dict(chips=4, sampler="para", abo_level=2, rowpress=True),
                 dict(drain_on_ref=0, abo_level=4)],
     "mopac-d-nup": [dict(p=1 / 4, srq_size=8, drain_on_ref=1, chips=2,
-                         sampler="para", abo_level=4, rowpress=True)],
+                         sampler="para", abo_level=4)],
 }
 
 
