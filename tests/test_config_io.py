@@ -91,7 +91,7 @@ class TestIniRoundtrip:
 
     def test_fancy_point(self):
         point = DesignPoint(
-            workload="hammer", design="mopac-d-nup", trh=250,
+            workload="hammer", design="mopac-d", trh=250,
             instructions=12_345, seed=99, page_policy="ton100", chips=4,
             srq_size=32, drain_on_ref=3, p=1 / 4, rows_per_bank=1024,
             refresh_scale=1 / 128, rowpress=True, sampler="para",
