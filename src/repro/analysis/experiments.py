@@ -106,8 +106,8 @@ def tab14_rowpress(trhs=(500, 1000)) -> dict[int, dict[str, int]]:
     """Table 14: Row-Press-aware ATH*."""
     return {
         trh: {
-            "mopac_c": security.mopac_c_rowpress_params(trh).ath_star,
-            "mopac_d": security.mopac_d_rowpress_params(trh).ath_star,
+            "mopac_c": security.mopac_c_params(trh, rowpress=True).ath_star,
+            "mopac_d": security.mopac_d_params(trh, rowpress=True).ath_star,
         }
         for trh in trhs
     }

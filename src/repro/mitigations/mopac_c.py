@@ -30,8 +30,9 @@ class MoPACCPolicy(PRACMoatPolicy):
                  p: float | None = None, refresh_groups: int = 8192,
                  timings: MoPACTimings | None = None,
                  rng: random.Random | None = None,
-                 params: MoPACParams | None = None):
-        self.params = params or mopac_c_params(trh, p)
+                 params: MoPACParams | None = None,
+                 rowpress: bool = False):
+        self.params = params or mopac_c_params(trh, p, rowpress=rowpress)
         self.timings = timings or MoPACTimings.default()
         super().__init__(trh, banks, rows, refresh_groups,
                          timing=self.timings.normal)

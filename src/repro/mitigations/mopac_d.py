@@ -37,7 +37,6 @@ from ..dram.timing import TimingSet, ddr5_base
 from ..units import ns
 from ..security.csearch import (DEFAULT_TTH, MoPACParams,
                                 drain_on_ref_default, mopac_d_params)
-from ..security.markov import mopac_d_nup_params
 from ..security.rowpress import ROWPRESS_TON_CAP_NS
 from .base import EpisodeDecision, MitigationPolicy
 from .prac_state import PRACCounters
@@ -138,7 +137,7 @@ class MoPACDPolicy(MitigationPolicy):
                  rng: random.Random | None = None,
                  params: MoPACParams | None = None,
                  sampler: str = "mint", rowpress_aware: bool = False,
-                 abo_level: int = 1):
+                 abo_level: int = 1, rowpress: bool = False):
         super().__init__(timing or ddr5_base(), banks, rows, refresh_groups)
         if abo_level not in (1, 2, 4):
             raise ValueError("abo_level must be 1, 2 or 4 (JEDEC menu)")
@@ -155,23 +154,12 @@ class MoPACDPolicy(MitigationPolicy):
         self.nup = nup
         if nup:
             self.name = "mopac-d-nup"
-        if params is None:
-            if nup:
-                nup_params = mopac_d_nup_params(trh, p, tth)
-                base = mopac_d_params(trh, p, tth)
-                params = MoPACParams(
-                    trh=trh, ath=base.ath, effective_acts=base.ath,
-                    p=nup_params.p, critical_updates=nup_params.nup_c,
-                    ath_star=nup_params.nup_ath_star, epsilon=base.epsilon,
-                    undercount_probability=base.undercount_probability,
-                )
-            else:
-                params = mopac_d_params(trh, p, tth)
-        self.params = params
-        self.p = params.p
-        self.inv_p = round(1 / params.p)
-        self.ath_star = params.ath_star
-        self.eth_star = max(params.ath_star // 2, 1)
+        self.params = params or mopac_d_params(trh, p, tth, nup=nup,
+                                               rowpress=rowpress)
+        self.p = self.params.p
+        self.inv_p = round(1 / self.p)
+        self.ath_star = self.params.ath_star
+        self.eth_star = max(self.ath_star // 2, 1)
         self.tth = tth
         self.drain_on_ref = (drain_on_ref if drain_on_ref is not None
                              else drain_on_ref_default(trh))

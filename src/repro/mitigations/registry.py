@@ -30,8 +30,6 @@ from typing import Callable
 
 from ..dram.timing import MoPACTimings, TimingSet, derive_prac
 from ..rng import derive_seed
-from ..security.rowpress import (mopac_c_rowpress_params,
-                                 mopac_d_rowpress_params)
 from .base import MitigationPolicy
 from .cnc_prac import CnCPRACPolicy
 from .mint import MINTPolicy
@@ -174,23 +172,6 @@ def _pride_tolerated(trh: int) -> int:
     return pride_tolerated(1)
 
 
-def _mopac_c(trh, banks, rows, refresh_groups, seed, p=None,
-             rowpress=False, **kw) -> MoPACCPolicy:
-    # rowpress: the Appendix A parameters, derated for Row-Press
-    if rowpress:
-        kw["params"] = mopac_c_rowpress_params(trh, p)
-    return MoPACCPolicy(trh, banks, rows, p=p, refresh_groups=refresh_groups,
-                        rng=random.Random(seed), **kw)
-
-
-def _mopac_d(trh, banks, rows, refresh_groups, seed, p=None,
-             rowpress=False, **kw) -> MoPACDPolicy:
-    if rowpress:
-        kw["params"] = mopac_d_rowpress_params(trh, p)
-    return MoPACDPolicy(trh, banks, rows, p=p, refresh_groups=refresh_groups,
-                        rng=random.Random(seed), **kw)
-
-
 _ROWPRESS_KNOB = ("rowpress", "Row-Press-derated ATH* (Appendix A)")
 _MOPAC_D_KNOBS = (
     ("p", "sampling probability (default: C-search)"),
@@ -265,7 +246,9 @@ register(MitigationSpec(
 
 register(MitigationSpec(
     name="mopac-c",
-    factory=_mopac_c,
+    factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
+        MoPACCPolicy(trh, banks, rows, refresh_groups=refresh_groups,
+                     rng=random.Random(seed), **kw),
     description="MoPAC-C: MC-side probabilistic PREcu selection",
     exact=False, timing="dual",
     knobs=(("p", "PREcu selection probability (default: C-search)"),
@@ -274,7 +257,9 @@ register(MitigationSpec(
 
 register(MitigationSpec(
     name="mopac-d",
-    factory=_mopac_d,
+    factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
+        MoPACDPolicy(trh, banks, rows, refresh_groups=refresh_groups,
+                     rng=random.Random(seed), **kw),
     description="MoPAC-D: in-DRAM probabilistic counting with SRQ",
     exact=False, timing="base",
     knobs=_MOPAC_D_KNOBS,
@@ -328,7 +313,10 @@ _UNCOMPARED = {spec.name: spec for spec in (
         counting=False, secure=False, timing="base"),
     MitigationSpec(
         name="mopac-d-nup",
-        factory=lambda **kw: _mopac_d(nup=True, **kw),
-        description="MoPAC-D with no-update-period filtering (Section 8)",
+        factory=lambda trh, banks, rows, refresh_groups, seed, **kw:
+            MoPACDPolicy(trh, banks, rows, refresh_groups=refresh_groups,
+                         rng=random.Random(seed), nup=True, **kw),
+        description="MoPAC-D with non-uniform sampling probability "
+                    "(Section 8)",
         exact=False, timing="base", knobs=_MOPAC_D_KNOBS),
 )}

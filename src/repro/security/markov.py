@@ -10,7 +10,8 @@ activations is the Markov chain of Figure 16:
 steps the chain's distribution y gives the probability the row ends with
 each number of updates; the critical count C is the largest value whose
 cumulative mass stays below the escape budget P_e1 (Eq. 9), and
-ATH* = C / p as usual.
+ATH* = C / p as usual (:func:`repro.security.csearch.mopac_d_params`
+with ``nup``).
 
 With uniform edge probabilities the chain reproduces the binomial model
 exactly (the paper's footnote-8 sanity check, covered by our tests).
@@ -18,13 +19,7 @@ exactly (the paper's footnote-8 sanity check, covered by our tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .csearch import DEFAULT_TTH, MoPACParams, default_p
-from .failure import DEFAULT_TRC_NS, epsilon_for
-from .moat_model import moat_ath
 
 
 def counter_distribution(activations: int, p: float,
@@ -69,55 +64,3 @@ def critical_updates_markov(activations: int, p: float, epsilon: float,
         else:
             break
     return best
-
-
-@dataclass(frozen=True)
-class NUPParams:
-    """Derived NUP parameters alongside the uniform baseline (Table 11)."""
-
-    trh: int
-    p: float
-    uniform_ath_star: int
-    nup_ath_star: int
-    uniform_c: int
-    nup_c: int
-
-
-def mopac_d_nup_params(trh: int, p: float | None = None,
-                       tth: int = DEFAULT_TTH,
-                       trc_ns: float = DEFAULT_TRC_NS) -> NUPParams:
-    """Derive MoPAC-D parameters with and without NUP (Table 11 row).
-
-    Following the paper: the *uniform* column runs the model over
-    A' = ATH - TTH (identical to the Table 8 binomial result), while the
-    NUP column runs the Markov chain over the full ATH window ("the
-    likelihood that the PRAC counter reaches a particular value after
-    receiving ATH activations", Section 8.2). Both reproduce the published
-    Table 11 values exactly.
-    """
-    p = default_p(trh) if p is None else p
-    ath = moat_ath(trh)
-    effective = ath - tth
-    if effective <= 0:
-        raise ValueError("TTH leaves no activation budget")
-    eps = epsilon_for(trh, trc_ns)
-    uniform_c = critical_updates_markov(effective, p, eps, p_first=p)
-    nup_c = critical_updates_markov(ath, p, eps, p_first=p / 2)
-    return NUPParams(
-        trh=trh, p=p,
-        uniform_ath_star=round(uniform_c / p),
-        nup_ath_star=round(nup_c / p),
-        uniform_c=uniform_c, nup_c=nup_c,
-    )
-
-
-def markov_params_to_mopac(params: NUPParams) -> MoPACParams:
-    """Convert NUP params to the common MoPACParams shape (NUP variant)."""
-    ath = moat_ath(params.trh)
-    return MoPACParams(
-        trh=params.trh, ath=ath, effective_acts=ath,
-        p=params.p, critical_updates=params.nup_c,
-        ath_star=params.nup_ath_star, epsilon=epsilon_for(params.trh),
-        undercount_probability=float(
-            np.cumsum(counter_distribution(ath, params.p))[params.nup_c]),
-    )

@@ -1,4 +1,4 @@
-"""Row-Press-aware MoPAC parameters (Appendix A, Table 14).
+"""Row-Press damage model for MoPAC (Appendix A, Table 14).
 
 Row-Press [Luo+, ISCA'23] amplifies read disturbance when a row stays open:
 keeping a row open for 180 ns deals about 1.5x the damage of one
@@ -10,17 +10,16 @@ activation budget by 1.5x:
     A_rp  = floor(ATH / 1.5)            (MoPAC-C)
     A'_rp = floor((ATH - TTH) / 1.5)    (MoPAC-D; tardiness slack derates too)
 
-and the C-search proceeds as usual. Both conventions reproduce the
-published Table 14 values exactly.
+and the C-search proceeds as usual (``rowpress=True`` on
+:func:`repro.security.csearch.mopac_c_params` and ``mopac_d_params``).
+Both conventions reproduce the published Table 14 values exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .csearch import (DEFAULT_TTH, MoPACParams, critical_updates, default_p)
-from .binomial import undercount_probability
-from .failure import DEFAULT_TRC_NS, epsilon_for
 from .moat_model import moat_ath
 
 #: Relative damage of one 180 ns-open activation vs one fast activation.
@@ -35,40 +34,6 @@ def rowpress_budget(trh: int, damage: float = ROWPRESS_DAMAGE) -> int:
     return int(moat_ath(trh) / damage)
 
 
-def _params(trh: int, effective: int, p: float) -> MoPACParams:
-    eps = epsilon_for(trh, DEFAULT_TRC_NS)
-    c = critical_updates(effective, p, eps)
-    if c < 1:
-        # Footnote 9: the Row-Press-derated budget is too small for a
-        # usable ATH*; the paper recommends circuit-level techniques here.
-        raise ValueError(
-            f"Row-Press budget at T_RH {trh} yields C = 0; use "
-            "circuit-level mitigation instead (paper footnote 9)")
-    return MoPACParams(
-        trh=trh, ath=moat_ath(trh), effective_acts=effective, p=p,
-        critical_updates=c, ath_star=round(c / p), epsilon=eps,
-        undercount_probability=undercount_probability(c + 1, effective, p),
-    )
-
-
-def mopac_c_rowpress_params(trh: int, p: float | None = None,
-                            damage: float = ROWPRESS_DAMAGE) -> MoPACParams:
-    """Row-Press-aware MoPAC-C parameters (Table 14, MoPAC-C column)."""
-    p = default_p(trh) if p is None else p
-    return _params(trh, rowpress_budget(trh, damage), p)
-
-
-def mopac_d_rowpress_params(trh: int, p: float | None = None,
-                            tth: int = DEFAULT_TTH,
-                            damage: float = ROWPRESS_DAMAGE) -> MoPACParams:
-    """Row-Press-aware MoPAC-D parameters (Table 14, MoPAC-D column)."""
-    p = default_p(trh) if p is None else p
-    effective = int((moat_ath(trh) - tth) / damage)
-    if effective <= 0:
-        raise ValueError("Row-Press budget exhausted by TTH at this T_RH")
-    return _params(trh, effective, p)
-
-
 @dataclass(frozen=True)
 class RowPressDamage:
     """Damage accounting for one row-open episode."""
@@ -78,5 +43,4 @@ class RowPressDamage:
     @property
     def sctr_increment(self) -> int:
         """MoPAC-D: SCtr += ceil(tON / 180 ns) (Appendix A)."""
-        import math
         return max(1, math.ceil(self.open_time_ns / ROWPRESS_TON_CAP_NS))

@@ -10,11 +10,9 @@ import pytest
 
 from repro.analysis.tables import PAPER
 from repro.security.attacks_model import attack_ath_star, mopac_d_attacks
-from repro.security.csearch import mopac_c_params, mopac_d_params
-from repro.security.markov import mopac_d_nup_params
+from repro.security.csearch import (mopac_c_params, mopac_d_nup_params,
+                                    mopac_d_params)
 from repro.security.moat_model import moat_ath
-from repro.security.rowpress import (mopac_c_rowpress_params,
-                                     mopac_d_rowpress_params)
 
 
 class TestDerivedValuesMatchReference:
@@ -48,9 +46,9 @@ class TestDerivedValuesMatchReference:
 
     @pytest.mark.parametrize("trh,key", [(500, 500), (1000, 1000)])
     def test_tab14(self, trh, key):
-        assert mopac_c_rowpress_params(trh).ath_star == \
+        assert mopac_c_params(trh, rowpress=True).ath_star == \
             PAPER["tab14"][key]["mopac_c"]
-        assert mopac_d_rowpress_params(trh).ath_star == \
+        assert mopac_d_params(trh, rowpress=True).ath_star == \
             PAPER["tab14"][key]["mopac_d"]
 
     @pytest.mark.parametrize("trh", [250, 500, 1000])

@@ -16,6 +16,8 @@ the contract its spec declares, with no per-design test code:
   design point is the registry's policy for the same design, geometry
   and base timing, and stochastic designs give each sub-channel its own
   stream;
+* **one derivation** — a MoPAC policy's ATH*, C and p are its
+  derivation entry point's, Row-Press and NUP included;
 * **golden coverage** — every design has a golden fingerprint case
   (stats and traced command stream, ``repro.check.golden``);
 * **forced recovery paths** — the ALERT/RFM backstops that benign
@@ -27,6 +29,7 @@ the contract its spec declares, with no per-design test code:
   only once a new activation has arrived.
 """
 
+import functools
 import random
 
 import pytest
@@ -44,6 +47,7 @@ from repro.mitigations import registry
 from repro.mitigations.practical import PRACticalPolicy
 from repro.obs.registry import Histogram
 from repro.obs.tracer import EventTracer
+from repro.security.csearch import mopac_c_params, mopac_d_params
 from repro.sim.runner import DesignPoint, build_config, make_policy_factory
 
 DESIGNS = registry.names()
@@ -210,6 +214,29 @@ class TestOneConstructor:
         same = (self._fingerprint(first, design, banks)
                 == self._fingerprint(second, design, banks))
         assert same == (design not in STOCHASTIC)
+
+
+# ---------------------------------------------------------------------------
+# One derivation: a MoPAC policy's parameters are its entry point's
+# ---------------------------------------------------------------------------
+#: design -> the derivation entry point the policy must agree with
+DERIVATIONS = {
+    "mopac-c": mopac_c_params,
+    "mopac-d": mopac_d_params,
+    "mopac-d-nup": functools.partial(mopac_d_params, nup=True),
+}
+
+
+class TestOneDerivation:
+    @pytest.mark.parametrize("design,trh,rowpress", [
+        (design, trh, rowpress) for design in DERIVATIONS
+        for trh in (250, 500, 1000) for rowpress in (False, True)
+        if not (design == "mopac-d-nup" and rowpress)])
+    def test_policy_params_are_the_entry_points(self, design, trh,
+                                                rowpress):
+        policy = registry.make_policy(design, trh, 4, 512,
+                                      rowpress=rowpress)
+        assert policy.params == DERIVATIONS[design](trh, rowpress=rowpress)
 
 
 # ---------------------------------------------------------------------------

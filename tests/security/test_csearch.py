@@ -2,10 +2,13 @@
 
 import pytest
 
+import numpy as np
+
 from repro.security.csearch import (critical_updates, default_p,
                                     drain_on_ref_default, mopac_c_params,
                                     mopac_d_params, table6)
 from repro.security.failure import epsilon_for
+from repro.security.markov import counter_distribution
 
 
 class TestDefaultP:
@@ -59,9 +62,56 @@ class TestTable8MoPACD:
     def test_drain_on_ref(self, trh, drain):
         assert drain_on_ref_default(trh) == drain
 
+    @pytest.mark.parametrize("trh,drain", [
+        (100, 4), (250, 4), (300, 4), (500, 2), (700, 2), (1000, 1),
+        (2000, 1)])
+    def test_drain_on_ref_between_the_paper_points(self, trh, drain):
+        assert drain_on_ref_default(trh) == drain
+
     def test_tth_too_large_rejected(self):
         with pytest.raises(ValueError):
             mopac_d_params(250, tth=300)
+
+
+class TestOneDerivation:
+    """Every variant is one C-search over its own activation budget."""
+
+    def test_rowpress_derates_each_budget(self):
+        assert mopac_c_params(500, rowpress=True).effective_acts \
+            == int(472 / 1.5)
+        assert mopac_d_params(500, rowpress=True).effective_acts \
+            == int(440 / 1.5)
+
+    def test_nup_reports_the_chains_failure_probability(self):
+        """NUP's C comes from the Markov chain over the full ATH, and so
+        does the failure probability it reports (not the binomial over
+        ATH - TTH)."""
+        params = mopac_d_params(500, nup=True)
+        assert (params.effective_acts, params.critical_updates,
+                params.ath_star) == (472, 17, 136)
+        chain = np.cumsum(counter_distribution(472, 1 / 8, 1 / 16))
+        assert params.undercount_probability == float(chain[17])
+        assert params.undercount_probability == pytest.approx(7.72e-9,
+                                                              rel=1e-3)
+        assert params.undercount_probability <= params.epsilon
+
+    def test_nup_refuses_rowpress(self):
+        with pytest.raises(ValueError, match="nup and rowpress"):
+            mopac_d_params(500, nup=True, rowpress=True)
+
+    @pytest.mark.parametrize("derive", [
+        lambda: mopac_c_params(500, 1 / 32),
+        lambda: mopac_d_params(500, 1 / 32),
+        lambda: mopac_d_params(500, 1 / 16, nup=True),
+        lambda: mopac_c_params(500, 1 / 16, rowpress=True)])
+    def test_chosen_p_leaving_c_zero_is_refused(self, derive):
+        with pytest.raises(ValueError, match="yields C = 0"):
+            derive()
+
+    def test_default_p_may_leave_c_zero(self):
+        # at T_RH 100 MoPAC-D's A' = 33 leaves C = 0 even at p = 1/2;
+        # the T_RH 100 golden cases run this point (ROADMAP findings)
+        assert mopac_d_params(100).ath_star == 0
 
 
 class TestTable6Grid:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from repro.security.csearch import critical_updates, mopac_d_params
+from repro.security.csearch import (critical_updates, mopac_d_nup_params,
+                                    mopac_d_params)
 from repro.security.failure import epsilon_for
 from repro.security.markov import (counter_distribution,
-                                   critical_updates_markov,
-                                   markov_params_to_mopac,
-                                   mopac_d_nup_params)
+                                   critical_updates_markov)
 
 
 class TestChainBasics:
@@ -77,7 +76,7 @@ class TestTable11:
 
     def test_conversion_to_common_shape(self):
         nup = mopac_d_nup_params(500)
-        params = markov_params_to_mopac(nup)
+        params = mopac_d_params(500, nup=True)
         assert params.ath_star == nup.nup_ath_star
         assert params.trh == 500
 

@@ -4,19 +4,17 @@ import pytest
 
 from repro.security.csearch import mopac_c_params, mopac_d_params
 from repro.security.rowpress import (ROWPRESS_DAMAGE, RowPressDamage,
-                                     mopac_c_rowpress_params,
-                                     mopac_d_rowpress_params,
                                      rowpress_budget)
 
 
 class TestTable14:
     @pytest.mark.parametrize("trh,ath_star", [(500, 80), (1000, 160)])
     def test_mopac_c_published(self, trh, ath_star):
-        assert mopac_c_rowpress_params(trh).ath_star == ath_star
+        assert mopac_c_params(trh, rowpress=True).ath_star == ath_star
 
     @pytest.mark.parametrize("trh,ath_star", [(500, 64), (1000, 144)])
     def test_mopac_d_published(self, trh, ath_star):
-        assert mopac_d_rowpress_params(trh).ath_star == ath_star
+        assert mopac_d_params(trh, rowpress=True).ath_star == ath_star
 
 
 class TestDerating:
@@ -25,9 +23,9 @@ class TestDerating:
 
     def test_rowpress_ath_star_below_plain(self):
         for trh in (500, 1000):
-            assert mopac_c_rowpress_params(trh).ath_star < \
+            assert mopac_c_params(trh, rowpress=True).ath_star < \
                 mopac_c_params(trh).ath_star
-            assert mopac_d_rowpress_params(trh).ath_star < \
+            assert mopac_d_params(trh, rowpress=True).ath_star < \
                 mopac_d_params(trh).ath_star
 
     def test_damage_factor_is_1_5(self):
@@ -39,7 +37,7 @@ class TestDerating:
     def test_low_threshold_budget_exhaustion(self):
         """Footnote 9: at very low T_RH the Row-Press budget collapses."""
         with pytest.raises(ValueError):
-            mopac_d_rowpress_params(250, tth=200)
+            mopac_d_params(250, tth=200, rowpress=True)
 
 
 class TestSCtrIncrement:

@@ -66,6 +66,22 @@ class TestDesignPoint:
                                              r"yields C = 0"):
             DesignPoint("mcf", "mopac-c", trh=500, p=1 / 32, rowpress=True)
 
+    def test_nup_refuses_rowpress(self):
+        # the paper derives no Row-Press ATH* for NUP; the uniform one
+        # would be silently sampled at p/2
+        with pytest.raises(ValueError, match=r"design 'mopac-d-nup' refuses "
+                                             r"rowpress=True: NUP has no "
+                                             r"Row-Press-derated ATH\*"):
+            DesignPoint("hammer", "mopac-d-nup", trh=500, rowpress=True)
+
+    def test_p_leaving_no_update_is_rejected(self):
+        # C = 0 would make ATH* 0: an ALERT at every counter update
+        with pytest.raises(ValueError, match=r"design 'mopac-c' refuses "
+                                             r"p=0\.03125: Activation "
+                                             r"budget at T_RH 500 yields "
+                                             r"C = 0"):
+            DesignPoint("hammer", "mopac-c", trh=500, p=1 / 32)
+
     def test_default_knobs_build_no_policy(self, monkeypatch):
         def no_build(*args, **kwargs):
             raise AssertionError("built a policy")
