@@ -29,7 +29,7 @@ from .mopac_d import (DEFAULT_SRQ_SIZE, SRQ_DRAIN_PER_ABO, MintSampler,
 from .prac import BaselinePolicy, PRACMoatPolicy
 from .prac_state import (BLAST_RADIUS, MoatTracker, PRACCounters,
                          RefreshSchedule)
-from .practical import PRACticalPolicy, SubarrayState
+from .practical import PRACticalPolicy
 from .pride import PrIDEPolicy
 from .qprac import QPRACPolicy, QPRACProactivePolicy
 from .registry import MitigationSpec, make_policy
@@ -46,7 +46,7 @@ __all__ = [
     "MoatTracker", "MoPACCPolicy", "MoPACDPolicy", "PRACCounters", "ParaSampler",
     "PRACMoatPolicy", "PRACticalPolicy", "PolicyStats", "PrIDEPolicy",
     "QPRACPolicy", "QPRACProactivePolicy",
-    "RefreshSchedule", "SubarrayState",
+    "RefreshSchedule",
     "SRQEntry", "SRQ_DRAIN_PER_ABO", "TRRPolicy",
     "get_spec", "make_policy", "registered_names", "registered_specs",
 ]

@@ -57,21 +57,53 @@ class MoatTracker:
         return self.row >= 0
 
 
+class _SubarrayRouter:
+    """A bank's per-subarray trackers behind one ``observe``: each row's
+    value goes to its own subarray's tracker."""
+
+    __slots__ = ("trackers", "subarray_of")
+
+    def __init__(self, trackers: list[MoatTracker], subarray_of) -> None:
+        self.trackers = trackers
+        self.subarray_of = subarray_of
+
+    def observe(self, row: int, value: int) -> None:
+        self.trackers[self.subarray_of(row)].observe(row, value)
+
+
 class PRACCounters:
     """Per-bank PRAC counter arrays with MOAT trackers.
 
     One instance models one DRAM chip's view of a sub-channel: ``banks``
-    counter arrays of ``rows`` entries each, plus one :class:`MoatTracker`
-    per bank. Counter updates feed the tracker; refreshes clear counters.
+    counter arrays of ``rows`` entries each. A bank's rows form
+    ``subarrays`` contiguous blocks, each with its own
+    :class:`MoatTracker` (PRACtical tracks per subarray; every other
+    design has one subarray, so one tracker per bank). Counter updates
+    feed the row's tracker; refreshes clear counters.
     """
 
-    def __init__(self, banks: int, rows: int):
+    def __init__(self, banks: int, rows: int, subarrays: int = 1):
         if banks <= 0 or rows <= 0:
             raise ValueError("banks and rows must be positive")
+        if not 0 < subarrays <= rows:
+            raise ValueError("subarrays must be in (0, rows]")
         self.banks = banks
         self.rows = rows
+        self.subarrays = subarrays
         self.counters = [zeros(rows) for _ in range(banks)]
-        self.trackers = [MoatTracker() for _ in range(banks)]
+        #: ``subarray_trackers[bank][k]`` tracks subarray k of ``bank``
+        self.subarray_trackers = [[MoatTracker() for _ in range(subarrays)]
+                                  for _ in range(banks)]
+        #: per bank, what its updates feed: with one subarray the bank's
+        #: tracker itself, so :meth:`update` looks up no subarray
+        self.trackers = [
+            own[0] if subarrays == 1
+            else _SubarrayRouter(own, self.subarray_of)
+            for own in self.subarray_trackers]
+
+    def subarray_of(self, row: int) -> int:
+        """Contiguous row blocks: subarray k holds rows [k*R/S, (k+1)*R/S)."""
+        return row * self.subarrays // self.rows
 
     def update(self, bank: int, row: int, increment: int) -> int:
         """Apply a counter update and inform the MOAT tracker.
@@ -90,39 +122,40 @@ class PRACCounters:
     def tracker(self, bank: int) -> MoatTracker:
         return self.trackers[bank]
 
-    def mitigate(self, bank: int) -> int | None:
-        """Mitigate the tracked row of ``bank``.
+    def mitigate(self, bank: int, subarray: int = 0) -> int | None:
+        """Mitigate the tracked row of ``bank``'s ``subarray``.
 
         Performs the victim refresh bookkeeping: the aggressor's counter is
         reset (its victims are now fresh) and each victim row's counter is
         incremented by one, because a victim refresh activates the victim
-        (paper footnote 5). Returns the mitigated row, or None if the
-        tracker was empty.
+        (paper footnote 5); a victim feeds its own subarray's tracker.
+        Returns the mitigated row, or None if the tracker was empty.
         """
-        tracker = self.trackers[bank]
+        tracker = self.subarray_trackers[bank][subarray]
         if not tracker.valid:
             return None
         row = tracker.row
         counters = self.counters[bank]
         counters[row] = 0
         tracker.invalidate()
+        observe = self.trackers[bank].observe
         for offset in range(1, BLAST_RADIUS + 1):
             for victim in (row - offset, row + offset):
                 if 0 <= victim < self.rows:
                     counters[victim] += 1
-                    tracker.observe(victim, counters[victim])
+                    observe(victim, counters[victim])
         return row
 
     def refresh_rows(self, bank: int, start: int, stop: int) -> None:
         """Periodic refresh of rows [start, stop): counters reset.
 
-        If the MOAT-tracked row falls in the refreshed range its entry is
-        invalidated (its counter is now zero).
+        A tracker whose row falls in the refreshed range is invalidated
+        (its counter is now zero).
         """
         self.counters[bank][start:stop] = zeros(stop - start)
-        tracker = self.trackers[bank]
-        if tracker.valid and start <= tracker.row < stop:
-            tracker.invalidate()
+        for tracker in self.subarray_trackers[bank]:
+            if tracker.valid and start <= tracker.row < stop:
+                tracker.invalidate()
 
 
 class PRACShadow:

@@ -30,73 +30,11 @@ from __future__ import annotations
 from ..dram.timing import MoPACTimings, TimingSet
 from ..security.moat_model import moat_ath, moat_eth
 from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import BLAST_RADIUS, MoatTracker, zeros
+from .prac_state import PRACCounters
 
 #: Default subarrays per bank (real parts have 32-128; the scaled-down
 #: geometries used in tests keep the ratio rows/subarray meaningful).
 DEFAULT_SUBARRAYS = 8
-
-
-class SubarrayState:
-    """Per-bank PRAC counters with one MOAT tracker per subarray."""
-
-    def __init__(self, banks: int, rows: int, subarrays: int):
-        if banks <= 0 or rows <= 0:
-            raise ValueError("banks and rows must be positive")
-        if not 0 < subarrays <= rows:
-            raise ValueError("subarrays must be in (0, rows]")
-        self.banks = banks
-        self.rows = rows
-        self.subarrays = subarrays
-        self.counters = [zeros(rows) for _ in range(banks)]
-        self.trackers = [[MoatTracker() for _ in range(subarrays)]
-                         for _ in range(banks)]
-
-    def subarray_of(self, row: int) -> int:
-        """Contiguous row blocks: subarray k holds rows [k*R/S, (k+1)*R/S)."""
-        return row * self.subarrays // self.rows
-
-    def update(self, bank: int, row: int, increment: int) -> int:
-        counters = self.counters[bank]
-        value = counters[row] + increment
-        counters[row] = value
-        self.trackers[bank][self.subarray_of(row)].observe(row, value)
-        return value
-
-    def value(self, bank: int, row: int) -> int:
-        return self.counters[bank][row]
-
-    def max_tracked(self, bank: int) -> int:
-        """Hottest tracked value across the bank's subarrays."""
-        return max(t.value for t in self.trackers[bank])
-
-    def mitigate_subarray(self, bank: int, subarray: int) -> int | None:
-        """Mitigate the subarray's tracked row (PRACCounters semantics).
-
-        The aggressor's counter resets and each blast-radius victim gains
-        +1 (the victim refresh activates it); victims near a subarray edge
-        are observed into *their own* subarray's tracker.
-        """
-        tracker = self.trackers[bank][subarray]
-        if not tracker.valid:
-            return None
-        row = tracker.row
-        counters = self.counters[bank]
-        counters[row] = 0
-        tracker.invalidate()
-        for offset in range(1, BLAST_RADIUS + 1):
-            for victim in (row - offset, row + offset):
-                if 0 <= victim < self.rows:
-                    counters[victim] += 1
-                    self.trackers[bank][self.subarray_of(victim)].observe(
-                        victim, counters[victim])
-        return row
-
-    def refresh_rows(self, bank: int, start: int, stop: int) -> None:
-        self.counters[bank][start:stop] = zeros(stop - start)
-        for tracker in self.trackers[bank]:
-            if tracker.valid and start <= tracker.row < stop:
-                tracker.invalidate()
 
 
 class PRACticalPolicy(MitigationPolicy):
@@ -118,7 +56,7 @@ class PRACticalPolicy(MitigationPolicy):
         self.trh = trh
         self.ath = moat_ath(trh)
         self.eth = moat_eth(trh)
-        self.state = SubarrayState(banks, rows, min(subarrays, rows))
+        self.state = PRACCounters(banks, rows, min(subarrays, rows))
         #: last-activated subarray per bank; -1 = counter write retired
         self._busy_subarray = [-1] * banks
         self._alert_banks: set[int] = set()
@@ -174,13 +112,14 @@ class PRACticalPolicy(MitigationPolicy):
         self.stats.alerts_mitigation += 1
         state = self.state
         for bank in sorted(self._alert_banks):
-            for subarray, tracker in enumerate(state.trackers[bank]):
+            for subarray, tracker in enumerate(state.subarray_trackers[bank]):
                 if tracker.valid and tracker.value >= self.eth:
-                    row = state.mitigate_subarray(bank, subarray)
+                    row = state.mitigate(bank, subarray)
                     self._record_mitigation(bank, row, now)
             self._busy_subarray[bank] = -1
-        self._alert_banks = {bank for bank in range(state.banks)
-                             if state.max_tracked(bank) >= self.ath}
+        self._alert_banks = {
+            bank for bank, own in enumerate(state.subarray_trackers)
+            if any(tracker.value >= self.ath for tracker in own)}
         return bool(self._alert_banks)
 
     # -- introspection -----------------------------------------------------

@@ -102,6 +102,44 @@ class TestPRACCounters:
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
             PRACCounters(0, 64)
+        for subarrays in (0, 65):
+            with pytest.raises(ValueError, match="subarrays"):
+                PRACCounters(1, 64, subarrays)
+
+
+class TestSubarrays:
+    """PRACtical's per-subarray trackers: 4 subarrays of 16 rows."""
+
+    def _trackers(self, state):
+        return [(t.row, t.value) for t in state.subarray_trackers[0]]
+
+    def test_each_subarray_tracks_its_own_rows(self):
+        state = PRACCounters(1, 64, subarrays=4)
+        state.update(0, 3, 9)
+        state.update(0, 20, 5)
+        state.update(0, 63, 2)
+        assert self._trackers(state) == [(3, 9), (20, 5), (-1, 0), (63, 2)]
+
+    def test_victims_feed_their_own_subarray(self):
+        state = PRACCounters(1, 64, subarrays=4)
+        state.update(0, 15, 9)  # last row of subarray 0
+        assert state.mitigate(0, subarray=0) == 15
+        # victims 14 and 13 stay in subarray 0, 16 and 17 are subarray
+        # 1's; each tracker keeps the first of its equal-valued victims
+        assert self._trackers(state) == [(14, 1), (16, 1), (-1, 0), (-1, 0)]
+        assert state.mitigate(0, subarray=2) is None
+
+    def test_refresh_invalidates_only_trackers_in_range(self):
+        state = PRACCounters(1, 64, subarrays=4)
+        state.update(0, 3, 9)
+        state.update(0, 20, 5)
+        state.refresh_rows(0, 16, 24)
+        assert self._trackers(state) == [(3, 9), (-1, 0), (-1, 0), (-1, 0)]
+        assert state.value(0, 20) == 0
+
+    def test_one_subarray_is_the_bank_tracker(self):
+        state = PRACCounters(2, 64)
+        assert state.tracker(1) is state.subarray_trackers[1][0]
 
 
 class TestRefreshSchedule:
