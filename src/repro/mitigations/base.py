@@ -94,8 +94,10 @@ class MitigationPolicy:
         #: The harness stalls abo_level * tALERT_RFM and calls
         #: :meth:`on_rfm` that many times per ALERT episode.
         self.abo_level = 1
-        #: mitigation events since last drain, consumed by the harness
-        self.pending_mitigations: list[MitigationEvent] = []
+        #: mitigation events since the last drain, for the attack
+        #: harness's ledger; None keeps none (a System's policies, whose
+        #: runs read none)
+        self.pending_mitigations: list[MitigationEvent] | None = []
         #: opt-in event tracer (set by the harness; None = no tracing)
         self.tracer = None
         #: sub-channel index for trace attribution (set by the harness)
@@ -217,7 +219,10 @@ class MitigationPolicy:
 
     def drain_mitigations(self) -> list[MitigationEvent]:
         """Return and clear mitigation events (harness ledger hookup)."""
-        events, self.pending_mitigations = self.pending_mitigations, []
+        events = self.pending_mitigations
+        if not events:
+            return []
+        self.pending_mitigations = []
         return events
 
     def register_stats(self, registry, prefix: str) -> None:
@@ -243,7 +248,8 @@ class MitigationPolicy:
         # aggressor's victims are fresh, and each victim row was
         # itself activated once by the refresh (footnote 5)
         self.security.on_mitigation(bank, row)
-        self.pending_mitigations.append(MitigationEvent(bank, row, now))
+        if self.pending_mitigations is not None:
+            self.pending_mitigations.append(MitigationEvent(bank, row, now))
 
 
 class RefMitigationPolicy(MitigationPolicy):

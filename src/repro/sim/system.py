@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from ..config import SystemConfig
@@ -326,6 +327,10 @@ class System:
                 self.rider_sets.append([factory(i) for i in subchannels])
             except Exception:
                 self.rider_sets.append(None)
+        # victim-refresh events feed the attack harness's ledger; no
+        # part of a run reads them, so its policies keep none
+        for policy in chain(self.policies, *filter(None, self.rider_sets)):
+            policy.pending_mitigations = None
         #: filled by :meth:`run`: one result per rider, None if dropped
         self.rider_results: list[SystemResult | None] = []
         self._riding = [RiderPolicy(

@@ -1,11 +1,14 @@
 """Full-system simulator: end-to-end runs on tiny configurations."""
 
+from itertools import chain
+
 import pytest
 
 from repro.config import DRAMConfig, SystemConfig
 from repro.cpu.trace import TraceItem
 from repro.dram.timing import ddr5_base
 from repro.mitigations.prac import BaselinePolicy
+from repro.sim.runner import DesignPoint, build_system
 from repro.sim.system import System
 
 
@@ -177,3 +180,20 @@ class TestWritebacksDoNotBlock:
         # writebacks never block retirement, so the write run is
         # dispatch-limited and faster
         assert t_writes < t_reads
+
+
+class TestMitigationEvents:
+    def test_a_run_keeps_no_mitigation_events(self):
+        """Only the attack harness drains a policy's mitigation events;
+        a run's policies, lead and riders, keep none."""
+        point = dict(workload="hammer", trh=500, instructions=20_000)
+        solo = build_system(DesignPoint(design="qprac-proactive", **point))
+        solo.run()
+        riding = build_system(
+            DesignPoint(design="baseline", **point),
+            riders=[DesignPoint(design=design, **point)
+                    for design in ("mint", "pride")])
+        riding.run()
+        policies = [*solo.policies, *chain.from_iterable(riding.rider_sets)]
+        assert all(policy.stats.mitigations for policy in policies)
+        assert not any(policy.drain_mitigations() for policy in policies)
