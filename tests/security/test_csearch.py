@@ -95,10 +95,6 @@ class TestOneDerivation:
                                                               rel=1e-3)
         assert params.undercount_probability <= params.epsilon
 
-    def test_nup_refuses_rowpress(self):
-        with pytest.raises(ValueError, match="nup and rowpress"):
-            mopac_d_params(500, nup=True, rowpress=True)
-
     @pytest.mark.parametrize("derive", [
         lambda: mopac_c_params(500, 1 / 32),
         lambda: mopac_d_params(500, 1 / 32),
